@@ -5,7 +5,10 @@ into an erroneous-confidence matrix by Monte Carlo, recombine the update's
 output-bias delta into a scheme-normalized target, solve a least-squares
 problem on the probability simplex, and round to integer counts. For
 multi-epoch updates a posterior search refines the crude solution by
-simulating how the confidences drift over the local epochs.
+simulating how the confidences drift over the local epochs. The moments
+and confusion matrix of the global model are shared by every update of a
+round: prepare_round builds them once, and rlu_attack takes them as its
+context.
 
 Everything here sees only what a curious server would: the global model,
 the transmitted update, past transmissions, the training recipe, and an
@@ -55,6 +58,20 @@ class ConfusionMatrix:
     @property
     def n_classes(self) -> int:
         return self.s.shape[0]
+
+
+@dataclass
+class RoundContext:
+    """Attack inputs shared by every update of one round.
+
+    Both fields depend only on the round-start global model, the auxiliary
+    set, the Monte Carlo sample count and the seed, so one context serves
+    every client attacked against that model. prepare_round marks the
+    arrays read-only, which keeps attacks from writing into shared state.
+    """
+
+    moments: LogitMoments  # logit moments of the global model
+    s_first: ConfusionMatrix  # its Monte Carlo confusion matrix
 
 
 @dataclass
@@ -171,6 +188,19 @@ def mc_confusion(moments: LogitMoments, n_samples: int, seed: int) -> ConfusionM
     return ConfusionMatrix(_confusion_core(moments.mu, factors, n_samples, rng))
 
 
+def prepare_round(global_model: Model, aux: Dataset, mc_samples: int, seed: int) -> RoundContext:
+    """Global-model moments and confusion matrix, built once per round.
+
+    Pass the result to rlu_attack for every update of the round; build it
+    with the mc_samples of the AttackParams used there.
+    """
+    moments = estimate_moments(global_model, aux)
+    s_first = mc_confusion(moments, mc_samples, seed)
+    for arr in (moments.mu, moments.sigma, s_first.s):
+        arr.flags.writeable = False
+    return RoundContext(moments, s_first)
+
+
 def _geometric_rho(decay: float, m: int) -> np.ndarray:
     # rho_tau = (1 - decay^(m + 1 - tau)) / (1 - decay), the tail-sum of a
     # geometric momentum series; decay = 0 collapses to all-ones.
@@ -235,22 +265,21 @@ def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistor
     if cfg.scheme == "fedprox":
         return SchemeCoefficients(rho, None)
 
-    n = _infer_n_classes(history)
-    if n is None:
-        raise RuntimeError("cannot size the history offset from an empty history")
+    if round_idx == 1:
+        # No past updates yet, so the history offset is zero.
+        return SchemeCoefficients(rho, None)
     shrink = 1.0 - q**m
-    h = np.zeros(n)
+    h = np.zeros(history.past_local_bias[0].shape[0])
     for db in history.past_local_bias[: round_idx - 1]:
         h += shrink * db
     if cfg.scheme == "feddyn":
         return SchemeCoefficients(rho, h)
 
     # feddc: previous-round drift correction on top of the feddyn offset.
-    if round_idx > 1:
-        if len(history.past_global_bias) < round_idx - 1:
-            raise RuntimeError("feddc needs past global updates")
-        coef = 1.0 if lam * eta == 0.0 else shrink / (lam * eta * m)
-        h = h + coef * (history.past_local_bias[round_idx - 2] - history.past_global_bias[round_idx - 2])
+    if len(history.past_global_bias) < round_idx - 1:
+        raise RuntimeError("feddc needs past global updates")
+    coef = 1.0 if lam * eta == 0.0 else shrink / (lam * eta * m)
+    h = h + coef * (history.past_local_bias[round_idx - 2] - history.past_global_bias[round_idx - 2])
     return SchemeCoefficients(rho, h)
 
 
@@ -280,9 +309,10 @@ def make_target(update: LocalUpdate, coeffs: SchemeCoefficients, cfg: SchemeConf
 def solve_simplex_ls(a: np.ndarray, u: np.ndarray, tol: float = 1e-10, max_iters: int = 10000):
     """min ||A z - u||^2 over the probability simplex, by projected gradient.
 
-    Step size is 1/||A^T A||_2 (power iteration). Returns (z, info) where
-    info carries iterations, converged, and the objective at z. On
-    non-convergence the best iterate is returned with converged False.
+    Step size is 1/||A^T A||_2, the largest eigenvalue of the symmetric
+    positive semidefinite A^T A. Returns (z, info) where info carries
+    iterations, converged, and the objective at z. On non-convergence the
+    best iterate is returned with converged False.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     u = np.ascontiguousarray(u, dtype=np.float64)
@@ -291,15 +321,7 @@ def solve_simplex_ls(a: np.ndarray, u: np.ndarray, tol: float = 1e-10, max_iters
     if not (np.isfinite(a).all() and np.isfinite(u).all()):
         raise ValueError("non-finite system")
     n = u.size
-    ata = a.T @ a
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(100):
-        w = ata @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            break
-        v = w / lam
+    lam = float(np.linalg.eigvalsh(a.T @ a)[-1])
     if lam <= 1e-300:
         z = np.full(n, 1.0 / n)
         resid = a @ z - u
@@ -423,27 +445,35 @@ def rlu_attack(
     cfg: SchemeConfig,
     history: UpdateHistory,
     params: AttackParams = None,
+    context: RoundContext = None,
 ) -> AttackReport:
     """Recover the label counts behind one transmitted update.
 
-    history must be the round-start state for update.round. Raises
-    DegenerateUpdateError when the update carries no signal. All Monte
-    Carlo randomness derives from params.seed.
+    history must be the round-start state for update.round. context holds
+    the global model's moments and confusion matrix, from prepare_round
+    on this global_model and aux; without one it is built here from the
+    first of three seeds derived from params.seed. The local model's
+    confusion matrix (second seed) and the posterior search (third seed)
+    run only for multi-epoch updates and always draw from params.seed.
+    Raises ValueError on a non-finite update or a context for another
+    class count, and DegenerateUpdateError when the update carries no
+    signal.
     """
     params = params or AttackParams()
+    peak = update.delta.max_abs()
+    if not np.isfinite(peak):
+        raise ValueError("update delta is not finite")
     if cfg.eta == 0:
         raise DegenerateUpdateError("eta = 0 transmits no gradient signal")
-    if update.delta.max_abs() == 0.0:
+    if peak == 0.0:
         raise DegenerateUpdateError("update delta is identically zero")
 
     seeds = np.random.SeedSequence(params.seed).generate_state(3)
-    moments_first = estimate_moments(global_model, aux)
-    s_first = mc_confusion(moments_first, params.mc_samples, int(seeds[0]))
-
-    local_model = global_model.copy()
-    local_model.params().add_(update.delta, 1.0)
-    moments_last = estimate_moments(local_model, aux)
-    s_last = mc_confusion(moments_last, params.mc_samples, int(seeds[1]))
+    if context is None:
+        context = prepare_round(global_model, aux, params.mc_samples, int(seeds[0]))
+    elif context.s_first.n_classes != global_model.n_classes:
+        raise ValueError(f"context has {context.s_first.n_classes} classes, the model {global_model.n_classes}")
+    s_first = context.s_first
 
     coeffs = scheme_coefficients(cfg, update.round, history)
     u = make_target(update, coeffs, cfg)
@@ -455,6 +485,9 @@ def rlu_attack(
         counts = round_counts(z, cfg.batch_size)
         method = METHOD_SINGLE
     else:
+        local_model = global_model.copy()
+        local_model.params().add_(update.delta, 1.0)
+        s_last = mc_confusion(estimate_moments(local_model, aux), params.mc_samples, int(seeds[1]))
         a = build_system(ConfusionMatrix(0.5 * (s_first.s + s_last.s)))
         z, info = solve_simplex_ls(a, u, params.tol, params.max_iters)
         crude = round_counts(z, cfg.epochs * cfg.batch_size)
@@ -467,7 +500,7 @@ def rlu_attack(
             diagnostics["embedding_norm"] = float(embed_norm)
             counts = posterior_search(
                 crude,
-                moments_first,
+                context.moments,
                 s_first,
                 s_last,
                 embed_norm,

@@ -227,6 +227,7 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
         )
         if round_log:
             fed.append_round_log(round_log, t, cfg.scheme, stats)
+        context = atk.prepare_round(current, aux, cfg.attack.mc_samples, _derive_seed(cfg.seed, _S_ATTACK, t))
         for k in range(partition.n_clients):
             params = atk.AttackParams(
                 mc_samples=cfg.attack.mc_samples,
@@ -248,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
                 "train_acc": _fmt(stats[k]["train_acc"]) if stats[k] else "",
             }
             try:
-                report = atk.rlu_attack(current, updates[k], aux, cfg.scheme, histories[k], params)
+                report = atk.rlu_attack(current, updates[k], aux, cfg.scheme, histories[k], params, context)
             except atk.DegenerateUpdateError:
                 report = None
             wall_ms = (time.perf_counter() - start) * 1000.0

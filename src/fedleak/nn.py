@@ -103,10 +103,11 @@ class ParamVec:
         )
 
     def max_abs(self) -> float:
+        """Largest absolute entry; NaN if any entry is NaN."""
         m = 0.0
         for arr in self.weights + self.biases:
             if arr.size:
-                m = max(m, float(np.abs(arr).max()))
+                m = float(np.maximum(m, np.abs(arr).max()))
         return m
 
 

@@ -17,6 +17,7 @@ from fedleak.attack import (
     make_target,
     mc_confusion,
     posterior_search,
+    prepare_round,
     rlu_attack,
     round_counts,
     save_report,
@@ -31,6 +32,7 @@ from fedleak.fedsim import (
     run_round,
 )
 from fedleak.metrics import iacc
+from fedleak import attack as attack_module
 from fedleak.nn import Model, forward_batch, init_model, zeros_like_params
 
 from _helpers import blob_world, fedavg_cfg, full_batch_world, one_round
@@ -206,6 +208,17 @@ def test_coefficients_first_round_offsets_vanish():
         coeffs = scheme_coefficients(cfg, 1, history)
         if coeffs.h is not None:
             npt.assert_allclose(coeffs.h, np.zeros(4), atol=1e-15)
+
+
+def test_coefficients_first_round_empty_history():
+    # a default UpdateHistory() holds no past updates to size an offset from,
+    # but at round 1 the offset is zero anyway
+    for scheme in ("feddyn", "feddc"):
+        cfg = SchemeConfig(scheme=scheme, optimizer="sgd", eta=0.1, lam=2.0,
+                           epochs=3, batch_size=8)
+        coeffs = scheme_coefficients(cfg, 1, UpdateHistory())
+        npt.assert_allclose(coeffs.rho, [0.64, 0.8, 1.0], atol=1e-12)
+        assert coeffs.h is None
 
 
 def test_coefficients_feddyn_offset_from_history():
@@ -650,6 +663,25 @@ def test_rlu_degenerate_updates_raise():
         rlu_attack(model, zero, aux, cfg2, history, AttackParams(seed=0))
 
 
+def test_rlu_non_finite_update_raises_value_error():
+    data, aux, partition, model = full_batch_world(4)
+    cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=4)
+    for bad in (np.nan, np.inf):
+        delta = zeros_like_params(model)
+        for arr in delta.weights + delta.biases:
+            arr[...] = bad
+        broken = LocalUpdate(delta, 1, 0, updates[0].debug_ce_bias_grads)
+        with pytest.raises(ValueError, match="not finite"):
+            rlu_attack(model, broken, aux, cfg, histories[0], AttackParams(seed=0))
+    # one NaN entry among finite ones is caught too
+    delta = updates[0].delta.copy()
+    delta.biases[-1][2] = np.nan
+    broken = LocalUpdate(delta, 1, 0, updates[0].debug_ce_bias_grads)
+    with pytest.raises(ValueError, match="not finite"):
+        rlu_attack(model, broken, aux, cfg, histories[0], AttackParams(seed=0))
+
+
 def test_rlu_ignores_debug_channel():
     # the recorded per-epoch gradients exist for tests only; zeroing them
     # must not change the attack output
@@ -699,3 +731,81 @@ def test_report_simplex_invariant():
     assert report.z_star.min() >= -1e-8
     assert abs(report.z_star.sum() - 1.0) <= 1e-8
     assert (report.counts >= 0).all()
+
+
+# ------------------------------------------------------------ round context
+
+def _first_seed(params):
+    return int(np.random.SeedSequence(params.seed).generate_state(3)[0])
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(attack_module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(attack_module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("epochs,search_iters", [(1, 5), (3, 0), (3, 5)])
+def test_rlu_explicit_context_matches_default(epochs, search_iters):
+    data, aux, partition, model = full_batch_world(8)
+    cfg = fedavg_cfg(eta=0.01, epochs=epochs, batch_size=32)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=8)
+    params = AttackParams(mc_samples=2000, search_iters=search_iters,
+                          search_mc_samples=200, seed=13)
+    context = prepare_round(model, aux, params.mc_samples, _first_seed(params))
+    implicit = rlu_attack(model, updates[0], aux, cfg, histories[0], params)
+    explicit = rlu_attack(model, updates[0], aux, cfg, histories[0], params, context)
+    assert explicit.to_json() == implicit.to_json()
+
+
+def test_rlu_single_epoch_with_context_runs_no_monte_carlo(monkeypatch):
+    data, aux, partition, model = full_batch_world(9)
+    cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=9)
+    context = prepare_round(model, aux, 2000, seed=1)
+    mc_calls = _counting(monkeypatch, "mc_confusion")
+    moment_calls = _counting(monkeypatch, "estimate_moments")
+    report = rlu_attack(model, updates[0], aux, cfg, histories[0],
+                        AttackParams(mc_samples=2000, seed=2), context)
+    assert report.method == "single_epoch"
+    assert mc_calls == [] and moment_calls == []
+    # without a context the single-epoch path builds only the global one
+    rlu_attack(model, updates[0], aux, cfg, histories[0], AttackParams(mc_samples=2000, seed=2))
+    assert len(mc_calls) == 1 and len(moment_calls) == 1
+
+
+def test_rlu_rejects_context_of_other_class_count():
+    data, aux, partition, model = full_batch_world(10)
+    cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=10)
+    _, small_aux, _, small_model = blob_world(0, n_classes=4, aux_per_class=30)
+    context = prepare_round(small_model, small_aux, 500, seed=0)
+    with pytest.raises(ValueError, match="classes"):
+        rlu_attack(model, updates[0], aux, cfg, histories[0], AttackParams(seed=0), context)
+
+
+def test_round_context_unchanged_by_multi_epoch_attacks():
+    data, aux, partition, model = blob_world(3, clients=4)
+    cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
+    _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
+    context = prepare_round(model, aux, 2000, seed=5)
+    before = [context.moments.mu.copy(), context.moments.sigma.copy(), context.s_first.s.copy()]
+    attacked = 0
+    for k, update in enumerate(updates):
+        if truths[k] is None:
+            continue
+        params = AttackParams(mc_samples=2000, search_iters=3, search_mc_samples=200, seed=k)
+        report = rlu_attack(model, update, aux, cfg, histories[k], params, context)
+        assert report.method == "posterior_search"
+        attacked += 1
+    assert attacked >= 2
+    after = [context.moments.mu, context.moments.sigma, context.s_first.s]
+    for old, new in zip(before, after):
+        npt.assert_array_equal(old, new)
+        assert not new.flags.writeable

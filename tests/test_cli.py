@@ -3,9 +3,12 @@ import json
 import shutil
 import subprocess
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fedleak import attack
 from fedleak.cli import (
     RESULT_COLUMNS,
     ExperimentConfig,
@@ -381,3 +384,29 @@ def test_run_experiment_api_matches_csv(tmp_path):
     rows = run_experiment(cfg)
     assert len(rows) == 10
     assert set(rows[0]) == set(RESULT_COLUMNS)
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_run_experiment_monte_carlo_calls_per_round(monkeypatch, epochs):
+    # one global-model confusion matrix per round, plus one local-model
+    # matrix per trained client when there is more than one epoch
+    calls = []
+    original = attack.mc_confusion
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "mc_confusion", counting)
+    base = ExperimentConfig(rounds=2)
+    cfg = replace(
+        base,
+        data=replace(base.data, n_classes=4, dim=8, per_class=40),
+        partition=replace(base.partition, clients=3),
+        scheme=replace(base.scheme, epochs=epochs, batch_size=16),
+        attack=replace(base.attack, mc_samples=500, search_mc_samples=100, aux_per_class=50),
+    )
+    rows = run_experiment(cfg)
+    trained = sum(1 for r in rows if r["train_acc"] != "")
+    assert trained >= 4
+    assert len(calls) == cfg.rounds + (trained if epochs > 1 else 0)

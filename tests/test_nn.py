@@ -18,6 +18,7 @@ from fedleak.nn import (
     output_layer_gradient,
     save_model,
     softmax,
+    zeros_like_params,
 )
 
 
@@ -292,3 +293,16 @@ def test_init_model_bounds_and_determinism():
         bound = 1.0 / math.sqrt(w.shape[1])
         assert np.abs(w).max() <= bound
         assert np.abs(a.biases[layer]).max() <= bound
+
+
+def test_param_vec_max_abs_propagates_nan():
+    model = init_model([3, 4, 2], "relu", seed=0)
+    vec = zeros_like_params(model)
+    assert vec.max_abs() == 0.0
+    vec.weights[0][1, 2] = -3.0
+    assert vec.max_abs() == 3.0
+    vec.biases[0][1] = np.nan
+    assert math.isnan(vec.max_abs())
+    for arr in vec.weights + vec.biases:
+        arr[...] = np.nan
+    assert math.isnan(vec.max_abs())
