@@ -1,38 +1,17 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels of the attack, in plain numpy.
 
-The numpy path is selected when numba is not importable or when the
-environment variable FEDLEAK_DISABLE_NUMBA is set to 1/true/yes. Both
-paths compute the same quantities; tiny (ulp-level) differences can
-occur because summation order differs. Everything else in the package
-calls the dispatched names (mean_softmax, project_simplex, pgd_simplex_ls)
-and is agnostic to the path.
-
-Matmul-heavy code (the MLP forward/backward) stays on numpy/BLAS and is
-deliberately not jitted here.
+mean_softmax averages row-wise softmax over Monte Carlo logit draws (the
+confusion matrix); pgd_simplex_ls solves least squares on the probability
+simplex by projected gradient, with project_simplex as its projection.
 """
-
-import math
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("FEDLEAK_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by FEDLEAK_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+# Kept only for perfbench/run.py's environment record; there is no jitted path.
+NUMBA_ENABLED = False
 
 
-# ---------------------------------------------------------------- numpy path
-
-
-def mean_softmax_numpy(draws: np.ndarray) -> np.ndarray:
+def mean_softmax(draws: np.ndarray) -> np.ndarray:
     """Mean of row-wise softmax over a (M, N) matrix of logit draws."""
     shifted = draws - draws.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -40,7 +19,7 @@ def mean_softmax_numpy(draws: np.ndarray) -> np.ndarray:
     return p.mean(axis=0)
 
 
-def project_simplex_numpy(v: np.ndarray) -> np.ndarray:
+def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based, exact)."""
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
@@ -51,7 +30,7 @@ def project_simplex_numpy(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def pgd_simplex_ls_numpy(a, u, step, tol, max_iters):
+def pgd_simplex_ls(a, u, step, tol, max_iters):
     """Projected gradient for min ||A z - u||^2 over the simplex.
 
     Returns (z, iterations, converged). Stops when the max-abs change of
@@ -61,87 +40,9 @@ def pgd_simplex_ls_numpy(a, u, step, tol, max_iters):
     z = np.full(n, 1.0 / n)
     for it in range(max_iters):
         grad = a.T @ (a @ z - u)
-        z_new = project_simplex_numpy(z - step * grad)
+        z_new = project_simplex(z - step * grad)
         delta = np.abs(z_new - z).max()
         z = z_new
         if delta <= tol:
             return z, it + 1, True
     return z, max_iters, False
-
-
-# ---------------------------------------------------------------- numba path
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _mean_softmax_jit(draws):
-        m, n = draws.shape
-        out = np.zeros(n)
-        row = np.empty(n)
-        for i in range(m):
-            mx = draws[i, 0]
-            for j in range(1, n):
-                if draws[i, j] > mx:
-                    mx = draws[i, j]
-            s = 0.0
-            for j in range(n):
-                row[j] = math.exp(draws[i, j] - mx)
-                s += row[j]
-            for j in range(n):
-                out[j] += row[j] / s
-        return out / m
-
-    @njit(cache=True)
-    def _project_simplex_jit(v):
-        n = v.size
-        u = np.sort(v)[::-1]
-        css = np.cumsum(u)
-        k = 0
-        for i in range(n):
-            if u[i] + (1.0 - css[i]) / (i + 1.0) > 0.0:
-                k = i
-        theta = (css[k] - 1.0) / (k + 1.0)
-        out = np.empty(n)
-        for i in range(n):
-            d = v[i] - theta
-            out[i] = d if d > 0.0 else 0.0
-        return out
-
-    @njit(cache=True)
-    def _pgd_simplex_ls_jit(a, u, step, tol, max_iters):
-        n = u.size
-        z = np.full(n, 1.0 / n)
-        r = np.empty(n)
-        g = np.empty(n)
-        w = np.empty(n)
-        for it in range(max_iters):
-            for j in range(n):
-                acc = -u[j]
-                for k in range(n):
-                    acc += a[j, k] * z[k]
-                r[j] = acc
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc += a[k, j] * r[k]
-                g[j] = acc
-            for j in range(n):
-                w[j] = z[j] - step * g[j]
-            z_new = _project_simplex_jit(w)
-            delta = 0.0
-            for j in range(n):
-                d = abs(z_new[j] - z[j])
-                if d > delta:
-                    delta = d
-                z[j] = z_new[j]
-            if delta <= tol:
-                return z, it + 1, True
-        return z, max_iters, False
-
-    mean_softmax = _mean_softmax_jit
-    project_simplex = _project_simplex_jit
-    pgd_simplex_ls = _pgd_simplex_ls_jit
-else:
-    mean_softmax = mean_softmax_numpy
-    project_simplex = project_simplex_numpy
-    pgd_simplex_ls = pgd_simplex_ls_numpy

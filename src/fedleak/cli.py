@@ -227,7 +227,11 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
         )
         if round_log:
             fed.append_round_log(round_log, t, cfg.scheme, stats)
-        context = atk.prepare_round(current, aux, cfg.attack.mc_samples, _derive_seed(cfg.seed, _S_ATTACK, t))
+        # rlu_attack rejects eta = 0 and all-zero deltas before it reads the
+        # context, so a round of only such updates needs none
+        context = None
+        if cfg.scheme.eta != 0 and any(u.delta.max_abs() != 0.0 for u in updates):
+            context = atk.prepare_round(current, aux, cfg.attack.mc_samples, _derive_seed(cfg.seed, _S_ATTACK, t))
         for k in range(partition.n_clients):
             params = atk.AttackParams(
                 mc_samples=cfg.attack.mc_samples,

@@ -99,8 +99,8 @@ def make_synthetic(
         raise ValueError("n_classes must be at least 2")
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
-    if separation < 0:
-        raise ValueError("separation must be non-negative")
+    if not np.isfinite(separation) or separation < 0:
+        raise ValueError("separation must be finite and non-negative")
     if dim < 1:
         raise ValueError("dim must be at least 1")
     dirs = class_directions(n_classes, dim)
@@ -169,8 +169,8 @@ def dirichlet_partition(dataset: Dataset, n_clients: int, alpha: float, seed: in
     """
     if n_clients < 1:
         raise ValueError("n_clients must be at least 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not np.isfinite(alpha) or alpha <= 0:
+        raise ValueError("alpha must be finite and positive")
     rng = np.random.default_rng(seed)
     buckets = [[] for _ in range(n_clients)]
     for j in range(dataset.n_classes):

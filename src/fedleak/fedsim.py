@@ -52,12 +52,12 @@ class SchemeConfig:
             raise ValueError(f"{self.optimizer} is only defined under fedavg")
         if self.scheme in ("scaffold", "feddyn", "feddc") and self.optimizer != "sgd":
             raise ValueError(f"{self.scheme} requires the sgd optimizer")
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not np.isfinite(self.eta) or self.eta < 0:
+            raise ValueError("eta must be finite and non-negative")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not np.isfinite(self.lam) or self.lam < 0:
+            raise ValueError("lambda must be finite and non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -74,6 +74,9 @@ class LocalUpdate:
     # Debug/test channel: (m, N) batch-mean CE bias gradients per epoch.
     # The attack pipeline must never read this.
     debug_ce_bias_grads: np.ndarray = field(repr=False, default=None)
+    # Cross-entropy of the first batch at the round-start parameters, for
+    # the round log. Not transmitted either.
+    first_loss: float = field(repr=False, default=None)
 
     @property
     def delta_w_out(self) -> np.ndarray:
@@ -160,7 +163,8 @@ def local_train(
     """Run m local epochs from `model`; returns (LocalUpdate, trained Model).
 
     Pure: neither `model` nor `history` is modified. Raises on non-finite
-    loss (diverging step size) and on history/round mismatches.
+    loss or final parameters (diverging step size) and on history/round
+    mismatches.
     """
     _check_history(history, cfg, round_idx)
     if len(plan.batches) != cfg.epochs:
@@ -187,6 +191,8 @@ def local_train(
         loss, grad = backward(local, data.features[idx], data.labels[idx])
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at round {round_idx} epoch {tau + 1}")
+        if tau == 0:
+            first_loss = float(loss)
         ce_bias_grads[tau] = grad.biases[-1]
 
         if cfg.scheme == "fedprox":
@@ -222,7 +228,9 @@ def local_train(
         params.add_(step, -eta)
 
     delta = params.sub(theta0)
-    update = LocalUpdate(delta, round_idx, client_id, ce_bias_grads)
+    if not np.isfinite(delta.max_abs()):
+        raise RuntimeError(f"non-finite parameters after local training at round {round_idx} client {client_id}")
+    update = LocalUpdate(delta, round_idx, client_id, ce_bias_grads, first_loss)
     return update, local
 
 
@@ -323,10 +331,9 @@ def run_round(
         update, local = local_train(global_model, client_data, plan, cfg, histories[k], round_idx, k)
         updates.append(update)
         truths.append(plan.true_counts.copy())
-        first_loss, _ = backward(global_model, client_data.features[plan.batches[0]], client_data.labels[plan.batches[0]])
         stats.append(
             {
-                "loss": float(first_loss),
+                "loss": update.first_loss,
                 "train_acc": accuracy(local, client_data.features, client_data.labels),
             }
         )

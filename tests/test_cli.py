@@ -386,10 +386,7 @@ def test_run_experiment_api_matches_csv(tmp_path):
     assert set(rows[0]) == set(RESULT_COLUMNS)
 
 
-@pytest.mark.parametrize("epochs", [1, 3])
-def test_run_experiment_monte_carlo_calls_per_round(monkeypatch, epochs):
-    # one global-model confusion matrix per round, plus one local-model
-    # matrix per trained client when there is more than one epoch
+def count_mc_confusion(monkeypatch):
     calls = []
     original = attack.mc_confusion
 
@@ -398,15 +395,58 @@ def test_run_experiment_monte_carlo_calls_per_round(monkeypatch, epochs):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(attack, "mc_confusion", counting)
+    return calls
+
+
+def small_experiment(**scheme):
     base = ExperimentConfig(rounds=2)
-    cfg = replace(
+    return replace(
         base,
         data=replace(base.data, n_classes=4, dim=8, per_class=40),
         partition=replace(base.partition, clients=3),
-        scheme=replace(base.scheme, epochs=epochs, batch_size=16),
+        scheme=replace(base.scheme, **{"batch_size": 16, **scheme}),
         attack=replace(base.attack, mc_samples=500, search_mc_samples=100, aux_per_class=50),
     )
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_run_experiment_monte_carlo_calls_per_round(monkeypatch, epochs):
+    # one global-model confusion matrix per round, plus one local-model
+    # matrix per trained client when there is more than one epoch
+    calls = count_mc_confusion(monkeypatch)
+    cfg = small_experiment(epochs=epochs)
     rows = run_experiment(cfg)
     trained = sum(1 for r in rows if r["train_acc"] != "")
     assert trained >= 4
     assert len(calls) == cfg.rounds + (trained if epochs > 1 else 0)
+
+
+@pytest.mark.parametrize("scheme", [{"eta": 0.0}, {"batch_size": 1000}], ids=["eta0", "untrained"])
+def test_run_experiment_unattackable_rounds_build_no_context(monkeypatch, scheme):
+    calls = count_mc_confusion(monkeypatch)
+    rows = run_experiment(small_experiment(**scheme))
+    assert len(rows) == 6
+    assert all(r["status"] == "degenerate" for r in rows)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--alpha", "nan", "alpha"),
+        ("--alpha", "inf", "alpha"),
+        ("--eta", "nan", "eta"),
+        ("--eta", "inf", "eta"),
+        ("--lambda", "nan", "lambda"),
+        ("--lambda", "inf", "lambda"),
+        ("--gamma", "nan", "gamma"),
+        ("--separation", "nan", "separation"),
+        ("--separation", "inf", "separation"),
+    ],
+)
+def test_run_non_finite_values_exit_one(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "r.csv"
+    rc = main(["run", flag, value, "--output", str(out), *small_args(tmp_path)])
+    assert rc == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()

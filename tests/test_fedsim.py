@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fedleak import fedsim
 from fedleak.attack import scheme_coefficients
-from fedleak.data import dirichlet_partition, make_synthetic, plan_batches
+from fedleak.data import Dataset, dirichlet_partition, make_synthetic, plan_batches
 from fedleak.fedsim import (
     LocalUpdate,
     SchemeConfig,
@@ -123,6 +124,19 @@ def test_nonfinite_loss_raises():
     cfg = fedavg_cfg(eta=1e160, epochs=3, batch_size=16)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
         local_train(model, client, plan, cfg, UpdateHistory.fresh(model), 1, 0)
+
+
+def test_nonfinite_final_params_raise():
+    # the loss is finite at the single step, but the step overflows the parameters
+    data, partition, _ = small_world(seed=3)
+    client = data.subset(partition.assignments[0])
+    client = Dataset(client.features * 100.0, client.labels, client.n_classes)
+    model = init_model([6, 10, 4], "relu", seed=3)
+    plan = plan_batches(client, 16, 1, seed=3)
+    cfg = fedavg_cfg(eta=1e308, epochs=1, batch_size=16)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match="parameters .* round 1 client 7"):
+        local_train(model, client, plan, cfg, UpdateHistory.fresh(model), 1, 7)
 
 
 # -------------------------------------------------------------- aggregation
@@ -250,6 +264,29 @@ def test_run_round_under_provisioned_client_zero_update():
     assert updates[0].delta.max_abs() == 0.0
     assert truths[0] is None and stats[0] is None
     assert truths[1] is not None
+
+
+def test_run_round_one_backward_per_epoch(monkeypatch):
+    # the round log's first-batch loss comes from local_train's first epoch,
+    # not from a second backward pass
+    data, partition, model = small_world(seed=16, clients=3)
+    cfg = fedavg_cfg(eta=0.05, epochs=3, batch_size=16)
+    calls = []
+    original = fedsim.backward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fedsim, "backward", counting)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    _, _, truths, stats, _ = run_round(model, data, partition, cfg, histories, 1, seed=16)
+    trained = sum(1 for t in truths if t is not None)
+    assert trained >= 2
+    assert len(calls) == cfg.epochs * trained
+    for st in stats:
+        if st is not None:
+            assert np.isfinite(st["loss"])
 
 
 def test_run_round_deterministic():
