@@ -5,10 +5,10 @@ into an erroneous-confidence matrix by Monte Carlo, recombine the update's
 output-bias delta into a scheme-normalized target, solve a least-squares
 problem on the probability simplex, and round to integer counts. For
 multi-epoch updates a posterior search refines the crude solution by
-simulating how the confidences drift over the local epochs. The moments
-and confusion matrix of the global model are shared by every update of a
-round: prepare_round builds them once, and rlu_attack takes them as its
-context.
+simulating how the confidences drift over the local epochs. Every update
+of a round is attacked against the same global model: prepare_round builds
+that model's moments and confusion matrix once into a RoundContext, and
+rlu_attack takes the context with each update.
 
 Everything here sees only what a curious server would: the global model,
 the transmitted update, past transmissions, the training recipe, and an
@@ -60,18 +60,43 @@ class ConfusionMatrix:
         return self.s.shape[0]
 
 
-@dataclass
-class RoundContext:
-    """Attack inputs shared by every update of one round.
+@dataclass(frozen=True)
+class AttackParams:
+    """Monte Carlo and solver settings shared by every attack of a run."""
 
-    Both fields depend only on the round-start global model, the auxiliary
-    set, the Monte Carlo sample count and the seed, so one context serves
-    every client attacked against that model. prepare_round marks the
-    arrays read-only, which keeps attacks from writing into shared state.
+    mc_samples: int = 10000
+    search_iters: int = 5
+    search_mc_samples: int = 1000
+    tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be at least 1, got {self.mc_samples}")
+        if self.search_mc_samples < 1:
+            raise ValueError(f"search_mc_samples must be at least 1, got {self.search_mc_samples}")
+        if self.search_iters < 0:
+            raise ValueError(f"search_iters must be non-negative, got {self.search_iters}")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
+
+
+@dataclass(frozen=True)
+class RoundContext:
+    """Everything an attack needs that is fixed for one round.
+
+    Every update of a round is attacked against the same round-start global
+    model, auxiliary set, settings and seed; prepare_round builds the
+    model's logit moments and confusion matrix from them once. It marks
+    those arrays read-only, which keeps attacks from writing into shared
+    state.
     """
 
-    moments: LogitMoments  # logit moments of the global model
-    s_first: ConfusionMatrix  # its Monte Carlo confusion matrix
+    global_model: Model
+    aux: Dataset
+    params: AttackParams
+    seed: int
+    moments: LogitMoments  # logit moments of global_model on aux
+    s_first: ConfusionMatrix  # their Monte Carlo confusion matrix
 
 
 @dataclass
@@ -83,19 +108,6 @@ class SchemeCoefficients:
 
     rho: np.ndarray  # (m,)
     h: np.ndarray = None  # (N,) or None
-
-
-@dataclass
-class AttackParams:
-    mc_samples: int = 10000
-    search_iters: int = 5
-    search_mc_samples: int = 1000
-    tol: float = 1e-10
-    max_iters: int = 10000
-    eps_adj: float = 0.01
-    rel_threshold: float = 0.1
-    include_bias_factor: bool = False
-    seed: int = 0
 
 
 @dataclass
@@ -165,12 +177,19 @@ def estimate_moments(model: Model, aux: Dataset, jitter_scale: float = _JITTER_S
     return LogitMoments(mu, sigma)
 
 
-def _confusion_core(mu: np.ndarray, factors, n_samples: int, rng) -> np.ndarray:
+def _confusion_core(mu: np.ndarray, draws) -> np.ndarray:
+    """Confusion matrix whose row n is the mean softmax of mu[n] + draws[n].
+
+    draws yields one (M, N) block of centred logit draws per class, in
+    class order; only one block needs to exist at a time.
+    """
     n = mu.shape[0]
     s = np.empty((n, n))
+    draws = iter(draws)
     for cls in range(n):
-        draws = mu[cls] + rng.standard_normal((n_samples, n)) @ factors[cls].T
-        s[cls] = mean_softmax(draws)
+        # next() leaves no name or loop tuple holding a generated block, so
+        # it is freed before mean_softmax allocates its temporaries
+        s[cls] = mean_softmax(mu[cls] + next(draws))
         s[cls, cls] = 0.0
     return s
 
@@ -183,22 +202,24 @@ def mc_confusion(moments: LogitMoments, n_samples: int, seed: int) -> ConfusionM
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    factors = [_psd_factor(moments.sigma[cls]) for cls in range(moments.mu.shape[0])]
+    n = moments.mu.shape[0]
     rng = np.random.default_rng(seed)
-    return ConfusionMatrix(_confusion_core(moments.mu, factors, n_samples, rng))
+    draws = (rng.standard_normal((n_samples, n)) @ _psd_factor(moments.sigma[cls]).T for cls in range(n))
+    return ConfusionMatrix(_confusion_core(moments.mu, draws))
 
 
-def prepare_round(global_model: Model, aux: Dataset, mc_samples: int, seed: int) -> RoundContext:
-    """Global-model moments and confusion matrix, built once per round.
+def prepare_round(global_model: Model, aux: Dataset, params: AttackParams, seed: int) -> RoundContext:
+    """The attack context of one round, built once from its global model.
 
-    Pass the result to rlu_attack for every update of the round; build it
-    with the mc_samples of the AttackParams used there.
+    Pass the result to rlu_attack for every update of the round. seed
+    drives the global model's confusion matrix and, mixed with each
+    update's round and client, the Monte Carlo streams of that update.
     """
     moments = estimate_moments(global_model, aux)
-    s_first = mc_confusion(moments, mc_samples, seed)
+    s_first = mc_confusion(moments, params.mc_samples, seed)
     for arr in (moments.mu, moments.sigma, s_first.s):
         arr.flags.writeable = False
-    return RoundContext(moments, s_first)
+    return RoundContext(global_model, aux, params, seed, moments, s_first)
 
 
 def _geometric_rho(decay: float, m: int) -> np.ndarray:
@@ -241,11 +262,7 @@ def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistor
         if cfg.optimizer == "sgdm":
             return SchemeCoefficients(_geometric_rho(gamma, m), None)
         # nag: one extra power of gamma in every tail sum
-        taus = np.arange(1, m + 1)
-        if gamma == 0.0:
-            return SchemeCoefficients(np.ones(m), None)
-        rho = (1.0 - gamma ** (m + 2 - taus)) / (1.0 - gamma)
-        return SchemeCoefficients(rho, None)
+        return SchemeCoefficients(_geometric_rho(gamma, m + 1)[:m], None)
 
     if cfg.scheme == "scaffold":
         if len(history.server_variate_bias) < round_idx:
@@ -402,31 +419,24 @@ def posterior_search(
         return g * m
 
     factor = embed_norm + (1.0 if include_bias_factor else 0.0)
-    factors = [_psd_factor(moments.sigma[cls]) for cls in range(n)]
     rng = np.random.default_rng(seed)
     # One fixed draw set for the whole search (common random numbers): the
     # adjustment signal becomes a deterministic function of g instead of a
     # noise-driven walk across outer iterations, and the drift below is a
     # paired difference whose sampling error largely cancels.
-    draws = [rng.standard_normal((mc_samples, n)) @ factors[cls].T for cls in range(n)]
-    base = np.empty((n, n))
-    for cls in range(n):
-        base[cls] = mean_softmax(moments.mu[cls] + draws[cls])
-        base[cls, cls] = 0.0
+    draws = [rng.standard_normal((mc_samples, n)) @ _psd_factor(moments.sigma[cls]).T for cls in range(n)]
+    base = _confusion_core(moments.mu, draws)
     scale = cfg.eta / batch
     for _ in range(search_iters):
         mu = moments.mu.copy()
-        s_cur = s_first.s.copy()
+        s_cur = s_first.s
         for _tau in range(m):
             exp_db = scale * (g * s_cur.sum(axis=1) - s_cur.T @ g)
             mu += exp_db[None, :] * factor
             # Control variate: the M-sample estimate only carries the drift
             # relative to the same draws at the starting moments, anchored
             # at the higher-precision starting matrix.
-            for cls in range(n):
-                row = mean_softmax(mu[cls] + draws[cls])
-                s_cur[cls] = s_first.s[cls] + (row - base[cls])
-                s_cur[cls, cls] = 0.0
+            s_cur = s_first.s + (_confusion_core(mu, draws) - base)
         d = (s_last_observed.s - s_cur).sum(axis=0) / (n - 1)
         hi = int(np.argmax(d))
         lo = int(np.argmin(d))
@@ -438,42 +448,33 @@ def posterior_search(
     return g * m
 
 
-def rlu_attack(
-    global_model: Model,
-    update: LocalUpdate,
-    aux: Dataset,
-    cfg: SchemeConfig,
-    history: UpdateHistory,
-    params: AttackParams = None,
-    context: RoundContext = None,
-) -> AttackReport:
-    """Recover the label counts behind one transmitted update.
+def carries_signal(update: LocalUpdate, cfg: SchemeConfig) -> bool:
+    """Whether the update has a gradient signal to invert.
 
-    history must be the round-start state for update.round. context holds
-    the global model's moments and confusion matrix, from prepare_round
-    on this global_model and aux; without one it is built here from the
-    first of three seeds derived from params.seed. The local model's
-    confusion matrix (second seed) and the posterior search (third seed)
-    run only for multi-epoch updates and always draw from params.seed.
-    Raises ValueError on a non-finite update or a context for another
-    class count, and DegenerateUpdateError when the update carries no
-    signal.
+    False for eta = 0 or an identically zero delta, the updates rlu_attack
+    rejects as degenerate. Raises ValueError for a NaN or infinite delta,
+    which is invalid input rather than a missing signal.
     """
-    params = params or AttackParams()
     peak = update.delta.max_abs()
     if not np.isfinite(peak):
         raise ValueError("update delta is not finite")
-    if cfg.eta == 0:
-        raise DegenerateUpdateError("eta = 0 transmits no gradient signal")
-    if peak == 0.0:
-        raise DegenerateUpdateError("update delta is identically zero")
+    return cfg.eta != 0 and peak != 0.0
 
-    seeds = np.random.SeedSequence(params.seed).generate_state(3)
-    if context is None:
-        context = prepare_round(global_model, aux, params.mc_samples, int(seeds[0]))
-    elif context.s_first.n_classes != global_model.n_classes:
-        raise ValueError(f"context has {context.s_first.n_classes} classes, the model {global_model.n_classes}")
-    s_first = context.s_first
+
+def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, history: UpdateHistory) -> AttackReport:
+    """Recover the label counts behind one transmitted update.
+
+    context comes from prepare_round on the global model that update
+    started from; history must be the round-start state for update.round.
+    Multi-epoch updates also build the local model's confusion matrix and
+    run the posterior search, each from a stream derived from
+    (context.seed, update.round, update.client_id). Raises ValueError on a
+    non-finite update and DegenerateUpdateError when the update carries no
+    signal; both checks come before the context is read.
+    """
+    if not carries_signal(update, cfg):
+        raise DegenerateUpdateError("eta = 0 or an all-zero delta carries no gradient signal")
+    params, s_first = context.params, context.s_first
 
     coeffs = scheme_coefficients(cfg, update.round, history)
     u = make_target(update, coeffs, cfg)
@@ -481,22 +482,25 @@ def rlu_attack(
     diagnostics = {"mc_samples": params.mc_samples}
     if cfg.epochs == 1:
         a = build_system(s_first)
-        z, info = solve_simplex_ls(a, u, params.tol, params.max_iters)
+        z, info = solve_simplex_ls(a, u, params.tol)
         counts = round_counts(z, cfg.batch_size)
         method = METHOD_SINGLE
     else:
-        local_model = global_model.copy()
+        last_seed, search_seed = np.random.SeedSequence(
+            context.seed, spawn_key=(update.round, update.client_id)
+        ).generate_state(2)
+        local_model = context.global_model.copy()
         local_model.params().add_(update.delta, 1.0)
-        s_last = mc_confusion(estimate_moments(local_model, aux), params.mc_samples, int(seeds[1]))
+        s_last = mc_confusion(estimate_moments(local_model, context.aux), params.mc_samples, int(last_seed))
         a = build_system(ConfusionMatrix(0.5 * (s_first.s + s_last.s)))
-        z, info = solve_simplex_ls(a, u, params.tol, params.max_iters)
+        z, info = solve_simplex_ls(a, u, params.tol)
         crude = round_counts(z, cfg.epochs * cfg.batch_size)
         diagnostics["crude_counts"] = [int(c) for c in crude]
-        if params.search_iters <= 0:
+        if params.search_iters == 0:
             counts = crude
             method = METHOD_CRUDE
         else:
-            embed_norm = estimate_embedding_norm(update.delta_w_out, update.delta_b_out, params.rel_threshold)
+            embed_norm = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
             diagnostics["embedding_norm"] = float(embed_norm)
             counts = posterior_search(
                 crude,
@@ -507,9 +511,7 @@ def rlu_attack(
                 cfg,
                 params.search_iters,
                 params.search_mc_samples,
-                int(seeds[2]),
-                params.eps_adj,
-                params.include_bias_factor,
+                int(search_seed),
             )
             method = METHOD_SEARCH
     diagnostics["solver_iterations"] = info["iterations"]

@@ -60,7 +60,6 @@ class DataSpec:
     dim: int = 16
     per_class: int = 100
     separation: float = 4.0
-    seed: int = None  # None: derived from the master seed
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,7 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class AttackSpec:
-    mc_samples: int = 10000
-    search_iters: int = 5
-    search_mc_samples: int = 1000
-    tol: float = 1e-10
+class AttackSpec(atk.AttackParams):
     aux_per_class: int = 100
 
 
@@ -194,8 +189,7 @@ def _config_from_args(args) -> ExperimentConfig:
 def _build_world(cfg: ExperimentConfig):
     """Dataset, auxiliary set, partition, and initial model for one run."""
     d = cfg.data
-    data_seed = d.seed if d.seed is not None else _derive_seed(cfg.seed, _S_DATA)
-    dataset = dat.make_synthetic(d.n_classes, d.dim, d.per_class, d.separation, data_seed)
+    dataset = dat.make_synthetic(d.n_classes, d.dim, d.per_class, d.separation, _derive_seed(cfg.seed, _S_DATA))
     aux = dat.make_auxiliary(
         d.n_classes, d.dim, cfg.attack.aux_per_class, d.separation, _derive_seed(cfg.seed, _S_AUX)
     )
@@ -227,19 +221,12 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
         )
         if round_log:
             fed.append_round_log(round_log, t, cfg.scheme, stats)
-        # rlu_attack rejects eta = 0 and all-zero deltas before it reads the
+        # rlu_attack rejects updates without signal before it reads the
         # context, so a round of only such updates needs none
         context = None
-        if cfg.scheme.eta != 0 and any(u.delta.max_abs() != 0.0 for u in updates):
-            context = atk.prepare_round(current, aux, cfg.attack.mc_samples, _derive_seed(cfg.seed, _S_ATTACK, t))
+        if any(atk.carries_signal(u, cfg.scheme) for u in updates):
+            context = atk.prepare_round(current, aux, cfg.attack, _derive_seed(cfg.seed, _S_ATTACK, t))
         for k in range(partition.n_clients):
-            params = atk.AttackParams(
-                mc_samples=cfg.attack.mc_samples,
-                search_iters=cfg.attack.search_iters,
-                search_mc_samples=cfg.attack.search_mc_samples,
-                tol=cfg.attack.tol,
-                seed=_derive_seed(cfg.seed, _S_ATTACK, t, k),
-            )
             start = time.perf_counter()
             row = {
                 "seed": cfg.seed,
@@ -253,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
                 "train_acc": _fmt(stats[k]["train_acc"]) if stats[k] else "",
             }
             try:
-                report = atk.rlu_attack(current, updates[k], aux, cfg.scheme, histories[k], params, context)
+                report = atk.rlu_attack(context, updates[k], cfg.scheme, histories[k])
             except atk.DegenerateUpdateError:
                 report = None
             wall_ms = (time.perf_counter() - start) * 1000.0

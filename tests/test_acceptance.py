@@ -19,6 +19,7 @@ from fedleak.attack import (
     estimate_moments,
     make_target,
     mc_confusion,
+    prepare_round,
     rlu_attack,
     round_counts,
     scheme_coefficients,
@@ -225,11 +226,11 @@ def test_criterion_06_single_epoch_recovery(capsys):
         data, aux, partition, model = blob_world(seed)
         cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
         _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
+        context = prepare_round(model, aux, AttackParams(), seed=1000 * seed)
         for k, update in enumerate(updates):
             if truths[k] is None:
                 continue
-            rep = rlu_attack(model, update, aux, cfg, histories[k],
-                             AttackParams(seed=1000 * seed + k))
+            rep = rlu_attack(context, update, cfg, histories[k])
             i_scores.append(iacc(rep.counts, truths[k], 1, 32))
             c_scores.append(cacc(rep.counts, truths[k]))
     elapsed = time.perf_counter() - start
@@ -249,7 +250,7 @@ def test_criterion_07_multi_epoch_recovery(capsys):
         data, aux, partition, model = full_batch_world(seed)
         cfg = fedavg_cfg(eta=0.01, epochs=10, batch_size=32)
         _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
-        rep = rlu_attack(model, updates[0], aux, cfg, histories[0], AttackParams(seed=seed))
+        rep = rlu_attack(prepare_round(model, aux, AttackParams(), seed=seed), updates[0], cfg, histories[0])
         crude = np.array(rep.diagnostics["crude_counts"])
         crude_scores.append(iacc(crude, truths[0], 10, 32))
         refined_scores.append(iacc(rep.counts, truths[0], 10, 32))
@@ -272,11 +273,11 @@ def test_criterion_08_heterogeneity_robustness(capsys):
             data, aux, partition, model = blob_world(seed, alpha=alpha)
             cfg = fedavg_cfg(eta=0.01, epochs=10, batch_size=32)
             _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
+            context = prepare_round(model, aux, AttackParams(), seed=1000 * seed)
             for k, update in enumerate(updates):
                 if truths[k] is None:
                     continue
-                rep = rlu_attack(model, update, aux, cfg, histories[k],
-                                 AttackParams(seed=1000 * seed + k))
+                rep = rlu_attack(context, update, cfg, histories[k])
                 scores.append(iacc(rep.counts, truths[k], 10, 32))
         cell_means[alpha] = float(np.mean(scores))
     spread = max(cell_means.values()) - min(cell_means.values())
@@ -296,12 +297,13 @@ def test_criterion_09_scheme_aware_beats_naive(capsys):
     for seed in range(10):
         data, aux, partition, model = blob_world(seed, alpha=0.1)
         _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
+        # both attacks see the same global model, so they share its context
+        context = prepare_round(model, aux, AttackParams(), seed=1000 * seed)
         for k, update in enumerate(updates):
             if truths[k] is None:
                 continue
-            params = AttackParams(seed=1000 * seed + k)
-            aware = rlu_attack(model, update, aux, cfg, histories[k], params)
-            naive = rlu_attack(model, update, aux, naive_cfg, histories[k], params)
+            aware = rlu_attack(context, update, cfg, histories[k])
+            naive = rlu_attack(context, update, naive_cfg, histories[k])
             # score both candidates under one scheme-aware system built with
             # its own Monte Carlo stream, so the residuals are comparable
             moments_first = estimate_moments(model, aux)
@@ -351,11 +353,11 @@ def test_criterion_10_trained_model_trend(capsys):
         accs.append(accuracy(trained, data.features, data.labels))
         for bucket, mdl in ((untrained_scores, model), (trained_scores, trained)):
             _, updates, truths, _, histories, _ = one_round(data, partition, mdl, cfg, seed=seed)
+            context = prepare_round(mdl, aux, AttackParams(), seed=1000 * seed)
             for k, update in enumerate(updates):
                 if truths[k] is None:
                     continue
-                rep = rlu_attack(mdl, update, aux, cfg, histories[k],
-                                 AttackParams(seed=1000 * seed + k))
+                rep = rlu_attack(context, update, cfg, histories[k])
                 bucket.append(iacc(rep.counts, truths[k], 1, 32))
                 if mdl is trained:
                     baseline_scores.append(iacc(uniform, truths[k], 1, 32))

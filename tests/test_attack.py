@@ -10,6 +10,7 @@ from fedleak.attack import (
     AttackReport,
     ConfusionMatrix,
     DegenerateUpdateError,
+    carries_signal,
     LogitMoments,
     build_system,
     estimate_embedding_norm,
@@ -552,8 +553,8 @@ def test_posterior_search_fixed_point_on_full_batch_run():
     data, aux, partition, model = full_batch_world(3)
     cfg = fedavg_cfg(eta=0.01, epochs=10, batch_size=32)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
-    params = AttackParams(seed=42)
-    report = rlu_attack(model, updates[0], aux, cfg, histories[0], params)
+    context = prepare_round(model, aux, AttackParams(), seed=42)
+    report = rlu_attack(context, updates[0], cfg, histories[0])
     crude = np.array(report.diagnostics["crude_counts"])
     # the simulated drift matches the observed one at the crude answer, so
     # the search keeps the lattice-snapped counts
@@ -596,12 +597,12 @@ def test_rlu_single_epoch_recovers_counts():
         data, aux, partition, model = blob_world(seed)
         cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
         _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
+        context = prepare_round(model, aux, AttackParams(), seed=seed)
         scores = []
         for k, update in enumerate(updates):
             if truths[k] is None:
                 continue
-            report = rlu_attack(model, update, aux, cfg, histories[k],
-                                AttackParams(seed=seed * 100 + k))
+            report = rlu_attack(context, update, cfg, histories[k])
             assert report.method == "single_epoch"
             assert report.counts.sum() == 32
             scores.append(iacc(report.counts, truths[k], 1, 32))
@@ -625,7 +626,7 @@ def test_rlu_single_class_batch_sign_structure():
     update = updates[0]
     assert update.delta_b_out[0] > 0
     assert (update.delta_b_out[1:] < 0).all()
-    report = rlu_attack(model, update, aux, cfg, histories[0], AttackParams(seed=0))
+    report = rlu_attack(prepare_round(model, aux, AttackParams(), seed=0), update, cfg, histories[0])
     # the auxiliary set only approximates the batch distribution, so allow
     # one unit of leakage away from the true all-class-0 answer
     assert report.counts[0] >= 31
@@ -639,13 +640,13 @@ def test_rlu_scheme_aware_beats_naive_on_fedprox():
     naive_cfg = fedavg_cfg(eta=0.01, epochs=5, batch_size=32)
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     _, updates, truths, _, _ = run_round(model, data, partition, cfg, histories, 1, seed=0)
+    context = prepare_round(model, aux, AttackParams(), seed=0)
     aware_scores, naive_scores = [], []
     for k, update in enumerate(updates):
         if truths[k] is None:
             continue
-        params = AttackParams(seed=k)
-        aware = rlu_attack(model, update, aux, cfg, histories[k], params)
-        naive = rlu_attack(model, update, aux, naive_cfg, histories[k], params)
+        aware = rlu_attack(context, update, cfg, histories[k])
+        naive = rlu_attack(context, update, naive_cfg, histories[k])
         aware_scores.append(iacc(aware.counts, truths[k], 5, 32))
         naive_scores.append(iacc(naive.counts, truths[k], 5, 32))
     assert np.mean(aware_scores) > np.mean(naive_scores) + 0.1
@@ -656,11 +657,18 @@ def test_rlu_degenerate_updates_raise():
     cfg = fedavg_cfg(eta=0.0, epochs=1, batch_size=32)
     history = UpdateHistory.fresh(model)
     zero = LocalUpdate(zeros_like_params(model), 1, 0, np.zeros((1, 10)))
+    # the checks come before the context is read, so rounds without a
+    # context (run_experiment builds none when no update carries signal)
+    # still get the error
     with pytest.raises(DegenerateUpdateError):
-        rlu_attack(model, zero, aux, cfg, history, AttackParams(seed=0))
+        rlu_attack(None, zero, cfg, history)
     cfg2 = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
     with pytest.raises(DegenerateUpdateError):
-        rlu_attack(model, zero, aux, cfg2, history, AttackParams(seed=0))
+        rlu_attack(None, zero, cfg2, history)
+    assert not carries_signal(zero, cfg2)
+    nonzero = LocalUpdate(zeros_like_params(model), 1, 0, np.zeros((1, 10)))
+    nonzero.delta.biases[-1][0] = 1e-3
+    assert carries_signal(nonzero, cfg2) and not carries_signal(nonzero, cfg)
 
 
 def test_rlu_non_finite_update_raises_value_error():
@@ -673,13 +681,13 @@ def test_rlu_non_finite_update_raises_value_error():
             arr[...] = bad
         broken = LocalUpdate(delta, 1, 0, updates[0].debug_ce_bias_grads)
         with pytest.raises(ValueError, match="not finite"):
-            rlu_attack(model, broken, aux, cfg, histories[0], AttackParams(seed=0))
+            rlu_attack(None, broken, cfg, histories[0])
     # one NaN entry among finite ones is caught too
     delta = updates[0].delta.copy()
     delta.biases[-1][2] = np.nan
     broken = LocalUpdate(delta, 1, 0, updates[0].debug_ce_bias_grads)
     with pytest.raises(ValueError, match="not finite"):
-        rlu_attack(model, broken, aux, cfg, histories[0], AttackParams(seed=0))
+        rlu_attack(None, broken, cfg, histories[0])
 
 
 def test_rlu_ignores_debug_channel():
@@ -691,8 +699,9 @@ def test_rlu_ignores_debug_channel():
     update = updates[0]
     blinded = LocalUpdate(update.delta, update.round, update.client_id,
                           np.zeros_like(update.debug_ce_bias_grads))
-    a = rlu_attack(model, update, aux, cfg, histories[0], AttackParams(seed=8))
-    b = rlu_attack(model, blinded, aux, cfg, histories[0], AttackParams(seed=8))
+    context = prepare_round(model, aux, AttackParams(), seed=8)
+    a = rlu_attack(context, update, cfg, histories[0])
+    b = rlu_attack(context, blinded, cfg, histories[0])
     assert np.array_equal(a.counts, b.counts)
     assert a.residual == b.residual
 
@@ -701,8 +710,8 @@ def test_rlu_deterministic_per_seed():
     data, aux, partition, model = full_batch_world(6)
     cfg = fedavg_cfg(eta=0.01, epochs=2, batch_size=32)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=6)
-    a = rlu_attack(model, updates[0], aux, cfg, histories[0], AttackParams(seed=3))
-    b = rlu_attack(model, updates[0], aux, cfg, histories[0], AttackParams(seed=3))
+    a = rlu_attack(prepare_round(model, aux, AttackParams(), seed=3), updates[0], cfg, histories[0])
+    b = rlu_attack(prepare_round(model, aux, AttackParams(), seed=3), updates[0], cfg, histories[0])
     assert np.array_equal(a.counts, b.counts)
     assert a.to_json() == b.to_json()
 
@@ -727,17 +736,13 @@ def test_report_simplex_invariant():
     data, aux, partition, model = full_batch_world(7)
     cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=7)
-    report = rlu_attack(model, updates[0], aux, cfg, histories[0], AttackParams(seed=1))
+    report = rlu_attack(prepare_round(model, aux, AttackParams(), seed=1), updates[0], cfg, histories[0])
     assert report.z_star.min() >= -1e-8
     assert abs(report.z_star.sum() - 1.0) <= 1e-8
     assert (report.counts >= 0).all()
 
 
 # ------------------------------------------------------------ round context
-
-def _first_seed(params):
-    return int(np.random.SeedSequence(params.seed).generate_state(3)[0])
-
 
 def _counting(monkeypatch, name):
     calls = []
@@ -751,57 +756,30 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("epochs,search_iters", [(1, 5), (3, 0), (3, 5)])
-def test_rlu_explicit_context_matches_default(epochs, search_iters):
-    data, aux, partition, model = full_batch_world(8)
-    cfg = fedavg_cfg(eta=0.01, epochs=epochs, batch_size=32)
-    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=8)
-    params = AttackParams(mc_samples=2000, search_iters=search_iters,
-                          search_mc_samples=200, seed=13)
-    context = prepare_round(model, aux, params.mc_samples, _first_seed(params))
-    implicit = rlu_attack(model, updates[0], aux, cfg, histories[0], params)
-    explicit = rlu_attack(model, updates[0], aux, cfg, histories[0], params, context)
-    assert explicit.to_json() == implicit.to_json()
-
-
 def test_rlu_single_epoch_with_context_runs_no_monte_carlo(monkeypatch):
     data, aux, partition, model = full_batch_world(9)
     cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
     _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=9)
-    context = prepare_round(model, aux, 2000, seed=1)
+    context = prepare_round(model, aux, AttackParams(mc_samples=2000), seed=1)
     mc_calls = _counting(monkeypatch, "mc_confusion")
     moment_calls = _counting(monkeypatch, "estimate_moments")
-    report = rlu_attack(model, updates[0], aux, cfg, histories[0],
-                        AttackParams(mc_samples=2000, seed=2), context)
+    report = rlu_attack(context, updates[0], cfg, histories[0])
     assert report.method == "single_epoch"
     assert mc_calls == [] and moment_calls == []
-    # without a context the single-epoch path builds only the global one
-    rlu_attack(model, updates[0], aux, cfg, histories[0], AttackParams(mc_samples=2000, seed=2))
-    assert len(mc_calls) == 1 and len(moment_calls) == 1
-
-
-def test_rlu_rejects_context_of_other_class_count():
-    data, aux, partition, model = full_batch_world(10)
-    cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
-    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=10)
-    _, small_aux, _, small_model = blob_world(0, n_classes=4, aux_per_class=30)
-    context = prepare_round(small_model, small_aux, 500, seed=0)
-    with pytest.raises(ValueError, match="classes"):
-        rlu_attack(model, updates[0], aux, cfg, histories[0], AttackParams(seed=0), context)
 
 
 def test_round_context_unchanged_by_multi_epoch_attacks():
     data, aux, partition, model = blob_world(3, clients=4)
     cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
-    context = prepare_round(model, aux, 2000, seed=5)
+    params = AttackParams(mc_samples=2000, search_iters=3, search_mc_samples=200)
+    context = prepare_round(model, aux, params, seed=5)
     before = [context.moments.mu.copy(), context.moments.sigma.copy(), context.s_first.s.copy()]
     attacked = 0
     for k, update in enumerate(updates):
         if truths[k] is None:
             continue
-        params = AttackParams(mc_samples=2000, search_iters=3, search_mc_samples=200, seed=k)
-        report = rlu_attack(model, update, aux, cfg, histories[k], params, context)
+        report = rlu_attack(context, update, cfg, histories[k])
         assert report.method == "posterior_search"
         attacked += 1
     assert attacked >= 2
@@ -809,3 +787,31 @@ def test_round_context_unchanged_by_multi_epoch_attacks():
     for old, new in zip(before, after):
         npt.assert_array_equal(old, new)
         assert not new.flags.writeable
+
+
+def test_rlu_multi_epoch_streams_follow_round_and_client(monkeypatch):
+    # the local-model confusion matrix and the posterior search draw from
+    # the two states of SeedSequence(context.seed, spawn_key=(round, client)),
+    # so the clients of one round get distinct streams from one context
+    data, aux, partition, model = blob_world(3, clients=4)
+    cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
+    _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
+    context = prepare_round(model, aux, AttackParams(mc_samples=500, search_mc_samples=100), seed=17)
+    seen = []
+    for name in ("mc_confusion", "posterior_search"):
+        original = getattr(attack_module, name)
+
+        def recording(*args, _original=original, **kwargs):
+            seen.append(int(args[-1]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(attack_module, name, recording)
+    expected = []
+    for k, update in enumerate(updates):
+        if truths[k] is None:
+            continue
+        rlu_attack(context, update, cfg, histories[k])
+        expected += [int(x) for x in np.random.SeedSequence(17, spawn_key=(1, k)).generate_state(2)]
+    assert len(expected) >= 4
+    assert seen == expected
+    assert len(set(seen)) == len(seen)

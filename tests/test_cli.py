@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 import subprocess
 
@@ -449,4 +450,27 @@ def test_run_non_finite_values_exit_one(tmp_path, capsys, flag, value, name):
     rc = main(["run", flag, value, "--output", str(out), *small_args(tmp_path)])
     assert rc == 1
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "attack_section, flags, name",
+    [
+        ({"tol": float("nan")}, [], "tol"),
+        ({"tol": float("inf")}, [], "tol"),
+        ({"tol": -1.0}, [], "tol"),
+        ({"search_mc_samples": 0}, [], "search_mc_samples"),
+        (None, ["--search-iters", "-1", "--epochs", "3"], "search_iters"),
+        (None, ["--mc-samples", "0"], "mc_samples"),
+    ],
+)
+def test_run_invalid_attack_params_exit_one(tmp_path, capsys, attack_section, flags, name):
+    out = tmp_path / "r.csv"
+    args = ["run", "--output", str(out), *small_args(tmp_path), *flags]
+    if attack_section is not None:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"attack": attack_section}))
+        args += ["--config", str(config)]
+    assert main(args) == 1
+    assert re.search(rf"\b{name} must", capsys.readouterr().err)
     assert not out.exists()
