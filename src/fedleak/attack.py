@@ -8,7 +8,9 @@ multi-epoch updates a posterior search refines the crude solution by
 simulating how the confidences drift over the local epochs. Every update
 of a round is attacked against the same global model: prepare_round builds
 that model's moments and confusion matrix once into a RoundContext, and
-rlu_attack takes the context with each update.
+rlu_attack takes the context with each update. The context also holds the
+round's one block of standard normals; every Monte Carlo estimate of the
+round reads its rows, so the attack itself draws nothing.
 
 Everything here sees only what a curious server would: the global model,
 the transmitted update, past transmissions, the training recipe, and an
@@ -28,7 +30,6 @@ from .nn import Model, forward_batch
 METHOD_SINGLE = "single_epoch"
 METHOD_CRUDE = "crude_multi_epoch"
 METHOD_SEARCH = "posterior_search"
-METHODS = (METHOD_SINGLE, METHOD_CRUDE, METHOD_SEARCH)
 
 _JITTER_SCALE = 1e-6
 _JITTER_CAP = 1e-2
@@ -85,16 +86,17 @@ class RoundContext:
     """Everything an attack needs that is fixed for one round.
 
     Every update of a round is attacked against the same round-start global
-    model, auxiliary set, settings and seed; prepare_round builds the
-    model's logit moments and confusion matrix from them once. It marks
-    those arrays read-only, which keeps attacks from writing into shared
-    state.
+    model, auxiliary set and settings; prepare_round builds the model's
+    logit moments and confusion matrix from them once, and draws the block
+    of standard normals that every Monte Carlo estimate of the round reads
+    (common random numbers). It marks those arrays read-only, which keeps
+    attacks from writing into shared state.
     """
 
     global_model: Model
     aux: Dataset
     params: AttackParams
-    seed: int
+    normals: np.ndarray  # (max(mc_samples, search_mc_samples), N) standard normals
     moments: LogitMoments  # logit moments of global_model on aux
     s_first: ConfusionMatrix  # their Monte Carlo confusion matrix
 
@@ -137,7 +139,11 @@ def save_report(path, report: AttackReport) -> None:
 
 
 def _psd_factor(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric factor L with L L^T ~= sigma, jitter-escalating on failure."""
+    """Factor L with L L^T ~= sigma, jitter-escalating on failure.
+
+    L is the eigenvector matrix with each column scaled by the root of its
+    clipped eigenvalue; it is square but not symmetric.
+    """
     sym = 0.5 * (sigma + sigma.T)
     diag_scale = float(np.mean(np.diag(sym)))
     scale = diag_scale if diag_scale > 0 else 1.0
@@ -194,17 +200,21 @@ def _confusion_core(mu: np.ndarray, draws) -> np.ndarray:
     return s
 
 
-def mc_confusion(moments: LogitMoments, n_samples: int, seed: int) -> ConfusionMatrix:
+def _check_normals(normals: np.ndarray, n: int) -> None:
+    if normals.ndim != 2 or normals.shape[0] < 1 or normals.shape[1] != n:
+        raise ValueError(f"normals must be an (M, {n}) block with M >= 1, got shape {normals.shape}")
+
+
+def mc_confusion(moments: LogitMoments, normals: np.ndarray) -> ConfusionMatrix:
     """Monte Carlo confusion matrix from Gaussian logit moments.
 
-    Draws n_samples logit vectors per class through a symmetric factor of
-    the class covariance and averages the softmax. Deterministic per seed.
+    normals is an (M, N) block of standard normals. Every class turns the
+    same block into M logit draws through a factor of its covariance, so
+    the result is a deterministic function of the moments and the block.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     n = moments.mu.shape[0]
-    rng = np.random.default_rng(seed)
-    draws = (rng.standard_normal((n_samples, n)) @ _psd_factor(moments.sigma[cls]).T for cls in range(n))
+    _check_normals(normals, n)
+    draws = (normals @ _psd_factor(moments.sigma[cls]).T for cls in range(n))
     return ConfusionMatrix(_confusion_core(moments.mu, draws))
 
 
@@ -212,14 +222,19 @@ def prepare_round(global_model: Model, aux: Dataset, params: AttackParams, seed:
     """The attack context of one round, built once from its global model.
 
     Pass the result to rlu_attack for every update of the round. seed
-    drives the global model's confusion matrix and, mixed with each
-    update's round and client, the Monte Carlo streams of that update.
+    drives the round's only random draw: one block of standard normals
+    whose first mc_samples rows give the global and local confusion
+    matrices and whose first search_mc_samples rows drive the posterior
+    search.
     """
     moments = estimate_moments(global_model, aux)
-    s_first = mc_confusion(moments, params.mc_samples, seed)
+    rows = max(params.mc_samples, params.search_mc_samples)
+    normals = np.random.default_rng(seed).standard_normal((rows, global_model.n_classes))
+    normals.flags.writeable = False
+    s_first = mc_confusion(moments, normals[: params.mc_samples])
     for arr in (moments.mu, moments.sigma, s_first.s):
         arr.flags.writeable = False
-    return RoundContext(global_model, aux, params, seed, moments, s_first)
+    return RoundContext(global_model, aux, params, normals, moments, s_first)
 
 
 def _geometric_rho(decay: float, m: int) -> np.ndarray:
@@ -229,13 +244,6 @@ def _geometric_rho(decay: float, m: int) -> np.ndarray:
     if decay == 0.0:
         return np.ones(m)
     return (1.0 - decay ** (m + 1 - taus)) / (1.0 - decay)
-
-
-def _infer_n_classes(history: UpdateHistory):
-    for lst in (history.past_local_bias, history.past_global_bias, history.server_variate_bias):
-        if lst:
-            return lst[0].shape[0]
-    return None
 
 
 def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistory) -> SchemeCoefficients:
@@ -267,8 +275,7 @@ def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistor
     if cfg.scheme == "scaffold":
         if len(history.server_variate_bias) < round_idx:
             raise RuntimeError("scaffold needs server variates for rounds 1..t")
-        n = _infer_n_classes(history)
-        h = np.zeros(n)
+        h = np.zeros_like(history.server_variate_bias[0])
         for r in range(2, round_idx + 1):
             h += eta * m * history.server_variate_bias[r - 1]
         for db in history.past_local_bias[: round_idx - 1]:
@@ -387,9 +394,8 @@ def posterior_search(
     s_last_observed: ConfusionMatrix,
     embed_norm: float,
     cfg: SchemeConfig,
+    normals: np.ndarray,
     search_iters: int = 5,
-    mc_samples: int = 1000,
-    seed: int = 0,
     eps_adj: float = 0.01,
     include_bias_factor: bool = False,
 ) -> np.ndarray:
@@ -399,18 +405,18 @@ def posterior_search(
     batch_size). Each outer iteration simulates the m local epochs: the
     expected bias movement under g shifts every class's logit mean by
     embed_norm (optionally +1 for the bias coordinate itself), and the
-    confusion matrix is re-estimated by Monte Carlo. Comparing the
-    simulated final matrix against the observed one column-wise moves one
-    count unit from the most over-represented class to the most
-    under-represented, stopping early at a fixed point. Returns m * g.
+    confusion matrix is re-estimated by Monte Carlo on normals, an (M, N)
+    block of standard normals. Comparing the simulated final matrix against
+    the observed one column-wise moves one count unit from the most
+    over-represented class to the most under-represented, stopping early at
+    a fixed point. Returns m * g.
     """
     crude = np.asarray(crude_counts, dtype=np.int64)
     n = crude.size
     m, batch = cfg.epochs, cfg.batch_size
     if search_iters < 0:
         raise ValueError("search_iters must be non-negative")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be at least 1")
+    _check_normals(normals, n)
     if crude.sum() != m * batch:
         raise ValueError("crude counts must sum to epochs * batch_size")
 
@@ -419,12 +425,11 @@ def posterior_search(
         return g * m
 
     factor = embed_norm + (1.0 if include_bias_factor else 0.0)
-    rng = np.random.default_rng(seed)
     # One fixed draw set for the whole search (common random numbers): the
     # adjustment signal becomes a deterministic function of g instead of a
     # noise-driven walk across outer iterations, and the drift below is a
     # paired difference whose sampling error largely cancels.
-    draws = [rng.standard_normal((mc_samples, n)) @ _psd_factor(moments.sigma[cls]).T for cls in range(n)]
+    draws = [normals @ _psd_factor(moments.sigma[cls]).T for cls in range(n)]
     base = _confusion_core(moments.mu, draws)
     scale = cfg.eta / batch
     for _ in range(search_iters):
@@ -467,14 +472,14 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     context comes from prepare_round on the global model that update
     started from; history must be the round-start state for update.round.
     Multi-epoch updates also build the local model's confusion matrix and
-    run the posterior search, each from a stream derived from
-    (context.seed, update.round, update.client_id). Raises ValueError on a
-    non-finite update and DegenerateUpdateError when the update carries no
-    signal; both checks come before the context is read.
+    run the posterior search, both on the context's normals, so the result
+    is a deterministic function of the four arguments. Raises ValueError on
+    a non-finite update and DegenerateUpdateError when the update carries
+    no signal; both checks come before the context is read.
     """
     if not carries_signal(update, cfg):
         raise DegenerateUpdateError("eta = 0 or an all-zero delta carries no gradient signal")
-    params, s_first = context.params, context.s_first
+    params, s_first, normals = context.params, context.s_first, context.normals
 
     coeffs = scheme_coefficients(cfg, update.round, history)
     u = make_target(update, coeffs, cfg)
@@ -486,12 +491,9 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
         counts = round_counts(z, cfg.batch_size)
         method = METHOD_SINGLE
     else:
-        last_seed, search_seed = np.random.SeedSequence(
-            context.seed, spawn_key=(update.round, update.client_id)
-        ).generate_state(2)
         local_model = context.global_model.copy()
         local_model.params().add_(update.delta, 1.0)
-        s_last = mc_confusion(estimate_moments(local_model, context.aux), params.mc_samples, int(last_seed))
+        s_last = mc_confusion(estimate_moments(local_model, context.aux), normals[: params.mc_samples])
         a = build_system(ConfusionMatrix(0.5 * (s_first.s + s_last.s)))
         z, info = solve_simplex_ls(a, u, params.tol)
         crude = round_counts(z, cfg.epochs * cfg.batch_size)
@@ -509,9 +511,8 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
                 s_last,
                 embed_norm,
                 cfg,
+                normals[: params.search_mc_samples],
                 params.search_iters,
-                params.search_mc_samples,
-                int(search_seed),
             )
             method = METHOD_SEARCH
     diagnostics["solver_iterations"] = info["iterations"]

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -95,16 +95,35 @@ class ExperimentConfig:
             raise ValueError("rounds must be at least 1")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a JSON value must be for a config field of each declared type.
+_JSON_TYPES = {
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
+def _checked(value, ftype, key):
+    """value, as the field type declared by ftype; ValueError naming key if it is not one."""
+    kind, accepts = _JSON_TYPES[ftype]
+    if not accepts(value):
+        raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    return tuple(value) if ftype is tuple else value
+
+
 def _build_section(cls, payload, name):
     if not isinstance(payload, dict):
         raise ValueError(f"config section {name!r} must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(payload) - allowed
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(payload) - set(types)
     if unknown:
         raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    if cls is ModelSpec and "hidden" in payload:
-        payload = dict(payload, hidden=tuple(payload["hidden"]))
-    return cls(**payload)
+    return cls(**{key: _checked(value, types[key], f"{name}.{key}") for key, value in payload.items()})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -115,70 +134,34 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    sections = {
-        "data": DataSpec,
-        "partition": PartitionSpec,
-        "scheme": fed.SchemeConfig,
-        "model": ModelSpec,
-        "attack": AttackSpec,
-    }
-    unknown = set(raw) - set(sections) - {"rounds", "seed", "output"}
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     kwargs = {}
-    for key, cls in sections.items():
-        if key in raw:
-            kwargs[key] = _build_section(cls, raw[key], key)
-    for key in ("rounds", "seed", "output"):
-        if key in raw:
-            kwargs[key] = raw[key]
+    for key, value in raw.items():
+        ftype = types[key]
+        kwargs[key] = _build_section(ftype, value, key) if is_dataclass(ftype) else _checked(value, ftype, key)
     return ExperimentConfig(**kwargs)
 
 
+def _flag_values(args, cls) -> dict:
+    """The plain fields of cls whose command-line flag was given; a flag's dest is its field name."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in fields(cls)
+        if not is_dataclass(f.type) and getattr(args, f.name, None) is not None
+    }
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    data_over = {}
-    for name in ("n_classes", "dim", "per_class", "separation"):
-        val = getattr(args, name, None)
-        if val is not None:
-            data_over[name] = val
-    if data_over:
-        cfg = replace(cfg, data=replace(cfg.data, **data_over))
-    part_over = {}
-    if getattr(args, "clients", None) is not None:
-        part_over["clients"] = args.clients
-    if getattr(args, "alpha", None) is not None:
-        part_over["alpha"] = args.alpha
-    if part_over:
-        cfg = replace(cfg, partition=replace(cfg.partition, **part_over))
-    scheme_over = {}
-    for src, dst in (
-        ("scheme", "scheme"),
-        ("optimizer", "optimizer"),
-        ("eta", "eta"),
-        ("lam", "lam"),
-        ("gamma", "gamma"),
-        ("epochs", "epochs"),
-        ("batch_size", "batch_size"),
-    ):
-        val = getattr(args, src, None)
-        if val is not None:
-            scheme_over[dst] = val
-    if scheme_over:
-        cfg = replace(cfg, scheme=replace(cfg.scheme, **scheme_over))
-    attack_over = {}
-    for name in ("mc_samples", "search_iters", "aux_per_class"):
-        val = getattr(args, name, None)
-        if val is not None:
-            attack_over[name] = val
-    if attack_over:
-        cfg = replace(cfg, attack=replace(cfg.attack, **attack_over))
-    if getattr(args, "rounds", None) is not None:
-        cfg = replace(cfg, rounds=args.rounds)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "output", None) is not None:
-        cfg = replace(cfg, output=args.output)
-    return cfg
+    changes = _flag_values(args, cfg)
+    for f in fields(cfg):
+        if is_dataclass(f.type):
+            section = _flag_values(args, f.type)
+            if section:
+                changes[f.name] = replace(getattr(cfg, f.name), **section)
+    return replace(cfg, **changes)
 
 
 def _config_from_args(args) -> ExperimentConfig:

@@ -26,9 +26,8 @@ from .nn import Model, ParamVec, backward, accuracy, zeros_like_params
 SCHEMES = ("fedavg", "fedprox", "scaffold", "feddyn", "feddc")
 OPTIMIZERS = ("sgd", "sgdm", "nag")
 
-# Seed-stream tags so every (round, client, purpose) gets an independent stream.
+# Seed-stream tag so every (round, client) gets an independent batch plan.
 _STREAM_PLAN = 1
-_STREAM_INIT = 2
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,6 @@ class UpdateHistory:
     own optimizer state (variates, drift, cumulative deltas).
     """
 
-    completed_rounds: int = 0
     past_local_bias: list = field(default_factory=list)  # delta b per round
     past_global_bias: list = field(default_factory=list)  # aggregated delta b per round
     server_variate_bias: list = field(default_factory=list)  # c^(r) bias, r = 1..t
@@ -106,11 +104,15 @@ class UpdateHistory:
     prev_local_delta: ParamVec = None  # last round's delta theta_k, full
     prev_global_delta: ParamVec = None  # last round's aggregated delta, full
 
+    @property
+    def completed_rounds(self) -> int:
+        """Rounds recorded so far; every round adds one local bias slice."""
+        return len(self.past_local_bias)
+
     @classmethod
     def fresh(cls, model: Model) -> "UpdateHistory":
         n = model.n_classes
         return cls(
-            completed_rounds=0,
             past_local_bias=[],
             past_global_bias=[],
             server_variate_bias=[np.zeros(n)],
@@ -126,7 +128,6 @@ class UpdateHistory:
             return x.copy() if x is not None else None
 
         return UpdateHistory(
-            completed_rounds=self.completed_rounds,
             past_local_bias=[b.copy() for b in self.past_local_bias],
             past_global_bias=[b.copy() for b in self.past_global_bias],
             server_variate_bias=[b.copy() for b in self.server_variate_bias],
@@ -145,8 +146,6 @@ def _check_history(history: UpdateHistory, cfg: SchemeConfig, round_idx: int) ->
         raise RuntimeError(
             f"history covers {history.completed_rounds} rounds; round {round_idx} expects {round_idx - 1}"
         )
-    if len(history.past_local_bias) != round_idx - 1:
-        raise RuntimeError("past_local_bias length does not match round index")
     if cfg.scheme == "scaffold" and len(history.server_variate_bias) != round_idx:
         raise RuntimeError("server_variate_bias must cover rounds 1..t for scaffold")
 
@@ -279,7 +278,6 @@ def _record_round(history: UpdateHistory, local_delta: ParamVec, global_delta: P
     history.cum_local_delta.add_(local_delta, 1.0)
     history.prev_local_delta = local_delta.copy()
     history.prev_global_delta = global_delta.copy()
-    history.completed_rounds += 1
 
 
 def run_round(

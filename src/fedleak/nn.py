@@ -137,10 +137,6 @@ class Model:
         return self.weights[-1].shape[0]
 
     @property
-    def embedding_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    @property
     def layer_sizes(self) -> list:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 

@@ -156,18 +156,21 @@ def test_criterion_03_scheme_recombination_identity(capsys):
 
 def test_criterion_04_monte_carlo_confusion(capsys):
     n = 5
-    uniform = mc_confusion(LogitMoments(np.zeros((n, n)), np.zeros((n, n, n))), 100, seed=0)
+    uniform = mc_confusion(
+        LogitMoments(np.zeros((n, n)), np.zeros((n, n, n))), np.random.default_rng(0).standard_normal((100, n))
+    )
     off = uniform.s[~np.eye(n, dtype=bool)]
     npt.assert_allclose(off, 1.0 / n, atol=1e-15)
 
     sym = mc_confusion(
-        LogitMoments(np.zeros((2, 2)), np.stack([np.eye(2), np.eye(2)])), 100000, seed=4
+        LogitMoments(np.zeros((2, 2)), np.stack([np.eye(2), np.eye(2)])),
+        np.random.default_rng(4).standard_normal((100000, 2)),
     )
     sym_err = abs(float(sym.s[0, 1]) - 0.5)
     assert sym_err <= 0.005
 
     _, aux, _, model = blob_world(0)
-    s = mc_confusion(estimate_moments(model, aux), 10000, seed=1)
+    s = mc_confusion(estimate_moments(model, aux), np.random.default_rng(1).standard_normal((10000, 10)))
     col_sum = float(s.s.sum() / (s.n_classes - 1))
     assert abs(col_sum - 1.0) <= 0.1
     announce(capsys, 4, f"uniform exact, symmetric off by {sym_err:.4f}, sum rule {col_sum:.3f}")
@@ -310,8 +313,8 @@ def test_criterion_09_scheme_aware_beats_naive(capsys):
             local = model.copy()
             local.params().add_(update.delta, 1.0)
             moments_last = estimate_moments(local, aux)
-            s_f = mc_confusion(moments_first, 10000, seed=7000 + 17 * seed + k)
-            s_l = mc_confusion(moments_last, 10000, seed=8000 + 17 * seed + k)
+            s_f = mc_confusion(moments_first, np.random.default_rng(7000 + 17 * seed + k).standard_normal((10000, 10)))
+            s_l = mc_confusion(moments_last, np.random.default_rng(8000 + 17 * seed + k).standard_normal((10000, 10)))
             a_sys = build_system(ConfusionMatrix(0.5 * (s_f.s + s_l.s)))
             u = make_target(update, scheme_coefficients(cfg, 1, histories[k]), cfg)
             aware_res.append(float(((a_sys @ aware.z_star - u) ** 2).sum()))

@@ -100,7 +100,7 @@ def test_moments_missing_class_is_named():
 def test_mc_confusion_uniform_exact():
     n = 5
     moments = LogitMoments(np.zeros((n, n)), np.zeros((n, n, n)))
-    s = mc_confusion(moments, 100, seed=0)
+    s = mc_confusion(moments, np.random.default_rng(0).standard_normal((100, n)))
     for i in range(n):
         for j in range(n):
             expected = 0.0 if i == j else 1.0 / n
@@ -110,14 +110,14 @@ def test_mc_confusion_uniform_exact():
 def test_mc_confusion_deterministic_ratio():
     mu = np.array([[math.log(3.0), 0.0], [0.0, 0.0]])
     moments = LogitMoments(mu, np.zeros((2, 2, 2)))
-    s = mc_confusion(moments, 50, seed=1)
+    s = mc_confusion(moments, np.random.default_rng(1).standard_normal((50, 2)))
     assert abs(s.s[0, 1] - 0.25) <= 1e-12
 
 
 def test_mc_confusion_symmetric_gaussian():
     mu = np.zeros((2, 2))
     sigma = np.stack([np.eye(2), np.eye(2)])
-    s = mc_confusion(LogitMoments(mu, sigma), 100000, seed=7)
+    s = mc_confusion(LogitMoments(mu, sigma), np.random.default_rng(7).standard_normal((100000, 2)))
     assert abs(s.s[0, 1] - 0.5) <= 0.005
 
 
@@ -130,7 +130,7 @@ def test_mc_confusion_large_m_oracle():
         root = rng.normal(size=(n, n)) * 0.6
         sigma[c] = root @ root.T
     moments = LogitMoments(mu, sigma)
-    s = mc_confusion(moments, 100000, seed=11)
+    s = mc_confusion(moments, np.random.default_rng(11).standard_normal((100000, n)))
     # brute-force estimate with 20x the samples and an independent stream
     oracle = np.zeros((n, n))
     for c in range(n):
@@ -147,15 +147,27 @@ def test_mc_confusion_large_m_oracle():
 def test_mc_confusion_deterministic_per_seed():
     rng = np.random.default_rng(2)
     moments = LogitMoments(rng.normal(size=(3, 3)), np.stack([np.eye(3)] * 3))
-    a = mc_confusion(moments, 500, seed=4)
-    b = mc_confusion(moments, 500, seed=4)
+    a = mc_confusion(moments, np.random.default_rng(4).standard_normal((500, 3)))
+    b = mc_confusion(moments, np.random.default_rng(4).standard_normal((500, 3)))
     assert np.array_equal(a.s, b.s)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (10, 2), (10, 4), (30,)], ids=["no-rows", "narrow", "wide", "1d"])
+def test_monte_carlo_rejects_malformed_normals(shape):
+    moments = LogitMoments(np.zeros((3, 3)), np.stack([np.eye(3)] * 3))
+    s = mc_confusion(moments, np.random.default_rng(0).standard_normal((10, 3)))
+    cfg = fedavg_cfg(eta=0.01, epochs=2, batch_size=3)
+    bad = np.zeros(shape)
+    with pytest.raises(ValueError, match="normals"):
+        mc_confusion(moments, bad)
+    with pytest.raises(ValueError, match="normals"):
+        posterior_search(np.array([2, 2, 2]), moments, s, s, 0.5, cfg, bad)
 
 
 def test_untrained_sum_rule():
     # column means of the confusion matrix sum to about one on a fresh model
     _, aux, _, model = blob_world(0)
-    s = mc_confusion(estimate_moments(model, aux), 10000, seed=0)
+    s = mc_confusion(estimate_moments(model, aux), np.random.default_rng(0).standard_normal((10000, 10)))
     n = s.n_classes
     col = s.s.sum(axis=0) / (n - 1)
     assert abs(col.sum() - 1.0) <= 0.1
@@ -228,7 +240,6 @@ def test_coefficients_feddyn_offset_from_history():
     d2 = np.array([-0.3, 0.1, 0.1, 0.1])
     history.past_local_bias.extend([d1, d2])
     history.past_global_bias.extend([d1 * 0.5, d2 * 0.5])
-    history.completed_rounds = 2
     cfg = SchemeConfig(scheme="feddyn", optimizer="sgd", eta=0.1, lam=2.0,
                        epochs=3, batch_size=8)
     coeffs = scheme_coefficients(cfg, 3, history)
@@ -243,7 +254,6 @@ def test_coefficients_feddc_adds_drift_gap_term():
     g1 = np.array([0.02, -0.1, 0.04, 0.04])
     history.past_local_bias.append(d1)
     history.past_global_bias.append(g1)
-    history.completed_rounds = 1
     cfg = SchemeConfig(scheme="feddc", optimizer="sgd", eta=0.1, lam=2.0,
                        epochs=3, batch_size=8)
     coeffs = scheme_coefficients(cfg, 2, history)
@@ -259,7 +269,6 @@ def test_coefficients_scaffold_offset():
     history.past_local_bias.append(d1)
     history.past_global_bias.append(d1 * 0.5)
     history.server_variate_bias.append(c2)  # c^(2); c^(1) is the seeded zero
-    history.completed_rounds = 1
     cfg = SchemeConfig(scheme="scaffold", optimizer="sgd", eta=0.1, epochs=4,
                        batch_size=8)
     coeffs = scheme_coefficients(cfg, 2, history)
@@ -532,9 +541,10 @@ def test_posterior_search_zero_iterations_passthrough():
     _, model = fresh_history(4)
     cfg = fedavg_cfg(eta=0.01, epochs=4, batch_size=8)
     moments = LogitMoments(np.zeros((4, 4)), np.stack([np.eye(4) * 0.1] * 4))
-    s = mc_confusion(moments, 1000, seed=0)
+    normals = np.random.default_rng(0).standard_normal((1000, 4))
+    s = mc_confusion(moments, normals)
     crude = np.array([13, 9, 6, 4])
-    refined = posterior_search(crude, moments, s, s, 0.5, cfg, search_iters=0)
+    refined = posterior_search(crude, moments, s, s, 0.5, cfg, normals, search_iters=0)
     # 32 total over 4 epochs: per-epoch counts repaired to sum 8, times 4
     assert refined.sum() == 32
     npt.assert_array_equal(refined % 4, np.zeros(4))
@@ -544,9 +554,10 @@ def test_posterior_search_validates_sum():
     _, model = fresh_history(4)
     cfg = fedavg_cfg(eta=0.01, epochs=4, batch_size=8)
     moments = LogitMoments(np.zeros((4, 4)), np.stack([np.eye(4) * 0.1] * 4))
-    s = mc_confusion(moments, 500, seed=0)
+    normals = np.random.default_rng(0).standard_normal((500, 4))
+    s = mc_confusion(moments, normals)
     with pytest.raises(ValueError):
-        posterior_search(np.array([5, 5, 5, 5]), moments, s, s, 0.5, cfg)
+        posterior_search(np.array([5, 5, 5, 5]), moments, s, s, 0.5, cfg, normals)
 
 
 def test_posterior_search_fixed_point_on_full_batch_run():
@@ -570,10 +581,10 @@ def test_posterior_search_repairs_corrupted_counts():
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=1)
     update = updates[0]
     moments = estimate_moments(model, aux)
-    s_first = mc_confusion(moments, 10000, seed=71)
+    s_first = mc_confusion(moments, np.random.default_rng(71).standard_normal((10000, 10)))
     local = model.copy()
     local.params().add_(update.delta, 1.0)
-    s_last = mc_confusion(estimate_moments(local, aux), 10000, seed=72)
+    s_last = mc_confusion(estimate_moments(local, aux), np.random.default_rng(72).standard_normal((10000, 10)))
     embed = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
     g_true = np.asarray(truths[0]) // 10
     g_bad = g_true.copy()
@@ -581,8 +592,8 @@ def test_posterior_search_repairs_corrupted_counts():
     g_bad[hi] -= 3
     g_bad[lo] += 3
     refined = posterior_search(
-        g_bad * 10, moments, s_first, s_last, embed, cfg,
-        search_iters=5, mc_samples=1000, seed=5, include_bias_factor=True,
+        g_bad * 10, moments, s_first, s_last, embed, cfg, np.random.default_rng(5).standard_normal((1000, 10)),
+        search_iters=5, include_bias_factor=True,
     )
     before = np.abs(g_bad * 10 - truths[0]).sum()
     after = np.abs(refined - truths[0]).sum()
@@ -774,7 +785,8 @@ def test_round_context_unchanged_by_multi_epoch_attacks():
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
     params = AttackParams(mc_samples=2000, search_iters=3, search_mc_samples=200)
     context = prepare_round(model, aux, params, seed=5)
-    before = [context.moments.mu.copy(), context.moments.sigma.copy(), context.s_first.s.copy()]
+    assert context.normals.shape == (2000, 10)
+    before = [context.normals.copy(), context.moments.mu.copy(), context.moments.sigma.copy(), context.s_first.s.copy()]
     attacked = 0
     for k, update in enumerate(updates):
         if truths[k] is None:
@@ -783,35 +795,33 @@ def test_round_context_unchanged_by_multi_epoch_attacks():
         assert report.method == "posterior_search"
         attacked += 1
     assert attacked >= 2
-    after = [context.moments.mu, context.moments.sigma, context.s_first.s]
+    after = [context.normals, context.moments.mu, context.moments.sigma, context.s_first.s]
     for old, new in zip(before, after):
         npt.assert_array_equal(old, new)
         assert not new.flags.writeable
+    # the global-model matrix is the one mc_confusion gives on the block's rows
+    again = mc_confusion(context.moments, context.normals[: params.mc_samples])
+    assert np.array_equal(again.s, context.s_first.s)
 
 
-def test_rlu_multi_epoch_streams_follow_round_and_client(monkeypatch):
-    # the local-model confusion matrix and the posterior search draw from
-    # the two states of SeedSequence(context.seed, spawn_key=(round, client)),
-    # so the clients of one round get distinct streams from one context
+def test_rlu_attack_draws_no_random_numbers(monkeypatch):
+    # prepare_round draws the round's only block of normals; the local-model
+    # matrix and the posterior search read its rows, so attacks run with
+    # numpy's generator and seed constructors disabled
     data, aux, partition, model = blob_world(3, clients=4)
     cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
     context = prepare_round(model, aux, AttackParams(mc_samples=500, search_mc_samples=100), seed=17)
-    seen = []
-    for name in ("mc_confusion", "posterior_search"):
-        original = getattr(attack_module, name)
 
-        def recording(*args, _original=original, **kwargs):
-            seen.append(int(args[-1]))
-            return _original(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the attack drew its own random numbers")
 
-        monkeypatch.setattr(attack_module, name, recording)
-    expected = []
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    attacked = 0
     for k, update in enumerate(updates):
         if truths[k] is None:
             continue
-        rlu_attack(context, update, cfg, histories[k])
-        expected += [int(x) for x in np.random.SeedSequence(17, spawn_key=(1, k)).generate_state(2)]
-    assert len(expected) >= 4
-    assert seen == expected
-    assert len(set(seen)) == len(seen)
+        assert rlu_attack(context, update, cfg, histories[k]).method == "posterior_search"
+        attacked += 1
+    assert attacked >= 2

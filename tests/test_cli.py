@@ -13,6 +13,8 @@ from fedleak import attack
 from fedleak.cli import (
     RESULT_COLUMNS,
     ExperimentConfig,
+    _config_from_args,
+    build_parser,
     load_config,
     main,
     run_experiment,
@@ -336,6 +338,64 @@ def test_config_unknown_keys_exit_one(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"data": {"nclasses": 4}}))
     rc = main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "r.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"attack": {"mc_samples": "100"}}, "mc_samples"),
+        ({"rounds": "2"}, "rounds"),
+        ({"scheme": {"eta": "0.1"}}, "eta"),
+        ({"data": {"n_classes": 4.5}}, "n_classes"),
+        ({"model": {"hidden": 5}}, "hidden"),
+        ({"partition": {"clients": True}}, "clients"),
+    ],
+)
+def test_config_wrong_type_exit_one(tmp_path, capsys, payload, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "r.csv"
+    rc = main(["run", "--config", str(cfg_path), "--output", str(out), *small_args(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, optimizer", [("feddyn", "sgd"), ("fedavg", "nag")])
+def test_every_config_flag_lands_in_its_field(tmp_path, scheme, optimizer):
+    # each pair leaves one of scheme/optimizer at its default, so between
+    # them a flag that reached no field would show in one case
+    flags = {
+        "--seed": ("seed", 7),
+        "--n-classes": ("data.n_classes", 5),
+        "--dim": ("data.dim", 9),
+        "--per-class": ("data.per_class", 21),
+        "--separation": ("data.separation", 2.5),
+        "--clients": ("partition.clients", 4),
+        "--alpha": ("partition.alpha", 0.7),
+        "--scheme": ("scheme.scheme", scheme),
+        "--optimizer": ("scheme.optimizer", optimizer),
+        "--eta": ("scheme.eta", 0.02),
+        "--lambda": ("scheme.lam", 0.5),
+        "--gamma": ("scheme.gamma", 0.3),
+        "--epochs": ("scheme.epochs", 3),
+        "--batch-size": ("scheme.batch_size", 12),
+        "--rounds": ("rounds", 4),
+        "--mc-samples": ("attack.mc_samples", 300),
+        "--search-iters": ("attack.search_iters", 2),
+        "--aux-per-class": ("attack.aux_per_class", 40),
+        "--output": ("output", str(tmp_path / "out.csv")),
+    }
+    argv = ["run"]
+    for flag, (_, value) in flags.items():
+        argv += [flag, str(value)]
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    for flag, (path, value) in flags.items():
+        target = cfg
+        for part in path.split("."):
+            target = getattr(target, part)
+        assert target == value, flag
 
 
 def test_config_invalid_json_exit_one(tmp_path):
