@@ -159,10 +159,10 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def estimate_moments(model: Model, aux: Dataset, jitter_scale: float = _JITTER_SCALE) -> LogitMoments:
+def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     """Empirical logit moments per true class over the auxiliary set.
 
-    Covariances use denominator max(count - 1, 1) and get jitter_scale *
+    Covariances use denominator max(count - 1, 1) and get _JITTER_SCALE *
     mean(diagonal) added on the diagonal, which keeps later factorizations
     stable without moving zero-variance cases off exact zero.
     """
@@ -178,7 +178,7 @@ def estimate_moments(model: Model, aux: Dataset, jitter_scale: float = _JITTER_S
         centered = rows - mu[cls]
         cov = centered.T @ centered / max(len(rows) - 1, 1)
         cov = 0.5 * (cov + cov.T)
-        jitter = jitter_scale * float(np.mean(np.diag(cov)))
+        jitter = _JITTER_SCALE * float(np.mean(np.diag(cov)))
         sigma[cls] = cov + jitter * np.eye(n)
     return LogitMoments(mu, sigma)
 
@@ -249,17 +249,16 @@ def _geometric_rho(decay: float, m: int) -> np.ndarray:
 def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistory) -> SchemeCoefficients:
     """Per-epoch weights and history offset for attacking round `round_idx`.
 
-    The history must cover rounds below round_idx (bias slices of past
-    local and global updates; server-variate bias slices through the
-    current round for scaffold). Raises on lambda * eta >= 1, where the
-    proximal recursions stop contracting.
+    history must be the client's record at the start of round_idx; the
+    offsets are read from its state in closed form. Raises on lambda * eta
+    >= 1, where the proximal recursions stop contracting.
     """
     m, eta, lam, gamma = cfg.epochs, cfg.eta, cfg.lam, cfg.gamma
     if round_idx < 1:
         raise ValueError("round index starts at 1")
-    if len(history.past_local_bias) < round_idx - 1:
+    if history.completed_rounds != round_idx - 1:
         raise RuntimeError(
-            f"history has {len(history.past_local_bias)} past updates; round {round_idx} needs {round_idx - 1}"
+            f"history covers {history.completed_rounds} rounds; round {round_idx} needs {round_idx - 1}"
         )
     if cfg.scheme in ("fedprox", "feddyn", "feddc") and lam * eta >= 1.0:
         raise ValueError("lambda * eta must be below 1")
@@ -273,37 +272,25 @@ def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistor
         return SchemeCoefficients(_geometric_rho(gamma, m + 1)[:m], None)
 
     if cfg.scheme == "scaffold":
-        if len(history.server_variate_bias) < round_idx:
-            raise RuntimeError("scaffold needs server variates for rounds 1..t")
-        h = np.zeros_like(history.server_variate_bias[0])
-        for r in range(2, round_idx + 1):
-            h += eta * m * history.server_variate_bias[r - 1]
-        for db in history.past_local_bias[: round_idx - 1]:
-            h += db
-        return SchemeCoefficients(np.ones(m), h)
+        if round_idx == 1:
+            return SchemeCoefficients(np.ones(m), None)
+        # each of the m local steps moves the bias by -eta * (g - c_k + c)
+        gap = history.server_variate.biases[-1] - history.client_variate.biases[-1]
+        return SchemeCoefficients(np.ones(m), eta * m * gap)
 
     # fedprox / feddyn / feddc share the proximal decay profile.
     q = 1.0 - lam * eta
     taus = np.arange(1, m + 1)
     rho = q ** (m - taus)
-    if cfg.scheme == "fedprox":
-        return SchemeCoefficients(rho, None)
-
-    if round_idx == 1:
-        # No past updates yet, so the history offset is zero.
+    if cfg.scheme == "fedprox" or round_idx == 1:
+        # fedprox carries no history; the others have none yet at round 1
         return SchemeCoefficients(rho, None)
     shrink = 1.0 - q**m
-    h = np.zeros(history.past_local_bias[0].shape[0])
-    for db in history.past_local_bias[: round_idx - 1]:
-        h += shrink * db
-    if cfg.scheme == "feddyn":
-        return SchemeCoefficients(rho, h)
-
-    # feddc: previous-round drift correction on top of the feddyn offset.
-    if len(history.past_global_bias) < round_idx - 1:
-        raise RuntimeError("feddc needs past global updates")
-    coef = 1.0 if lam * eta == 0.0 else shrink / (lam * eta * m)
-    h = h + coef * (history.past_local_bias[round_idx - 2] - history.past_global_bias[round_idx - 2])
+    h = shrink * history.cum_local_delta.biases[-1]
+    if cfg.scheme == "feddc":
+        # previous-round drift correction on top of the feddyn offset
+        coef = 1.0 if lam * eta == 0.0 else shrink / (lam * eta * m)
+        h = h + coef * (history.prev_local_delta.biases[-1] - history.prev_global_delta.biases[-1])
     return SchemeCoefficients(rho, h)
 
 
@@ -367,11 +354,11 @@ def round_counts(z: np.ndarray, total: int) -> np.ndarray:
     return largest_remainder(np.maximum(z, 0.0) * total, total)
 
 
-def estimate_embedding_norm(delta_w: np.ndarray, delta_b: np.ndarray, rel_threshold: float = 0.1) -> float:
+def estimate_embedding_norm(delta_w: np.ndarray, delta_b: np.ndarray) -> float:
     """Estimate sum_l e_l^2 of the batch-mean embedding from the output slice.
 
-    Each admissible row j (|delta_b_j| at or above rel_threshold of the max)
-    votes delta_W[j, :] / delta_b_j; the componentwise median is squared and
+    Each admissible row j (|delta_b_j| at least a tenth of the max) votes
+    delta_W[j, :] / delta_b_j; the componentwise median is squared and
     summed.
     """
     delta_w = np.asarray(delta_w, dtype=np.float64)
@@ -381,7 +368,7 @@ def estimate_embedding_norm(delta_w: np.ndarray, delta_b: np.ndarray, rel_thresh
     peak = float(np.abs(delta_b).max()) if delta_b.size else 0.0
     if peak == 0.0:
         raise DegenerateUpdateError("all bias deltas are zero")
-    mask = np.abs(delta_b) >= rel_threshold * peak
+    mask = np.abs(delta_b) >= 0.1 * peak
     candidates = delta_w[mask] / delta_b[mask, None]
     ebar = np.median(candidates, axis=0)
     return float(np.sum(ebar * ebar))

@@ -275,15 +275,21 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_list(text, cast):
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _parse_grid(text, cast, flag, default):
+    """Values of a comma-separated grid flag; [default] when it is absent."""
+    if text is None:
+        return [default]
+    values = [cast(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"{flag} lists no values")
+    return values
 
 
 def cmd_sweep(args) -> int:
     base = _config_from_args(args)
-    alphas = _parse_list(args.alphas, float) if args.alphas else [base.partition.alpha]
-    epoch_grid = _parse_list(args.epoch_grid, int) if args.epoch_grid else [base.scheme.epochs]
-    seeds = _parse_list(args.seeds, int) if args.seeds else [base.seed]
+    alphas = _parse_grid(args.alphas, float, "--alphas", base.partition.alpha)
+    epoch_grid = _parse_grid(args.epoch_grid, int, "--epoch-grid", base.scheme.epochs)
+    seeds = _parse_grid(args.seeds, int, "--seeds", base.seed)
     rows = []
     for alpha in alphas:
         for m in epoch_grid:

@@ -7,8 +7,8 @@ exactly. Attack code never reads that channel.
 
 Regularizer and correction terms (proximal pulls, control variates,
 drift) apply to all parameters, not only the output layer. Histories are
-never mutated in place by run_round; it returns advanced copies so that
-callers keep round-start state for analysis.
+immutable round-start records (UpdateHistory): run_round builds the next
+round's records and never writes into the ones it was given.
 
 Round-log CSV layout (append_round_log):
 round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
@@ -16,7 +16,7 @@ round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,68 +86,40 @@ class LocalUpdate:
         return self.delta.biases[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateHistory:
-    """Per-client view of everything past rounds left behind.
+    """One client's state at the start of a round, as an immutable record.
 
-    Bias-slice lists are what a curious server can reconstruct from the
-    transmissions it received; the full-parameter fields are the client's
-    own optimizer state (variates, drift, cumulative deltas).
+    A record's ParamVecs are never written in place, so one array may back
+    several fields or records; run_round builds the next round's record
+    instead of copying this one. Everything here is known to a curious
+    server: the scaffold client variate c_k is the sum of the control
+    deltas the client transmits (here they follow from its deltas and c),
+    the server variate c is the mean of the c_k, cum_local_delta and
+    prev_local_delta are sums of the client's transmitted deltas, and
+    prev_global_delta is the server's own aggregate.
     """
 
-    past_local_bias: list = field(default_factory=list)  # delta b per round
-    past_global_bias: list = field(default_factory=list)  # aggregated delta b per round
-    server_variate_bias: list = field(default_factory=list)  # c^(r) bias, r = 1..t
+    completed_rounds: int = 0
     client_variate: ParamVec = None  # scaffold c_k, full parameters
     server_variate: ParamVec = None  # scaffold c (current), full parameters
     cum_local_delta: ParamVec = None  # sum of past delta theta_k, full
     prev_local_delta: ParamVec = None  # last round's delta theta_k, full
     prev_global_delta: ParamVec = None  # last round's aggregated delta, full
 
-    @property
-    def completed_rounds(self) -> int:
-        """Rounds recorded so far; every round adds one local bias slice."""
-        return len(self.past_local_bias)
-
     @classmethod
     def fresh(cls, model: Model) -> "UpdateHistory":
-        n = model.n_classes
-        return cls(
-            past_local_bias=[],
-            past_global_bias=[],
-            server_variate_bias=[np.zeros(n)],
-            client_variate=zeros_like_params(model),
-            server_variate=zeros_like_params(model),
-            cum_local_delta=zeros_like_params(model),
-            prev_local_delta=None,
-            prev_global_delta=None,
-        )
-
-    def copy(self) -> "UpdateHistory":
-        def pv(x):
-            return x.copy() if x is not None else None
-
-        return UpdateHistory(
-            past_local_bias=[b.copy() for b in self.past_local_bias],
-            past_global_bias=[b.copy() for b in self.past_global_bias],
-            server_variate_bias=[b.copy() for b in self.server_variate_bias],
-            client_variate=pv(self.client_variate),
-            server_variate=pv(self.server_variate),
-            cum_local_delta=pv(self.cum_local_delta),
-            prev_local_delta=pv(self.prev_local_delta),
-            prev_global_delta=pv(self.prev_global_delta),
-        )
+        zero = zeros_like_params(model)
+        return cls(client_variate=zero, server_variate=zero, cum_local_delta=zero)
 
 
-def _check_history(history: UpdateHistory, cfg: SchemeConfig, round_idx: int) -> None:
+def _check_history(history: UpdateHistory, round_idx: int) -> None:
     if round_idx < 1:
         raise ValueError("round index starts at 1")
     if history.completed_rounds != round_idx - 1:
         raise RuntimeError(
             f"history covers {history.completed_rounds} rounds; round {round_idx} expects {round_idx - 1}"
         )
-    if cfg.scheme == "scaffold" and len(history.server_variate_bias) != round_idx:
-        raise RuntimeError("server_variate_bias must cover rounds 1..t for scaffold")
 
 
 def local_train(
@@ -165,7 +137,7 @@ def local_train(
     loss or final parameters (diverging step size) and on history/round
     mismatches.
     """
-    _check_history(history, cfg, round_idx)
+    _check_history(history, round_idx)
     if len(plan.batches) != cfg.epochs:
         raise ValueError("plan epochs do not match cfg.epochs")
 
@@ -247,37 +219,34 @@ def server_aggregate(updates, weights, global_model: Model) -> Model:
     return new
 
 
-def scaffold_update_control(histories, deltas, cfg: SchemeConfig) -> None:
-    """Advance scaffold control variates after a round, in place.
+def scaffold_update_control(histories, deltas, cfg: SchemeConfig) -> list:
+    """Scaffold control variates after a round, as new records.
 
-    Applies c_k <- c_k - c + (theta_t - theta_k_final) / (eta m) for every
-    client (theta_t - theta_k_final = -delta_k), then sets the server
-    variate on every history to the unweighted mean of the new client
-    variates and appends its bias slice.
+    Returns one record per history with c_k <- c_k - c + (theta_t -
+    theta_k_final) / (eta m) (theta_t - theta_k_final = -delta_k) and every
+    record's server variate set to one shared object, the unweighted mean
+    of the new client variates. The input records are left unchanged.
     """
     if cfg.eta * cfg.epochs == 0:
         raise ValueError("scaffold control update undefined for eta = 0")
     if len(histories) != len(deltas) or not histories:
         raise ValueError("histories and deltas must be non-empty and aligned")
     scale = 1.0 / (cfg.eta * cfg.epochs)
-    for hist, delta in zip(histories, deltas):
-        ck = hist.client_variate
-        ck.add_(hist.server_variate, -1.0)
-        ck.add_(delta, -scale)
-    mean = histories[0].client_variate.scaled(1.0 / len(histories))
-    for hist in histories[1:]:
-        mean.add_(hist.client_variate, 1.0 / len(histories))
-    for hist in histories:
-        hist.server_variate = mean.copy()
-        hist.server_variate_bias.append(mean.biases[-1].copy())
+    variates = [h.client_variate.sub(h.server_variate).add_(d, -scale) for h, d in zip(histories, deltas)]
+    mean = variates[0].scaled(1.0 / len(variates))
+    for ck in variates[1:]:
+        mean.add_(ck, 1.0 / len(variates))
+    return [replace(h, client_variate=ck, server_variate=mean) for h, ck in zip(histories, variates)]
 
 
-def _record_round(history: UpdateHistory, local_delta: ParamVec, global_delta: ParamVec) -> None:
-    history.past_local_bias.append(local_delta.biases[-1].copy())
-    history.past_global_bias.append(global_delta.biases[-1].copy())
-    history.cum_local_delta.add_(local_delta, 1.0)
-    history.prev_local_delta = local_delta.copy()
-    history.prev_global_delta = global_delta.copy()
+def _record_round(history: UpdateHistory, local_delta: ParamVec, global_delta: ParamVec) -> UpdateHistory:
+    return replace(
+        history,
+        completed_rounds=history.completed_rounds + 1,
+        cum_local_delta=history.cum_local_delta.copy().add_(local_delta, 1.0),
+        prev_local_delta=local_delta,
+        prev_global_delta=global_delta,
+    )
 
 
 def run_round(
@@ -296,8 +265,9 @@ def run_round(
     updates[k] is the k-th client's LocalUpdate; clients whose shard is
     smaller than batch_size participate with a zero update and get
     truth_counts[k] = None, stats[k] = None. truth_counts is ground truth
-    for evaluation only. Histories are advanced on copies; the inputs
-    stay at round-start state.
+    for evaluation only. new_histories are new records for the start of
+    round round_idx + 1; they share arrays with the updates and with each
+    other, and the input records stay at round-start state.
     """
     n_clients = partition.n_clients
     if len(histories) != n_clients:
@@ -308,7 +278,6 @@ def run_round(
             raise ValueError("empty partition")
         weights = sizes / sizes.sum()
 
-    new_histories = [h.copy() for h in histories]
     updates, truths, stats = [], [], []
     for k in range(n_clients):
         shard = partition.assignments[k]
@@ -338,10 +307,9 @@ def run_round(
 
     new_global = server_aggregate(updates, weights, global_model)
     global_delta = new_global.params().sub(global_model.params())
-    for k in range(n_clients):
-        _record_round(new_histories[k], updates[k].delta, global_delta)
+    new_histories = [_record_round(h, u.delta, global_delta) for h, u in zip(histories, updates)]
     if cfg.scheme == "scaffold":
-        scaffold_update_control(new_histories, [u.delta for u in updates], cfg)
+        new_histories = scaffold_update_control(new_histories, [u.delta for u in updates], cfg)
     return new_global, updates, truths, stats, new_histories
 
 

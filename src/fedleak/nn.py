@@ -159,6 +159,8 @@ def init_model(layer_sizes, activation: str = "relu", seed: int = 0) -> Model:
     """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] init, seeded."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
+    if any(size < 1 for size in layer_sizes):
+        raise ValueError(f"every layer size must be at least 1, got {list(layer_sizes)}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -178,8 +180,13 @@ def forward_batch(model: Model, features: np.ndarray):
     """Forward pass for a (B, d) batch. Returns (logits (B, N), embeddings (B, L))."""
     act, _ = ACTIVATIONS[model.activation]
     h = np.asarray(features, dtype=np.float64)
+    # two activation-sized arrays alive per layer, not three: every attack
+    # runs this over the whole auxiliary set, and a smaller transient lets
+    # the allocator reuse its memory instead of returning it to the OS
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = act(h @ w.T + b)
+        h = h @ w.T
+        h += b
+        h = act(h)
     logits = h @ model.weights[-1].T + model.biases[-1]
     return logits, h
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -219,8 +220,7 @@ def test_coefficients_first_round_offsets_vanish():
         cfg = SchemeConfig(scheme=scheme, optimizer="sgd", eta=0.1, lam=lam,
                            epochs=2, batch_size=8)
         coeffs = scheme_coefficients(cfg, 1, history)
-        if coeffs.h is not None:
-            npt.assert_allclose(coeffs.h, np.zeros(4), atol=1e-15)
+        assert coeffs.h is None
 
 
 def test_coefficients_first_round_empty_history():
@@ -234,12 +234,18 @@ def test_coefficients_first_round_empty_history():
         assert coeffs.h is None
 
 
+def bias_vec(model, bias):
+    """A zero ParamVec shaped like model with output bias `bias`."""
+    vec = zeros_like_params(model)
+    vec.biases[-1][:] = bias
+    return vec
+
+
 def test_coefficients_feddyn_offset_from_history():
-    history, _ = fresh_history()
+    history, model = fresh_history()
     d1 = np.array([0.1, -0.2, 0.05, 0.05])
     d2 = np.array([-0.3, 0.1, 0.1, 0.1])
-    history.past_local_bias.extend([d1, d2])
-    history.past_global_bias.extend([d1 * 0.5, d2 * 0.5])
+    history = replace(history, completed_rounds=2, cum_local_delta=bias_vec(model, d1 + d2))
     cfg = SchemeConfig(scheme="feddyn", optimizer="sgd", eta=0.1, lam=2.0,
                        epochs=3, batch_size=8)
     coeffs = scheme_coefficients(cfg, 3, history)
@@ -249,11 +255,12 @@ def test_coefficients_feddyn_offset_from_history():
 
 
 def test_coefficients_feddc_adds_drift_gap_term():
-    history, _ = fresh_history()
+    history, model = fresh_history()
     d1 = np.array([0.1, -0.2, 0.05, 0.05])
     g1 = np.array([0.02, -0.1, 0.04, 0.04])
-    history.past_local_bias.append(d1)
-    history.past_global_bias.append(g1)
+    history = replace(history, completed_rounds=1, cum_local_delta=bias_vec(model, d1),
+                      prev_local_delta=bias_vec(model, d1),
+                      prev_global_delta=bias_vec(model, g1))
     cfg = SchemeConfig(scheme="feddc", optimizer="sgd", eta=0.1, lam=2.0,
                        epochs=3, batch_size=8)
     coeffs = scheme_coefficients(cfg, 2, history)
@@ -263,12 +270,12 @@ def test_coefficients_feddc_adds_drift_gap_term():
 
 
 def test_coefficients_scaffold_offset():
-    history, _ = fresh_history()
+    history, model = fresh_history()
     c2 = np.array([0.01, 0.02, -0.02, -0.01])
     d1 = np.array([0.1, -0.2, 0.05, 0.05])
-    history.past_local_bias.append(d1)
-    history.past_global_bias.append(d1 * 0.5)
-    history.server_variate_bias.append(c2)  # c^(2); c^(1) is the seeded zero
+    # after round 1 (c^(1) = 0): c_k = -d1 / (eta m), c = c^(2)
+    history = replace(history, completed_rounds=1, server_variate=bias_vec(model, c2),
+                      client_variate=bias_vec(model, -d1 / (0.1 * 4)))
     cfg = SchemeConfig(scheme="scaffold", optimizer="sgd", eta=0.1, epochs=4,
                        batch_size=8)
     coeffs = scheme_coefficients(cfg, 2, history)
@@ -512,7 +519,7 @@ def test_embedding_norm_threshold_excludes_noisy_rows():
     c = np.array([1.0, 2.0])
     db = np.array([1.0, -1.0, 1e-6])
     dw = np.vstack([c, -c, np.array([5.0, 5.0])])
-    est = estimate_embedding_norm(dw, db, rel_threshold=0.1)
+    est = estimate_embedding_norm(dw, db)
     assert est == pytest.approx(5.0, abs=1e-12)
 
 

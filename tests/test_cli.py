@@ -170,6 +170,16 @@ def test_sweep_grid_structure(tmp_path):
     assert combos == {(repr(a), "1", s) for a in (0.1, 1.0) for s in ("0", "1")}
 
 
+@pytest.mark.parametrize("flag", ["--alphas", "--seeds", "--epoch-grid"])
+def test_sweep_empty_grid_exit_one(tmp_path, capsys, flag):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", flag, ",", "--output", str(out), *small_args(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------- diagnose-moments
 
 def write_world(tmp_path, model, data):
@@ -359,6 +369,18 @@ def test_config_wrong_type_exit_one(tmp_path, capsys, payload, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hidden", [[0], [-3]])
+def test_config_layer_size_below_one_exit_one(tmp_path, capsys, hidden):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"hidden": hidden}}))
+    out = tmp_path / "r.csv"
+    rc = main(["run", "--config", str(cfg_path), "--output", str(out), *small_args(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(hidden[0]) in err
     assert not out.exists()
 
 

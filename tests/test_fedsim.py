@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,7 +16,7 @@ from fedleak.fedsim import (
     scaffold_update_control,
     server_aggregate,
 )
-from fedleak.nn import accuracy, backward, init_model, zeros_like_params
+from fedleak.nn import ParamVec, accuracy, backward, init_model, zeros_like_params
 
 from _helpers import fedavg_cfg, one_round
 
@@ -302,6 +304,38 @@ def test_run_round_deterministic():
             assert np.array_equal(wa, wb)
 
 
+def _record_arrays(history):
+    """Every array reachable from a history record, in field order."""
+    arrays = []
+    for f in fields(history):
+        value = getattr(history, f.name)
+        if isinstance(value, ParamVec):
+            arrays.extend(value.weights + value.biases)
+    return arrays
+
+
+@pytest.mark.parametrize("scheme", ["scaffold", "feddyn", "feddc"])
+def test_run_round_leaves_input_histories_unchanged(scheme):
+    # the records run_round returns share arrays with each other and with
+    # the updates, so nothing may write into a record it was given
+    data, partition, model = small_world(seed=17, clients=3)
+    lam = 0.0 if scheme == "scaffold" else 2.0
+    cfg = SchemeConfig(scheme=scheme, optimizer="sgd", eta=0.05, lam=lam, epochs=2, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    current = model
+    for t in (1, 2, 3):
+        saved = [[a.copy() for a in _record_arrays(h)] for h in histories]
+        current, _, _, _, new_histories = run_round(current, data, partition, cfg, histories, t, seed=17)
+        for h, before in zip(histories, saved):
+            assert h.completed_rounds == t - 1
+            after = _record_arrays(h)
+            assert len(after) == len(before)
+            for a, b in zip(after, before):
+                assert a.tobytes() == b.tobytes()
+        assert [h.completed_rounds for h in new_histories] == [t] * partition.n_clients
+        histories = new_histories
+
+
 # ----------------------------------------------------------------- scaffold
 
 def test_scaffold_zero_deltas_keep_variates_zero():
@@ -309,8 +343,9 @@ def test_scaffold_zero_deltas_keep_variates_zero():
     cfg = SchemeConfig(scheme="scaffold", optimizer="sgd", eta=0.1, epochs=2, batch_size=16)
     histories = [UpdateHistory.fresh(model) for _ in range(2)]
     deltas = [zeros_like_params(model), zeros_like_params(model)]
-    scaffold_update_control(histories, deltas, cfg)
-    for h in histories:
+    new_histories = scaffold_update_control(histories, deltas, cfg)
+    assert len(new_histories) == len(histories)
+    for h in new_histories:
         assert h.client_variate.max_abs() == 0.0
         assert h.server_variate.max_abs() == 0.0
 
