@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import mean_softmax, pgd_simplex_ls
 from .data import Dataset, largest_remainder
-from .fedsim import LocalUpdate, SchemeConfig, UpdateHistory
+from .fedsim import LocalUpdate, SchemeConfig, UpdateHistory, round_correction
 from .nn import Model, forward_batch
 
 METHOD_SINGLE = "single_epoch"
@@ -249,48 +249,31 @@ def _geometric_rho(decay: float, m: int) -> np.ndarray:
 def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistory) -> SchemeCoefficients:
     """Per-epoch weights and history offset for attacking round `round_idx`.
 
-    history must be the client's record at the start of round_idx; the
-    offsets are read from its state in closed form. Raises on lambda * eta
-    >= 1, where the proximal recursions stop contracting.
+    Both follow from fedsim.round_correction, the scheme's (prox, drift)
+    for the round. A proximal pull decays epoch tau's gradient by q^(m -
+    tau), q = 1 - prox * eta; without one the optimizer sets the weights.
+    The drift enters every step like a gradient term, so its share of the
+    output-bias delta is -h with h = eta * sum(rho) * drift. history must
+    be the client's record at the start of round_idx.
     """
-    m, eta, lam, gamma = cfg.epochs, cfg.eta, cfg.lam, cfg.gamma
+    m, eta, gamma = cfg.epochs, cfg.eta, cfg.gamma
     if round_idx < 1:
         raise ValueError("round index starts at 1")
     if history.completed_rounds != round_idx - 1:
         raise RuntimeError(
             f"history covers {history.completed_rounds} rounds; round {round_idx} needs {round_idx - 1}"
         )
-    if cfg.scheme in ("fedprox", "feddyn", "feddc") and lam * eta >= 1.0:
-        raise ValueError("lambda * eta must be below 1")
-
-    if cfg.scheme == "fedavg":
-        if cfg.optimizer == "sgd":
-            return SchemeCoefficients(np.ones(m), None)
-        if cfg.optimizer == "sgdm":
-            return SchemeCoefficients(_geometric_rho(gamma, m), None)
-        # nag: one extra power of gamma in every tail sum
-        return SchemeCoefficients(_geometric_rho(gamma, m + 1)[:m], None)
-
-    if cfg.scheme == "scaffold":
-        if round_idx == 1:
-            return SchemeCoefficients(np.ones(m), None)
-        # each of the m local steps moves the bias by -eta * (g - c_k + c)
-        gap = history.server_variate.biases[-1] - history.client_variate.biases[-1]
-        return SchemeCoefficients(np.ones(m), eta * m * gap)
-
-    # fedprox / feddyn / feddc share the proximal decay profile.
-    q = 1.0 - lam * eta
-    taus = np.arange(1, m + 1)
-    rho = q ** (m - taus)
-    if cfg.scheme == "fedprox" or round_idx == 1:
-        # fedprox carries no history; the others have none yet at round 1
-        return SchemeCoefficients(rho, None)
-    shrink = 1.0 - q**m
-    h = shrink * history.cum_local_delta.biases[-1]
-    if cfg.scheme == "feddc":
-        # previous-round drift correction on top of the feddyn offset
-        coef = 1.0 if lam * eta == 0.0 else shrink / (lam * eta * m)
-        h = h + coef * (history.prev_local_delta.biases[-1] - history.prev_global_delta.biases[-1])
+    prox, drift = round_correction(cfg, history)
+    if prox:
+        rho = (1.0 - prox * eta) ** (m - np.arange(1, m + 1))
+    elif cfg.optimizer == "sgdm":
+        rho = _geometric_rho(gamma, m)
+    elif cfg.optimizer == "nag":
+        # one extra power of gamma in every tail sum
+        rho = _geometric_rho(gamma, m + 1)[:m]
+    else:
+        rho = np.ones(m)
+    h = None if drift is None else eta * rho.sum() * drift.biases[-1]
     return SchemeCoefficients(rho, h)
 
 

@@ -116,17 +116,18 @@ def _checked(value, ftype, key):
     return tuple(value) if ftype is tuple else value
 
 
-def _build_section(cls, payload, name):
+def _section_values(cls, payload, name) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"config section {name!r} must be an object")
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(payload) - set(types)
     if unknown:
         raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return cls(**{key: _checked(value, types[key], f"{name}.{key}") for key, value in payload.items()})
+    return {key: _checked(value, types[key], f"{name}.{key}") for key, value in payload.items()}
 
 
-def load_config(path) -> ExperimentConfig:
+def _file_values(path) -> dict:
+    """The config file's values, type-checked; each section as a dict of field values."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -138,11 +139,19 @@ def load_config(path) -> ExperimentConfig:
     unknown = set(raw) - set(types)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        ftype = types[key]
-        kwargs[key] = _build_section(ftype, value, key) if is_dataclass(ftype) else _checked(value, ftype, key)
-    return ExperimentConfig(**kwargs)
+    return {
+        key: _section_values(types[key], value, key) if is_dataclass(types[key]) else _checked(value, types[key], key)
+        for key, value in raw.items()
+    }
+
+
+def _build_config(values: dict) -> ExperimentConfig:
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: types[k](**v) if is_dataclass(types[k]) else v for k, v in values.items()})
+
+
+def load_config(path) -> ExperimentConfig:
+    return _build_config(_file_values(path))
 
 
 def _flag_values(args, cls) -> dict:
@@ -154,19 +163,18 @@ def _flag_values(args, cls) -> dict:
     }
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    changes = _flag_values(args, cfg)
-    for f in fields(cfg):
-        if is_dataclass(f.type):
-            section = _flag_values(args, f.type)
-            if section:
-                changes[f.name] = replace(getattr(cfg, f.name), **section)
-    return replace(cfg, **changes)
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    return _apply_overrides(cfg, args)
+    """The config file's values with the given flags laid over them.
+
+    The config objects are built only after the merge, so a constraint
+    across fields (lambda * eta, say) is checked on the values the run uses.
+    """
+    values = _file_values(args.config) if args.config else {}
+    values.update(_flag_values(args, ExperimentConfig))
+    for f in fields(ExperimentConfig):
+        if is_dataclass(f.type):
+            values[f.name] = {**values.get(f.name, {}), **_flag_values(args, f.type)}
+    return _build_config(values)
 
 
 def _build_world(cfg: ExperimentConfig):

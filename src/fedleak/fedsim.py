@@ -5,10 +5,14 @@ cross-entropy bias gradient (batch mean) is recorded on a debug channel
 of the LocalUpdate so tests can recombine the transmitted bias delta
 exactly. Attack code never reads that channel.
 
-Regularizer and correction terms (proximal pulls, control variates,
-drift) apply to all parameters, not only the output layer. Histories are
-immutable round-start records (UpdateHistory): run_round builds the next
-round's records and never writes into the ones it was given.
+Schemes differ only in what they add to every local gradient of a round,
+and round_correction is the one place that says it: a proximal pull
+prox * (theta - theta0) and a drift term fixed for the round (scaffold's
+c - c_k, feddyn's and feddc's linear terms). Both apply to all
+parameters, not only the output layer; the attack reads its offset from
+the same pair. Histories are immutable round-start records
+(UpdateHistory): run_round builds the next round's records and never
+writes into the ones it was given.
 
 Round-log CSV layout (append_round_log):
 round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
@@ -61,6 +65,12 @@ class SchemeConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.scheme in ("fedprox", "feddyn", "feddc") and self.lam * self.eta >= 1.0:
+            # the proximal pull must contract: q = 1 - lambda * eta in [0, 1)
+            raise ValueError(f"{self.scheme} needs lambda * eta below 1, got {self.lam!r} * {self.eta!r}")
+        if self.scheme in ("scaffold", "feddc") and self.eta == 0:
+            # their updates divide by eta * epochs
+            raise ValueError(f"{self.scheme} needs eta above 0")
 
 
 @dataclass
@@ -122,17 +132,41 @@ def _check_history(history: UpdateHistory, round_idx: int) -> None:
         )
 
 
+def round_correction(cfg: SchemeConfig, history: UpdateHistory):
+    """What cfg's scheme adds to every local gradient of a round: (prox, drift).
+
+    Each local step uses grad + drift + prox * (theta - theta0). prox is
+    lambda for the proximal schemes and 0 otherwise. drift is fixed for
+    the round and read from the client's round-start record: scaffold's
+    c - c_k (Karimireddy et al. 2020, Alg. 1), feddyn's lambda *
+    cum_local_delta (Acar et al. 2021), and for feddc that term plus
+    (prev_local_delta - prev_global_delta) / (eta m). It is None for
+    fedavg and fedprox, and for every scheme before the first round.
+    """
+    prox = cfg.lam if cfg.scheme in ("fedprox", "feddyn", "feddc") else 0.0
+    if cfg.scheme in ("fedavg", "fedprox") or history.completed_rounds == 0:
+        return prox, None
+    if cfg.scheme == "scaffold":
+        return prox, history.server_variate.sub(history.client_variate)
+    drift = history.cum_local_delta.scaled(cfg.lam)
+    if cfg.scheme == "feddc":
+        drift.add_(history.prev_local_delta.sub(history.prev_global_delta), 1.0 / (cfg.eta * cfg.epochs))
+    return prox, drift
+
+
 def local_train(
     model: Model,
     data: Dataset,
     plan: BatchPlan,
     cfg: SchemeConfig,
     history: UpdateHistory,
-    round_idx: int = 1,
-    client_id: int = 0,
+    round_idx: int,
+    client_id: int,
 ):
     """Run m local epochs from `model`; returns (LocalUpdate, trained Model).
 
+    Every step adds round_correction's drift and then its proximal pull to
+    the cross-entropy gradient; sgdm and nag then fold it into a velocity.
     Pure: neither `model` nor `history` is modified. Raises on non-finite
     loss or final parameters (diverging step size) and on history/round
     mismatches.
@@ -144,18 +178,13 @@ def local_train(
     local = model.copy()
     params = local.params()
     theta0 = model.params()  # read-only reference copy of round-start params
-    eta, lam, gamma, m = cfg.eta, cfg.lam, cfg.gamma, cfg.epochs
+    eta, gamma, m = cfg.eta, cfg.gamma, cfg.epochs
+    prox, drift = round_correction(cfg, history)
 
-    velocity = zeros_like_params(model) if cfg.optimizer in ("sgdm", "nag") else None
-    prev_grad = None
+    # sgdm: v <- gamma v + g; nag: v <- gamma v + (1 + gamma) g - gamma g_prev
+    lead = gamma if cfg.optimizer == "nag" else 0.0
+    velocity = prev_grad = None if cfg.optimizer == "sgd" else zeros_like_params(model)
     ce_bias_grads = np.zeros((m, model.n_classes))
-
-    # Per-round constant correction terms.
-    feddc_linear = None
-    if cfg.scheme == "feddc" and history.prev_local_delta is not None:
-        if eta * m == 0:
-            raise ValueError("feddc linear term undefined for eta = 0")
-        feddc_linear = history.prev_local_delta.sub(history.prev_global_delta).scaled(1.0 / (eta * m))
 
     for tau in range(m):
         idx = plan.batches[tau]
@@ -166,37 +195,20 @@ def local_train(
             first_loss = float(loss)
         ce_bias_grads[tau] = grad.biases[-1]
 
-        if cfg.scheme == "fedprox":
-            grad.add_(params.sub(theta0), lam)
-        elif cfg.scheme == "scaffold":
-            grad.add_(history.server_variate, 1.0)
-            grad.add_(history.client_variate, -1.0)
-        elif cfg.scheme == "feddyn":
-            grad.add_(history.cum_local_delta, lam)
-            grad.add_(params.sub(theta0), lam)
-        elif cfg.scheme == "feddc":
-            grad.add_(params.sub(theta0), lam)
-            grad.add_(history.cum_local_delta, lam)
-            if feddc_linear is not None:
-                grad.add_(feddc_linear, 1.0)
+        if drift is not None:
+            grad.add_(drift, 1.0)
+        if prox:
+            grad.add_(params.sub(theta0), prox)
 
-        if cfg.optimizer == "sgd":
-            step = grad
-        elif cfg.optimizer == "sgdm":
+        if cfg.optimizer != "sgd":
             velocity = velocity.scaled(gamma)
-            velocity.add_(grad, 1.0)
-            step = velocity
-        else:  # nag
-            if prev_grad is None:
-                velocity = grad.scaled(1.0 + gamma)
-            else:
-                velocity = velocity.scaled(gamma)
-                velocity.add_(grad, 1.0 + gamma)
-                velocity.add_(prev_grad, -gamma)
+            velocity.add_(grad, 1.0 + lead)
+            if lead:
+                velocity.add_(prev_grad, -lead)
             prev_grad = grad
-            step = velocity
+            grad = velocity
 
-        params.add_(step, -eta)
+        params.add_(grad, -eta)
 
     delta = params.sub(theta0)
     if not np.isfinite(delta.max_abs()):
@@ -227,8 +239,6 @@ def scaffold_update_control(histories, deltas, cfg: SchemeConfig) -> list:
     record's server variate set to one shared object, the unweighted mean
     of the new client variates. The input records are left unchanged.
     """
-    if cfg.eta * cfg.epochs == 0:
-        raise ValueError("scaffold control update undefined for eta = 0")
     if len(histories) != len(deltas) or not histories:
         raise ValueError("histories and deltas must be non-empty and aligned")
     scale = 1.0 / (cfg.eta * cfg.epochs)
@@ -257,7 +267,6 @@ def run_round(
     histories,
     round_idx: int,
     seed: int,
-    weights=None,
 ):
     """One synchronous round over every client.
 
@@ -272,11 +281,10 @@ def run_round(
     n_clients = partition.n_clients
     if len(histories) != n_clients:
         raise ValueError("one history per client required")
-    if weights is None:
-        sizes = np.array([len(a) for a in partition.assignments], dtype=np.float64)
-        if sizes.sum() == 0:
-            raise ValueError("empty partition")
-        weights = sizes / sizes.sum()
+    sizes = np.array([len(a) for a in partition.assignments], dtype=np.float64)
+    if sizes.sum() == 0:
+        raise ValueError("empty partition")
+    weights = sizes / sizes.sum()
 
     updates, truths, stats = [], [], []
     for k in range(n_clients):

@@ -284,11 +284,11 @@ def test_coefficients_scaffold_offset():
 
 
 def test_coefficients_reject_contraction_violation():
-    history, _ = fresh_history()
-    cfg = SchemeConfig(scheme="fedprox", optimizer="sgd", eta=0.1, lam=10.0,
-                       epochs=2, batch_size=8)
+    # lambda * eta >= 1 is rejected when the config is built, before any
+    # training or attack could use it
     with pytest.raises(ValueError):
-        scheme_coefficients(cfg, 1, history)
+        SchemeConfig(scheme="fedprox", optimizer="sgd", eta=0.1, lam=10.0,
+                     epochs=2, batch_size=8)
 
 
 # ---------------------------------------------------------------- system

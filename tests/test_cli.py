@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedleak import attack
+from fedleak import attack, fedsim
 from fedleak.cli import (
     RESULT_COLUMNS,
     ExperimentConfig,
@@ -339,6 +339,16 @@ def test_config_file_merges_with_overrides(tmp_path):
     assert rows[0]["m"] == "1"
 
 
+def test_config_constraint_checked_after_overrides(tmp_path):
+    # lambda * eta = 1.5 in the file alone, 0.15 once --eta applies
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scheme": {"scheme": "fedprox", "lam": 150.0}}))
+    out = tmp_path / "res.csv"
+    assert main(["run", "--config", str(cfg_path), "--eta", "0.001",
+                 "--output", str(out), *small_args(tmp_path)]) == 0
+    assert read_rows(out)[0]["scheme"] == "fedprox"
+
+
 def test_config_unknown_keys_exit_one(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"data": {"n_classes": 4}, "typo_section": {}}))
@@ -444,6 +454,26 @@ def test_invalid_scheme_params_exit_one(tmp_path):
     rc = main(["run", "--scheme", "fedprox", "--lambda", "200.0", "--eta", "0.01",
                "--output", str(tmp_path / "r.csv"), *small_args(tmp_path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--scheme", "fedprox", "--lambda", "150"], "lambda"),
+        (["--scheme", "scaffold", "--eta", "0"], "eta"),
+        (["--scheme", "feddc", "--eta", "0", "--lambda", "1"], "eta"),
+    ],
+    ids=["fedprox-contraction", "scaffold-eta0", "feddc-eta0"],
+)
+def test_run_scheme_constraints_rejected_before_training(tmp_path, capsys, monkeypatch, flags, name):
+    calls = []
+    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: calls.append(1))
+    out = tmp_path / "r.csv"
+    assert main(["run", *flags, "--output", str(out), *small_args(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(rf"\b{name}\b", err)
+    assert not out.exists()
+    assert calls == []
 
 
 def test_rounds_validation_exit_one(tmp_path):

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -50,6 +50,49 @@ def recombined_bias_delta(update: LocalUpdate, coeffs, cfg):
 
 
 # ------------------------------------------------------------ local_train
+
+def _distinct_vec(model, offset):
+    """A ParamVec shaped like model with a different value on every layer."""
+    vec = zeros_like_params(model)
+    for i, arr in enumerate(vec.weights + vec.biases):
+        arr[...] = offset + 0.1 * (i + 1)
+    return vec
+
+
+def test_round_correction_per_scheme():
+    _, _, model = small_world(seed=18)
+    fresh = UpdateHistory.fresh(model)
+    c_k, c, cum, prev_local, prev_global = (_distinct_vec(model, v) for v in (1.0, 2.0, 3.0, 5.0, 7.0))
+    history = replace(fresh, completed_rounds=2, client_variate=c_k, server_variate=c,
+                      cum_local_delta=cum, prev_local_delta=prev_local, prev_global_delta=prev_global)
+    eta, lam, m = 0.05, 4.0, 3
+    expected = {
+        "fedavg": (0.0, None),
+        "fedprox": (lam, None),
+        "scaffold": (0.0, lambda k: c[k] - c_k[k]),
+        "feddyn": (lam, lambda k: lam * cum[k]),
+        "feddc": (lam, lambda k: lam * cum[k] + (prev_local[k] - prev_global[k]) / (eta * m)),
+    }
+    assert set(expected) == set(fedsim.SCHEMES)
+
+    def layers(vec):
+        return vec.weights + vec.biases
+
+    c_k, c, cum, prev_local, prev_global = map(layers, (c_k, c, cum, prev_local, prev_global))
+    for scheme, (want_prox, want_drift) in expected.items():
+        cfg = SchemeConfig(scheme=scheme, optimizer="sgd", eta=eta,
+                           lam=lam if want_prox else 0.0, epochs=m, batch_size=8)
+        prox, drift = fedsim.round_correction(cfg, history)
+        assert prox == want_prox, scheme
+        if want_drift is None:
+            assert drift is None, scheme
+        else:
+            got = layers(drift)
+            assert len(got) == len(c_k)
+            for k, arr in enumerate(got):
+                npt.assert_allclose(arr, want_drift(k), rtol=1e-14, err_msg=f"{scheme} layer {k}")
+        assert fedsim.round_correction(cfg, fresh) == (want_prox, None), scheme
+
 
 def test_eta_zero_produces_zero_delta():
     data, partition, model = small_world()
@@ -223,10 +266,8 @@ def test_run_round_two_equal_clients_mean():
     model = init_model([6, 10, 4], "relu", seed=20)
     cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
     histories = [UpdateHistory.fresh(model) for _ in range(2)]
-    new_model, updates, _, _, _ = run_round(
-        model, data, partition, cfg, histories, 1, seed=20,
-        weights=np.array([0.5, 0.5]),
-    )
+    # two 100-sample shards: the shard-weighted mean is the plain mean
+    new_model, updates, _, _, _ = run_round(model, data, partition, cfg, histories, 1, seed=20)
     for layer in range(len(model.weights)):
         manual = model.weights[layer] + 0.5 * (
             updates[0].delta.weights[layer] + updates[1].delta.weights[layer]

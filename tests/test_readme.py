@@ -2,6 +2,8 @@
 import re
 from pathlib import Path
 
+from fedleak.fedsim import OPTIMIZERS, SCHEMES, SchemeConfig
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -19,3 +21,30 @@ def test_readme_library_example_runs(capsys):
     report = namespace["report"]
     assert report.counts.sum() == namespace["cfg"].batch_size
     assert "RecoveryScore" in capsys.readouterr().out
+
+
+def scheme_table() -> dict:
+    """{scheme: set of optimizers} from the README's scheme table."""
+    section = README.read_text().split("Supported schemes and local optimizers:\n", 1)[1]
+    table = {}
+    for line in section.lstrip("\n").splitlines():
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        scheme = re.fullmatch(r"`(\w+)`", cells[0])
+        if scheme:
+            table[scheme.group(1)] = set(re.findall(r"`(\w+)`", cells[1]))
+    return table
+
+
+def test_readme_scheme_table_matches_config():
+    table = scheme_table()
+    assert sorted(table) == sorted(SCHEMES)
+    for scheme in SCHEMES:
+        for optimizer in OPTIMIZERS:
+            try:
+                SchemeConfig(scheme=scheme, optimizer=optimizer)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert (optimizer in table[scheme]) == accepted, (scheme, optimizer)
