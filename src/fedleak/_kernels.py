@@ -1,7 +1,7 @@
 """Hot numeric kernels of the attack, in plain numpy.
 
-mean_softmax averages row-wise softmax over Monte Carlo logit draws (the
-confusion matrix); pgd_simplex_ls solves least squares on the probability
+mean_softmax averages row-wise softmax over a block of logits (one row of
+a confusion matrix); pgd_simplex_ls solves least squares on the probability
 simplex by projected gradient, with project_simplex as its projection.
 """
 
@@ -12,7 +12,7 @@ NUMBA_ENABLED = False
 
 
 def mean_softmax(draws: np.ndarray) -> np.ndarray:
-    """Mean of row-wise softmax over a (M, N) matrix of logit draws."""
+    """Mean of row-wise softmax over a (M, N) matrix of logits."""
     shifted = draws - draws.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)

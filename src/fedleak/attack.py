@@ -1,16 +1,17 @@
 """Label-count recovery from a transmitted model update.
 
-Pipeline: estimate per-class logit moments on an auxiliary set, turn them
-into an erroneous-confidence matrix by Monte Carlo, recombine the update's
-output-bias delta into a scheme-normalized target, solve a least-squares
-problem on the probability simplex, and round to integer counts. For
-multi-epoch updates a posterior search refines the crude solution by
-simulating how the confidences drift over the local epochs. Every update
-of a round is attacked against the same global model: prepare_round builds
-that model's moments and confusion matrix once into a RoundContext, and
-rlu_attack takes the context with each update. The context also holds the
-round's one block of standard normals; every Monte Carlo estimate of the
-round reads its rows, so the attack itself draws nothing.
+Pipeline: forward the auxiliary set through the model, average the
+softmax of each class's logits into an erroneous-confidence matrix (the
+plug-in estimate), recombine the update's output-bias delta into a
+scheme-normalized target, solve a least-squares problem on the probability
+simplex, and round to integer counts. For multi-epoch updates a posterior
+search refines the crude solution by simulating how the confidences drift
+over the local epochs. Every update of a round is attacked against the
+same global model: prepare_round builds that model's per-class logits and
+confusion matrix once into a RoundContext, and rlu_attack takes the
+context with each update. Nothing on the attack path draws random numbers.
+mc_confusion, the Gaussian Monte Carlo model of the same matrix, stays as
+a diagnostic of how far the logits are from Gaussian.
 
 Everything here sees only what a curious server would: the global model,
 the transmitted update, past transmissions, the training recipe, and an
@@ -25,7 +26,7 @@ import numpy as np
 from ._kernels import mean_softmax, pgd_simplex_ls
 from .data import Dataset, largest_remainder
 from .fedsim import LocalUpdate, SchemeConfig, UpdateHistory, round_correction
-from .nn import Model, forward_batch
+from .nn import Model, forward_batch, softmax_rows
 
 METHOD_SINGLE = "single_epoch"
 METHOD_CRUDE = "crude_multi_epoch"
@@ -51,10 +52,12 @@ class LogitMoments:
 class ConfusionMatrix:
     """Erroneous confidences: s[n, j] = E[softmax_j | true class n], j != n.
 
-    The diagonal is stored as zero and never read.
+    The diagonal is stored as zero and never read. se, when known, holds
+    the standard error of each entry, with the same zero diagonal.
     """
 
     s: np.ndarray
+    se: np.ndarray = None
 
     @property
     def n_classes(self) -> int:
@@ -63,7 +66,12 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class AttackParams:
-    """Monte Carlo and solver settings shared by every attack of a run."""
+    """Search and solver settings shared by every attack of a run.
+
+    mc_samples and search_mc_samples are still validated, so configs that
+    set them keep loading, but the attack no longer reads them: its
+    confusion matrices come from the auxiliary logits, not from draws.
+    """
 
     mc_samples: int = 10000
     search_iters: int = 5
@@ -87,18 +95,16 @@ class RoundContext:
 
     Every update of a round is attacked against the same round-start global
     model, auxiliary set and settings; prepare_round builds the model's
-    logit moments and confusion matrix from them once, and draws the block
-    of standard normals that every Monte Carlo estimate of the round reads
-    (common random numbers). It marks those arrays read-only, which keeps
-    attacks from writing into shared state.
+    per-class auxiliary logits and their confusion matrix once. Those
+    arrays are read-only, which keeps attacks from writing into shared
+    state.
     """
 
     global_model: Model
     aux: Dataset
     params: AttackParams
-    normals: np.ndarray  # (max(mc_samples, search_mc_samples), N) standard normals
-    moments: LogitMoments  # logit moments of global_model on aux
-    s_first: ConfusionMatrix  # their Monte Carlo confusion matrix
+    logits: tuple  # logits[n]: (count of class n in aux, N) logits of global_model
+    s_first: ConfusionMatrix  # their plug-in confusion matrix
 
 
 @dataclass
@@ -159,6 +165,26 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
+def class_logits(model: Model, aux: Dataset) -> tuple:
+    """The model's logits on the auxiliary set, one read-only block per class.
+
+    Block n is the (count, N) array of logits of aux's class-n rows, in
+    their order in aux. The whole set goes through one forward pass, so
+    each row's logits do not depend on which rows share its batch; only
+    the logits are kept from it, so the embedding is freed before the
+    blocks are gathered.
+    """
+    logits = forward_batch(model, aux.features)[0]
+    blocks = []
+    for cls in range(model.n_classes):
+        rows = logits[aux.labels == cls]
+        if len(rows) == 0:
+            raise ValueError(f"dataset has no samples for class {cls}")
+        rows.flags.writeable = False
+        blocks.append(rows)
+    return tuple(blocks)
+
+
 def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     """Empirical logit moments per true class over the auxiliary set.
 
@@ -167,13 +193,9 @@ def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     stable without moving zero-variance cases off exact zero.
     """
     n = model.n_classes
-    logits, _ = forward_batch(model, aux.features)
     mu = np.zeros((n, n))
     sigma = np.zeros((n, n, n))
-    for cls in range(n):
-        rows = logits[aux.labels == cls]
-        if len(rows) == 0:
-            raise ValueError(f"auxiliary set has no samples for class {cls}")
+    for cls, rows in enumerate(class_logits(model, aux)):
         mu[cls] = rows.mean(axis=0)
         centered = rows - mu[cls]
         cov = centered.T @ centered / max(len(rows) - 1, 1)
@@ -183,21 +205,37 @@ def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     return LogitMoments(mu, sigma)
 
 
-def _confusion_core(mu: np.ndarray, draws) -> np.ndarray:
-    """Confusion matrix whose row n is the mean softmax of mu[n] + draws[n].
+def _confusion_core(n: int, blocks) -> np.ndarray:
+    """(n, n) confusion matrix whose row c is the mean softmax of blocks[c].
 
-    draws yields one (M, N) block of centred logit draws per class, in
-    class order; only one block needs to exist at a time.
+    blocks yields one (M, n) block of logits per class, in class order;
+    only one block needs to exist at a time.
     """
-    n = mu.shape[0]
     s = np.empty((n, n))
-    draws = iter(draws)
+    blocks = iter(blocks)
     for cls in range(n):
         # next() leaves no name or loop tuple holding a generated block, so
         # it is freed before mean_softmax allocates its temporaries
-        s[cls] = mean_softmax(mu[cls] + next(draws))
+        s[cls] = mean_softmax(next(blocks))
         s[cls, cls] = 0.0
     return s
+
+
+def plugin_confusion(logits) -> ConfusionMatrix:
+    """Confusion matrix of per-class logits, as from class_logits.
+
+    Row n is the mean softmax over class n's rows: the plug-in estimate of
+    the expected erroneous confidences. se holds each entry's standard
+    error over those rows, the sample standard deviation over sqrt(count)
+    (0 for a single row).
+    """
+    n = len(logits)
+    se = np.empty((n, n))
+    for cls, rows in enumerate(logits):
+        count = len(rows)
+        se[cls] = softmax_rows(rows).std(axis=0, ddof=1 if count > 1 else 0) / np.sqrt(count)
+        se[cls, cls] = 0.0
+    return ConfusionMatrix(_confusion_core(n, logits), se)
 
 
 def _check_normals(normals: np.ndarray, n: int) -> None:
@@ -212,29 +250,26 @@ def mc_confusion(moments: LogitMoments, normals: np.ndarray) -> ConfusionMatrix:
     same block into M logit draws through a factor of its covariance, so
     the result is a deterministic function of the moments and the block.
     """
-    n = moments.mu.shape[0]
+    mu = moments.mu
+    n = mu.shape[0]
     _check_normals(normals, n)
-    draws = (normals @ _psd_factor(moments.sigma[cls]).T for cls in range(n))
-    return ConfusionMatrix(_confusion_core(moments.mu, draws))
+    draws = (mu[cls] + normals @ _psd_factor(moments.sigma[cls]).T for cls in range(n))
+    return ConfusionMatrix(_confusion_core(n, draws))
 
 
-def prepare_round(global_model: Model, aux: Dataset, params: AttackParams, seed: int) -> RoundContext:
+def prepare_round(global_model: Model, aux: Dataset, params: AttackParams) -> RoundContext:
     """The attack context of one round, built once from its global model.
 
-    Pass the result to rlu_attack for every update of the round. seed
-    drives the round's only random draw: one block of standard normals
-    whose first mc_samples rows give the global and local confusion
-    matrices and whose first search_mc_samples rows drive the posterior
+    Pass the result to rlu_attack for every update of the round. It
+    forwards aux through global_model once and keeps the logits of each
+    class, which give the global confusion matrix and drive the posterior
     search.
     """
-    moments = estimate_moments(global_model, aux)
-    rows = max(params.mc_samples, params.search_mc_samples)
-    normals = np.random.default_rng(seed).standard_normal((rows, global_model.n_classes))
-    normals.flags.writeable = False
-    s_first = mc_confusion(moments, normals[: params.mc_samples])
-    for arr in (moments.mu, moments.sigma, s_first.s):
-        arr.flags.writeable = False
-    return RoundContext(global_model, aux, params, normals, moments, s_first)
+    logits = class_logits(global_model, aux)
+    s_first = plugin_confusion(logits)
+    s_first.s.flags.writeable = False
+    s_first.se.flags.writeable = False
+    return RoundContext(global_model, aux, params, logits, s_first)
 
 
 def _geometric_rho(decay: float, m: int) -> np.ndarray:
@@ -359,34 +394,35 @@ def estimate_embedding_norm(delta_w: np.ndarray, delta_b: np.ndarray) -> float:
 
 def posterior_search(
     crude_counts: np.ndarray,
-    moments: LogitMoments,
+    logits: tuple,
     s_first: ConfusionMatrix,
     s_last_observed: ConfusionMatrix,
     embed_norm: float,
     cfg: SchemeConfig,
-    normals: np.ndarray,
     search_iters: int = 5,
     eps_adj: float = 0.01,
     include_bias_factor: bool = False,
 ) -> np.ndarray:
     """Refine crude multi-epoch counts by simulating the confidence drift.
 
-    Starts from per-epoch counts g = crude/m (largest-remainder repaired to
+    logits are the global model's per-class auxiliary logits (as from
+    class_logits) and s_first their confusion matrix. Starts from
+    per-epoch counts g = crude/m (largest-remainder repaired to
     batch_size). Each outer iteration simulates the m local epochs: the
-    expected bias movement under g shifts every class's logit mean by
-    embed_norm (optionally +1 for the bias coordinate itself), and the
-    confusion matrix is re-estimated by Monte Carlo on normals, an (M, N)
-    block of standard normals. Comparing the simulated final matrix against
-    the observed one column-wise moves one count unit from the most
-    over-represented class to the most under-represented, stopping early at
-    a fixed point. Returns m * g.
+    expected bias movement under g shifts every auxiliary logit by
+    embed_norm times it (optionally +1 for the bias coordinate itself), and
+    the confusion matrix is re-estimated on the shifted logits. Comparing
+    the simulated final matrix against the observed one column-wise moves
+    one count unit from the most over-represented class to the most
+    under-represented, stopping early at a fixed point. Returns m * g.
     """
     crude = np.asarray(crude_counts, dtype=np.int64)
     n = crude.size
     m, batch = cfg.epochs, cfg.batch_size
     if search_iters < 0:
         raise ValueError("search_iters must be non-negative")
-    _check_normals(normals, n)
+    if len(logits) != n:
+        raise ValueError(f"logits must hold one block per class, got {len(logits)} for {n} classes")
     if crude.sum() != m * batch:
         raise ValueError("crude counts must sum to epochs * batch_size")
 
@@ -395,23 +431,15 @@ def posterior_search(
         return g * m
 
     factor = embed_norm + (1.0 if include_bias_factor else 0.0)
-    # One fixed draw set for the whole search (common random numbers): the
-    # adjustment signal becomes a deterministic function of g instead of a
-    # noise-driven walk across outer iterations, and the drift below is a
-    # paired difference whose sampling error largely cancels.
-    draws = [normals @ _psd_factor(moments.sigma[cls]).T for cls in range(n)]
-    base = _confusion_core(moments.mu, draws)
     scale = cfg.eta / batch
     for _ in range(search_iters):
-        mu = moments.mu.copy()
+        shift = np.zeros(n)
         s_cur = s_first.s
         for _tau in range(m):
             exp_db = scale * (g * s_cur.sum(axis=1) - s_cur.T @ g)
-            mu += exp_db[None, :] * factor
-            # Control variate: the M-sample estimate only carries the drift
-            # relative to the same draws at the starting moments, anchored
-            # at the higher-precision starting matrix.
-            s_cur = s_first.s + (_confusion_core(mu, draws) - base)
+            shift += exp_db * factor
+            # every class's logits move by the same accumulated drift
+            s_cur = _confusion_core(n, (rows + shift for rows in logits))
         d = (s_last_observed.s - s_cur).sum(axis=0) / (n - 1)
         hi = int(np.argmax(d))
         lo = int(np.argmin(d))
@@ -441,21 +469,25 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
 
     context comes from prepare_round on the global model that update
     started from; history must be the round-start state for update.round.
-    Multi-epoch updates also build the local model's confusion matrix and
-    run the posterior search, both on the context's normals, so the result
-    is a deterministic function of the four arguments. Raises ValueError on
-    a non-finite update and DegenerateUpdateError when the update carries
-    no signal; both checks come before the context is read.
+    Multi-epoch updates also build the local model's confusion matrix from
+    its auxiliary logits and run the posterior search on the context's
+    logits. Nothing here is random: the result is a deterministic function
+    of the four arguments. diagnostics["confusion_se"] is the largest
+    standard error of an entry of the confusion matrices the system was
+    built from. Raises ValueError on a non-finite update and
+    DegenerateUpdateError when the update carries no signal; both checks
+    come before the context is read.
     """
     if not carries_signal(update, cfg):
         raise DegenerateUpdateError("eta = 0 or an all-zero delta carries no gradient signal")
-    params, s_first, normals = context.params, context.s_first, context.normals
+    params, s_first = context.params, context.s_first
 
     coeffs = scheme_coefficients(cfg, update.round, history)
     u = make_target(update, coeffs, cfg)
 
-    diagnostics = {"mc_samples": params.mc_samples}
+    diagnostics = {}
     if cfg.epochs == 1:
+        diagnostics["confusion_se"] = float(s_first.se.max())
         a = build_system(s_first)
         z, info = solve_simplex_ls(a, u, params.tol)
         counts = round_counts(z, cfg.batch_size)
@@ -463,7 +495,8 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     else:
         local_model = context.global_model.copy()
         local_model.params().add_(update.delta, 1.0)
-        s_last = mc_confusion(estimate_moments(local_model, context.aux), normals[: params.mc_samples])
+        s_last = plugin_confusion(class_logits(local_model, context.aux))
+        diagnostics["confusion_se"] = float(max(s_first.se.max(), s_last.se.max()))
         a = build_system(ConfusionMatrix(0.5 * (s_first.s + s_last.s)))
         z, info = solve_simplex_ls(a, u, params.tol)
         crude = round_counts(z, cfg.epochs * cfg.batch_size)
@@ -474,16 +507,7 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
         else:
             embed_norm = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
             diagnostics["embedding_norm"] = float(embed_norm)
-            counts = posterior_search(
-                crude,
-                context.moments,
-                s_first,
-                s_last,
-                embed_norm,
-                cfg,
-                normals[: params.search_mc_samples],
-                params.search_iters,
-            )
+            counts = posterior_search(crude, context.logits, s_first, s_last, embed_norm, cfg, params.search_iters)
             method = METHOD_SEARCH
     diagnostics["solver_iterations"] = info["iterations"]
     diagnostics["solver_converged"] = info["converged"]

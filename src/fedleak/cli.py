@@ -4,7 +4,8 @@ Subcommands:
   gen-data          write a blob dataset CSV and a Dirichlet partition CSV
   run               simulate federated rounds and attack every client update
   sweep             repeat `run` over grids of alpha / epochs / seeds
-  diagnose-moments  per-(class, logit) histograms of a model's logits
+  diagnose-moments  per-(class, logit) histograms of a model's logits, and
+                    how far a Gaussian logit model is from them
   report            aggregate result CSVs into mean/std tables
 
 Configuration comes from an optional JSON file (--config) merged with
@@ -47,7 +48,7 @@ RESULT_COLUMNS = [
 ]
 
 # Seed-stream tags for deriving independent sub-seeds from the master seed.
-_S_DATA, _S_AUX, _S_PART, _S_MODEL, _S_ATTACK = 11, 12, 13, 14, 15
+_S_DATA, _S_AUX, _S_PART, _S_MODEL = 11, 12, 13, 14
 
 
 def _derive_seed(master: int, *tags) -> int:
@@ -216,7 +217,7 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
         # context, so a round of only such updates needs none
         context = None
         if any(atk.carries_signal(u, cfg.scheme) for u in updates):
-            context = atk.prepare_round(current, aux, cfg.attack, _derive_seed(cfg.seed, _S_ATTACK, t))
+            context = atk.prepare_round(current, aux, cfg.attack)
         for k in range(partition.n_clients):
             start = time.perf_counter()
             row = {
@@ -314,23 +315,32 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# Seed of the standard normals behind diagnose-moments' Gaussian confusion matrix.
+_GAUSS_SEED = 0
+
+
 def cmd_diagnose_moments(args) -> int:
+    """Histogram every (class, logit) pair, then print per class how far the
+    Monte Carlo confusion matrix of a Gaussian fit to the logits is from the
+    plug-in matrix of the logits themselves, as max_j |s_gauss - s_plugin|."""
     model = nn.load_model(args.model)
     dataset = dat.load_dataset_csv(args.data, n_classes=model.n_classes)
-    logits, _ = nn.forward_batch(model, dataset.features)
+    logits = atk.class_logits(model, dataset)
     n = model.n_classes
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "bin_left", "bin_right", "count"])
-        for cls in range(n):
-            rows = logits[dataset.labels == cls]
-            if len(rows) == 0:
-                raise ValueError(f"dataset has no samples for class {cls}")
+        for cls, rows in enumerate(logits):
             for j in range(n):
                 counts, edges = np.histogram(rows[:, j], bins=args.bins)
                 for b in range(args.bins):
                     writer.writerow([cls, j, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])])
     print(f"wrote {n * n * args.bins} histogram rows to {args.output}")
+    normals = np.random.default_rng(_GAUSS_SEED).standard_normal((atk.AttackParams().mc_samples, n))
+    s_gauss = atk.mc_confusion(atk.estimate_moments(model, dataset), normals).s
+    gap = np.abs(s_gauss - atk.plugin_confusion(logits).s).max(axis=1)
+    for cls in range(n):
+        print(f"class {cls}: max_j |s_gauss - s_plugin| = {gap[cls]:.6e}")
     return 0
 
 
@@ -384,7 +394,9 @@ def _add_config_args(p, with_output=True):
     p.add_argument("--epochs", type=int, help="local epochs m")
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--rounds", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
+    p.add_argument(
+        "--mc-samples", dest="mc_samples", type=int, help="validated but unused: the attack draws no Monte Carlo samples"
+    )
     p.add_argument("--search-iters", dest="search_iters", type=int)
     p.add_argument("--aux-per-class", dest="aux_per_class", type=int)
     if with_output:

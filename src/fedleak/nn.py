@@ -198,7 +198,8 @@ def softmax(q: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _softmax_rows(q: np.ndarray) -> np.ndarray:
+def softmax_rows(q: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of each row of a (B, N) logit matrix."""
     shifted = q - q.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -249,7 +250,7 @@ def backward(model: Model, features: np.ndarray, labels: np.ndarray):
     logits = h @ model.weights[-1].T + model.biases[-1]
     loss = cross_entropy(logits, y)
 
-    delta = _softmax_rows(logits)
+    delta = softmax_rows(logits)
     delta[np.arange(batch), y] -= 1.0
     delta /= batch
 

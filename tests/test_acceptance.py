@@ -229,7 +229,7 @@ def test_criterion_06_single_epoch_recovery(capsys):
         data, aux, partition, model = blob_world(seed)
         cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
         _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
-        context = prepare_round(model, aux, AttackParams(), seed=1000 * seed)
+        context = prepare_round(model, aux, AttackParams())
         for k, update in enumerate(updates):
             if truths[k] is None:
                 continue
@@ -253,7 +253,7 @@ def test_criterion_07_multi_epoch_recovery(capsys):
         data, aux, partition, model = full_batch_world(seed)
         cfg = fedavg_cfg(eta=0.01, epochs=10, batch_size=32)
         _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
-        rep = rlu_attack(prepare_round(model, aux, AttackParams(), seed=seed), updates[0], cfg, histories[0])
+        rep = rlu_attack(prepare_round(model, aux, AttackParams()), updates[0], cfg, histories[0])
         crude = np.array(rep.diagnostics["crude_counts"])
         crude_scores.append(iacc(crude, truths[0], 10, 32))
         refined_scores.append(iacc(rep.counts, truths[0], 10, 32))
@@ -276,7 +276,7 @@ def test_criterion_08_heterogeneity_robustness(capsys):
             data, aux, partition, model = blob_world(seed, alpha=alpha)
             cfg = fedavg_cfg(eta=0.01, epochs=10, batch_size=32)
             _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
-            context = prepare_round(model, aux, AttackParams(), seed=1000 * seed)
+            context = prepare_round(model, aux, AttackParams())
             for k, update in enumerate(updates):
                 if truths[k] is None:
                     continue
@@ -301,7 +301,7 @@ def test_criterion_09_scheme_aware_beats_naive(capsys):
         data, aux, partition, model = blob_world(seed, alpha=0.1)
         _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
         # both attacks see the same global model, so they share its context
-        context = prepare_round(model, aux, AttackParams(), seed=1000 * seed)
+        context = prepare_round(model, aux, AttackParams())
         for k, update in enumerate(updates):
             if truths[k] is None:
                 continue
@@ -356,7 +356,7 @@ def test_criterion_10_trained_model_trend(capsys):
         accs.append(accuracy(trained, data.features, data.labels))
         for bucket, mdl in ((untrained_scores, model), (trained_scores, trained)):
             _, updates, truths, _, histories, _ = one_round(data, partition, mdl, cfg, seed=seed)
-            context = prepare_round(mdl, aux, AttackParams(), seed=1000 * seed)
+            context = prepare_round(mdl, aux, AttackParams())
             for k, update in enumerate(updates):
                 if truths[k] is None:
                     continue

@@ -12,12 +12,14 @@ from fedleak.attack import (
     ConfusionMatrix,
     DegenerateUpdateError,
     carries_signal,
+    class_logits,
     LogitMoments,
     build_system,
     estimate_embedding_norm,
     estimate_moments,
     make_target,
     mc_confusion,
+    plugin_confusion,
     posterior_search,
     prepare_round,
     rlu_attack,
@@ -156,13 +158,9 @@ def test_mc_confusion_deterministic_per_seed():
 @pytest.mark.parametrize("shape", [(0, 3), (10, 2), (10, 4), (30,)], ids=["no-rows", "narrow", "wide", "1d"])
 def test_monte_carlo_rejects_malformed_normals(shape):
     moments = LogitMoments(np.zeros((3, 3)), np.stack([np.eye(3)] * 3))
-    s = mc_confusion(moments, np.random.default_rng(0).standard_normal((10, 3)))
-    cfg = fedavg_cfg(eta=0.01, epochs=2, batch_size=3)
     bad = np.zeros(shape)
     with pytest.raises(ValueError, match="normals"):
         mc_confusion(moments, bad)
-    with pytest.raises(ValueError, match="normals"):
-        posterior_search(np.array([2, 2, 2]), moments, s, s, 0.5, cfg, bad)
 
 
 def test_untrained_sum_rule():
@@ -544,14 +542,19 @@ def test_embedding_norm_single_epoch_run_oracle():
 
 # --------------------------------------------------------- posterior search
 
+def noisy_logits(n, rows, seed=0):
+    """Per-class logit blocks scattered around zero, as class_logits returns."""
+    rng = np.random.default_rng(seed)
+    return tuple(0.3 * rng.standard_normal((rows, n)) for _ in range(n))
+
+
 def test_posterior_search_zero_iterations_passthrough():
     _, model = fresh_history(4)
     cfg = fedavg_cfg(eta=0.01, epochs=4, batch_size=8)
-    moments = LogitMoments(np.zeros((4, 4)), np.stack([np.eye(4) * 0.1] * 4))
-    normals = np.random.default_rng(0).standard_normal((1000, 4))
-    s = mc_confusion(moments, normals)
+    logits = noisy_logits(4, 100)
+    s = plugin_confusion(logits)
     crude = np.array([13, 9, 6, 4])
-    refined = posterior_search(crude, moments, s, s, 0.5, cfg, normals, search_iters=0)
+    refined = posterior_search(crude, logits, s, s, 0.5, cfg, search_iters=0)
     # 32 total over 4 epochs: per-epoch counts repaired to sum 8, times 4
     assert refined.sum() == 32
     npt.assert_array_equal(refined % 4, np.zeros(4))
@@ -560,18 +563,25 @@ def test_posterior_search_zero_iterations_passthrough():
 def test_posterior_search_validates_sum():
     _, model = fresh_history(4)
     cfg = fedavg_cfg(eta=0.01, epochs=4, batch_size=8)
-    moments = LogitMoments(np.zeros((4, 4)), np.stack([np.eye(4) * 0.1] * 4))
-    normals = np.random.default_rng(0).standard_normal((500, 4))
-    s = mc_confusion(moments, normals)
+    logits = noisy_logits(4, 50)
+    s = plugin_confusion(logits)
     with pytest.raises(ValueError):
-        posterior_search(np.array([5, 5, 5, 5]), moments, s, s, 0.5, cfg, normals)
+        posterior_search(np.array([5, 5, 5, 5]), logits, s, s, 0.5, cfg)
+
+
+def test_posterior_search_needs_one_logit_block_per_class():
+    cfg = fedavg_cfg(eta=0.01, epochs=2, batch_size=3)
+    logits = noisy_logits(3, 10)
+    s = plugin_confusion(logits)
+    with pytest.raises(ValueError, match="one block per class"):
+        posterior_search(np.array([2, 2, 2]), logits[:2], s, s, 0.5, cfg)
 
 
 def test_posterior_search_fixed_point_on_full_batch_run():
     data, aux, partition, model = full_batch_world(3)
     cfg = fedavg_cfg(eta=0.01, epochs=10, batch_size=32)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
-    context = prepare_round(model, aux, AttackParams(), seed=42)
+    context = prepare_round(model, aux, AttackParams())
     report = rlu_attack(context, updates[0], cfg, histories[0])
     crude = np.array(report.diagnostics["crude_counts"])
     # the simulated drift matches the observed one at the crude answer, so
@@ -587,11 +597,11 @@ def test_posterior_search_repairs_corrupted_counts():
     cfg = fedavg_cfg(eta=0.05, epochs=10, batch_size=32)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=1)
     update = updates[0]
-    moments = estimate_moments(model, aux)
-    s_first = mc_confusion(moments, np.random.default_rng(71).standard_normal((10000, 10)))
+    logits = class_logits(model, aux)
+    s_first = plugin_confusion(logits)
     local = model.copy()
     local.params().add_(update.delta, 1.0)
-    s_last = mc_confusion(estimate_moments(local, aux), np.random.default_rng(72).standard_normal((10000, 10)))
+    s_last = plugin_confusion(class_logits(local, aux))
     embed = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
     g_true = np.asarray(truths[0]) // 10
     g_bad = g_true.copy()
@@ -599,8 +609,7 @@ def test_posterior_search_repairs_corrupted_counts():
     g_bad[hi] -= 3
     g_bad[lo] += 3
     refined = posterior_search(
-        g_bad * 10, moments, s_first, s_last, embed, cfg, np.random.default_rng(5).standard_normal((1000, 10)),
-        search_iters=5, include_bias_factor=True,
+        g_bad * 10, logits, s_first, s_last, embed, cfg, search_iters=5, include_bias_factor=True,
     )
     before = np.abs(g_bad * 10 - truths[0]).sum()
     after = np.abs(refined - truths[0]).sum()
@@ -615,7 +624,7 @@ def test_rlu_single_epoch_recovers_counts():
         data, aux, partition, model = blob_world(seed)
         cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
         _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
-        context = prepare_round(model, aux, AttackParams(), seed=seed)
+        context = prepare_round(model, aux, AttackParams())
         scores = []
         for k, update in enumerate(updates):
             if truths[k] is None:
@@ -644,7 +653,7 @@ def test_rlu_single_class_batch_sign_structure():
     update = updates[0]
     assert update.delta_b_out[0] > 0
     assert (update.delta_b_out[1:] < 0).all()
-    report = rlu_attack(prepare_round(model, aux, AttackParams(), seed=0), update, cfg, histories[0])
+    report = rlu_attack(prepare_round(model, aux, AttackParams()), update, cfg, histories[0])
     # the auxiliary set only approximates the batch distribution, so allow
     # one unit of leakage away from the true all-class-0 answer
     assert report.counts[0] >= 31
@@ -658,7 +667,7 @@ def test_rlu_scheme_aware_beats_naive_on_fedprox():
     naive_cfg = fedavg_cfg(eta=0.01, epochs=5, batch_size=32)
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     _, updates, truths, _, _ = run_round(model, data, partition, cfg, histories, 1, seed=0)
-    context = prepare_round(model, aux, AttackParams(), seed=0)
+    context = prepare_round(model, aux, AttackParams())
     aware_scores, naive_scores = [], []
     for k, update in enumerate(updates):
         if truths[k] is None:
@@ -717,7 +726,7 @@ def test_rlu_ignores_debug_channel():
     update = updates[0]
     blinded = LocalUpdate(update.delta, update.round, update.client_id,
                           np.zeros_like(update.debug_ce_bias_grads))
-    context = prepare_round(model, aux, AttackParams(), seed=8)
+    context = prepare_round(model, aux, AttackParams())
     a = rlu_attack(context, update, cfg, histories[0])
     b = rlu_attack(context, blinded, cfg, histories[0])
     assert np.array_equal(a.counts, b.counts)
@@ -728,8 +737,8 @@ def test_rlu_deterministic_per_seed():
     data, aux, partition, model = full_batch_world(6)
     cfg = fedavg_cfg(eta=0.01, epochs=2, batch_size=32)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=6)
-    a = rlu_attack(prepare_round(model, aux, AttackParams(), seed=3), updates[0], cfg, histories[0])
-    b = rlu_attack(prepare_round(model, aux, AttackParams(), seed=3), updates[0], cfg, histories[0])
+    a = rlu_attack(prepare_round(model, aux, AttackParams()), updates[0], cfg, histories[0])
+    b = rlu_attack(prepare_round(model, aux, AttackParams()), updates[0], cfg, histories[0])
     assert np.array_equal(a.counts, b.counts)
     assert a.to_json() == b.to_json()
 
@@ -740,7 +749,7 @@ def test_report_json_layout(tmp_path):
         counts=np.array([16, 16]),
         residual=1.5e-9,
         method="single_epoch",
-        diagnostics={"mc_samples": 100, "alpha": 0.5},
+        diagnostics={"confusion_se": 0.01, "alpha": 0.5},
     )
     text = report.to_json()
     keys = list(json.loads(text))
@@ -754,7 +763,7 @@ def test_report_simplex_invariant():
     data, aux, partition, model = full_batch_world(7)
     cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=7)
-    report = rlu_attack(prepare_round(model, aux, AttackParams(), seed=1), updates[0], cfg, histories[0])
+    report = rlu_attack(prepare_round(model, aux, AttackParams()), updates[0], cfg, histories[0])
     assert report.z_star.min() >= -1e-8
     assert abs(report.z_star.sum() - 1.0) <= 1e-8
     assert (report.counts >= 0).all()
@@ -775,25 +784,45 @@ def _counting(monkeypatch, name):
 
 
 def test_rlu_single_epoch_with_context_runs_no_monte_carlo(monkeypatch):
+    # a single-epoch attack only solves: the context already holds the one
+    # confusion matrix it needs, so it forwards and averages nothing
     data, aux, partition, model = full_batch_world(9)
     cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
     _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=9)
-    context = prepare_round(model, aux, AttackParams(mc_samples=2000), seed=1)
-    mc_calls = _counting(monkeypatch, "mc_confusion")
-    moment_calls = _counting(monkeypatch, "estimate_moments")
+    context = prepare_round(model, aux, AttackParams(mc_samples=2000))
+    calls = [
+        _counting(monkeypatch, name)
+        for name in ("mc_confusion", "estimate_moments", "plugin_confusion", "forward_batch", "mean_softmax")
+    ]
     report = rlu_attack(context, updates[0], cfg, histories[0])
     assert report.method == "single_epoch"
-    assert mc_calls == [] and moment_calls == []
+    assert calls == [[]] * 5
+
+
+def test_round_context_first_matrix_is_mean_aux_softmax():
+    _, aux, _, model = blob_world(4, n_classes=5, aux_per_class=30)
+    context = prepare_round(model, aux, AttackParams())
+    logits, _ = forward_batch(model, aux.features)
+    for n in range(5):
+        rows = logits[aux.labels == n]
+        probs = np.exp(rows - rows.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        for j in range(5):
+            expected = 0.0 if j == n else probs[:, j].mean()
+            assert context.s_first.s[n, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        npt.assert_array_equal(context.logits[n], rows)
 
 
 def test_round_context_unchanged_by_multi_epoch_attacks():
     data, aux, partition, model = blob_world(3, clients=4)
     cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
-    params = AttackParams(mc_samples=2000, search_iters=3, search_mc_samples=200)
-    context = prepare_round(model, aux, params, seed=5)
-    assert context.normals.shape == (2000, 10)
-    before = [context.normals.copy(), context.moments.mu.copy(), context.moments.sigma.copy(), context.s_first.s.copy()]
+    params = AttackParams(search_iters=3)
+    context = prepare_round(model, aux, params)
+    assert len(context.logits) == 10
+    assert all(block.shape == (100, 10) for block in context.logits)
+    shared = [*context.logits, context.s_first.s, context.s_first.se]
+    before = [arr.copy() for arr in shared]
     attacked = 0
     for k, update in enumerate(updates):
         if truths[k] is None:
@@ -802,29 +831,29 @@ def test_round_context_unchanged_by_multi_epoch_attacks():
         assert report.method == "posterior_search"
         attacked += 1
     assert attacked >= 2
-    after = [context.normals, context.moments.mu, context.moments.sigma, context.s_first.s]
-    for old, new in zip(before, after):
+    for old, new in zip(before, shared):
         npt.assert_array_equal(old, new)
         assert not new.flags.writeable
-    # the global-model matrix is the one mc_confusion gives on the block's rows
-    again = mc_confusion(context.moments, context.normals[: params.mc_samples])
+    # the global-model matrix is the one plugin_confusion gives on the logits
+    again = plugin_confusion(class_logits(model, aux))
     assert np.array_equal(again.s, context.s_first.s)
+    assert np.array_equal(again.se, context.s_first.se)
 
 
 def test_rlu_attack_draws_no_random_numbers(monkeypatch):
-    # prepare_round draws the round's only block of normals; the local-model
-    # matrix and the posterior search read its rows, so attacks run with
-    # numpy's generator and seed constructors disabled
+    # neither building the round's context nor attacking with it draws
+    # random numbers, so both run with numpy's generator and seed
+    # constructors disabled
     data, aux, partition, model = blob_world(3, clients=4)
     cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
-    context = prepare_round(model, aux, AttackParams(mc_samples=500, search_mc_samples=100), seed=17)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the attack drew its own random numbers")
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    context = prepare_round(model, aux, AttackParams(mc_samples=500, search_mc_samples=100))
     attacked = 0
     for k, update in enumerate(updates):
         if truths[k] is None:
@@ -832,3 +861,63 @@ def test_rlu_attack_draws_no_random_numbers(monkeypatch):
         assert rlu_attack(context, update, cfg, histories[k]).method == "posterior_search"
         attacked += 1
     assert attacked >= 2
+
+
+# --------------------------------------------------------- confusion noise
+
+def identity_model(n):
+    """relu MLP whose logits equal its (non-negative) features."""
+    return Model(weights=[np.eye(n), np.eye(n)], biases=[np.zeros(n), np.zeros(n)], activation="relu")
+
+
+def hand_confusion_se(blocks):
+    """Largest off-diagonal std / sqrt(count) of the per-class softmax, in plain Python."""
+    worst = 0.0
+    for n, rows in enumerate(blocks):
+        probs = []
+        for row in rows:
+            e = [math.exp(v) for v in row]
+            probs.append([x / sum(e) for x in e])
+        count = len(rows)
+        for j in range(len(rows[0])):
+            if j == n:
+                continue
+            vals = [p[j] for p in probs]
+            mean = sum(vals) / count
+            var = sum((v - mean) ** 2 for v in vals) / (count - 1)
+            worst = max(worst, math.sqrt(var / count))
+    return worst
+
+
+def test_plugin_confusion_single_row_has_zero_se():
+    logits = (np.array([[1.0, 0.0, -1.0]]), np.array([[0.0, 2.0, 0.5]]), np.array([[0.3, 0.1, 1.0]]))
+    with np.errstate(all="raise"):
+        confusion = plugin_confusion(logits)
+    npt.assert_array_equal(confusion.se, np.zeros((3, 3)))
+    probs = np.exp(logits[0][0]) / np.exp(logits[0][0]).sum()
+    npt.assert_allclose(confusion.s[0], [0.0, probs[1], probs[2]], rtol=1e-14)
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_confusion_se_matches_hand_computation(epochs):
+    blocks = [
+        [[2.0, 0.5, 0.1], [1.5, 1.0, 0.2]],
+        [[0.3, 2.0, 0.4], [0.1, 1.2, 0.9], [0.5, 1.8, 0.1]],
+        [[0.2, 0.7, 3.0], [0.4, 0.2, 2.5]],
+    ]
+    features = np.array([row for rows in blocks for row in rows])
+    labels = np.array([n for n, rows in enumerate(blocks) for _ in rows])
+    aux = Dataset(features, labels, 3)
+    model = identity_model(3)
+    cfg = fedavg_cfg(eta=0.1, epochs=epochs, batch_size=4)
+    delta = zeros_like_params(model)
+    delta.biases[-1][:] = [0.4, -0.1, -0.3]
+    update = LocalUpdate(delta, 1, 0, np.zeros((epochs, 3)))
+    report = rlu_attack(prepare_round(model, aux, AttackParams()), update, cfg, UpdateHistory.fresh(model))
+    expected = hand_confusion_se(blocks)
+    if epochs > 1:
+        # the system also uses the local model, whose logits moved by the bias delta
+        shifted = [[[v + d for v, d in zip(row, [0.4, -0.1, -0.3])] for row in rows] for rows in blocks]
+        expected = max(expected, hand_confusion_se(shifted))
+    assert report.diagnostics["confusion_se"] == pytest.approx(expected, rel=1e-12)
+    assert "mc_samples" not in report.diagnostics

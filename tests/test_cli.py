@@ -240,6 +240,34 @@ def test_diagnose_moments_histogram_means_match_forward(tmp_path):
             assert abs(approx - direct) <= width
 
 
+def test_diagnose_moments_prints_gaussian_gap_per_class(tmp_path, capsys):
+    from fedleak.data import make_synthetic
+
+    data = make_synthetic(4, 8, 50, 3.0, seed=6)
+    model = init_model([8, 10, 4], "tanh", seed=6)
+    mpath, dpath = write_world(tmp_path, model, data)
+    rc = main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath),
+               "--output", str(tmp_path / "moments.csv"), "--bins", "5"])
+    assert rc == 0
+    lines = re.findall(r"^class (\d+): max_j \|s_gauss - s_plugin\| = (\S+)$", capsys.readouterr().out, re.M)
+    assert [int(c) for c, _ in lines] == [0, 1, 2, 3]
+    # the Gaussian model's Monte Carlo matrix on AttackParams().mc_samples
+    # fixed-seed normals, against the mean softmax of the logits themselves
+    normals = np.random.default_rng(0).standard_normal((attack.AttackParams().mc_samples, 4))
+    s_gauss = attack.mc_confusion(attack.estimate_moments(model, data), normals).s
+    logits, _ = forward_batch(model, data.features)
+    for n, (_, printed) in enumerate(lines):
+        rows = logits[data.labels == n]
+        probs = np.exp(rows - rows.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        s_plugin = probs.mean(axis=0)
+        s_plugin[n] = 0.0
+        gap = np.abs(s_gauss[n] - s_plugin).max()
+        assert float(printed) == pytest.approx(gap, rel=1e-6, abs=1e-15)
+        # a tanh network's logits are not Gaussian, but not far from it either
+        assert 0.0 < float(printed) < 0.05
+
+
 def test_diagnose_moments_trained_model_diagonal_dominance(tmp_path):
     from fedleak.data import make_synthetic
 
@@ -499,15 +527,16 @@ def test_run_experiment_api_matches_csv(tmp_path):
     assert set(rows[0]) == set(RESULT_COLUMNS)
 
 
-def count_mc_confusion(monkeypatch):
+def count_confusion_builds(monkeypatch):
+    """Calls of the function that builds every confusion matrix of an attack."""
     calls = []
-    original = attack.mc_confusion
+    original = attack.plugin_confusion
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(attack, "mc_confusion", counting)
+    monkeypatch.setattr(attack, "plugin_confusion", counting)
     return calls
 
 
@@ -525,8 +554,10 @@ def small_experiment(**scheme):
 @pytest.mark.parametrize("epochs", [1, 3])
 def test_run_experiment_monte_carlo_calls_per_round(monkeypatch, epochs):
     # one global-model confusion matrix per round, plus one local-model
-    # matrix per trained client when there is more than one epoch
-    calls = count_mc_confusion(monkeypatch)
+    # matrix per trained client when there is more than one epoch; the
+    # Gaussian Monte Carlo model is never used
+    monkeypatch.setattr(attack, "mc_confusion", None)
+    calls = count_confusion_builds(monkeypatch)
     cfg = small_experiment(epochs=epochs)
     rows = run_experiment(cfg)
     trained = sum(1 for r in rows if r["train_acc"] != "")
@@ -536,7 +567,7 @@ def test_run_experiment_monte_carlo_calls_per_round(monkeypatch, epochs):
 
 @pytest.mark.parametrize("scheme", [{"eta": 0.0}, {"batch_size": 1000}], ids=["eta0", "untrained"])
 def test_run_experiment_unattackable_rounds_build_no_context(monkeypatch, scheme):
-    calls = count_mc_confusion(monkeypatch)
+    calls = count_confusion_builds(monkeypatch)
     rows = run_experiment(small_experiment(**scheme))
     assert len(rows) == 6
     assert all(r["status"] == "degenerate" for r in rows)

@@ -1,7 +1,9 @@
 """The README's library example runs against the current API."""
 import re
+from dataclasses import fields
 from pathlib import Path
 
+from fedleak.attack import AttackParams
 from fedleak.fedsim import OPTIMIZERS, SCHEMES, SchemeConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -48,3 +50,11 @@ def test_readme_scheme_table_matches_config():
             except ValueError:
                 accepted = False
             assert (optimizer in table[scheme]) == accepted, (scheme, optimizer)
+
+
+def test_readme_attack_params_paragraph_names_every_field():
+    text = README.read_text()
+    start = text.index("`AttackParams` has ")
+    paragraph = text[start:text.index("\n\n", start)]
+    for f in fields(AttackParams):
+        assert f"`{f.name}`" in paragraph, f.name
