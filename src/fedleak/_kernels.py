@@ -7,16 +7,15 @@ simplex by projected gradient, with project_simplex as its projection.
 
 import numpy as np
 
+from .nn import softmax_rows
+
 # Kept only for perfbench/run.py's environment record; there is no jitted path.
 NUMBA_ENABLED = False
 
 
 def mean_softmax(draws: np.ndarray) -> np.ndarray:
     """Mean of row-wise softmax over a (M, N) matrix of logits."""
-    shifted = draws - draws.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p.mean(axis=0)
+    return softmax_rows(draws).mean(axis=0)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import mean_softmax, pgd_simplex_ls
 from .data import Dataset, largest_remainder
-from .fedsim import LocalUpdate, SchemeConfig, UpdateHistory, round_correction
+from .fedsim import LocalUpdate, SchemeConfig, UpdateHistory, check_history, round_correction
 from .nn import Model, forward_batch, softmax_rows
 
 METHOD_SINGLE = "single_epoch"
@@ -34,6 +34,9 @@ METHOD_SEARCH = "posterior_search"
 
 _JITTER_SCALE = 1e-6
 _JITTER_CAP = 1e-2
+# the posterior search moves a count unit only while the spread of its
+# per-class confidence gaps exceeds this
+_SEARCH_MIN_GAP = 0.01
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -76,7 +79,6 @@ class AttackParams:
     mc_samples: int = 10000
     search_iters: int = 5
     search_mc_samples: int = 1000
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.mc_samples < 1:
@@ -85,8 +87,6 @@ class AttackParams:
             raise ValueError(f"search_mc_samples must be at least 1, got {self.search_mc_samples}")
         if self.search_iters < 0:
             raise ValueError(f"search_iters must be non-negative, got {self.search_iters}")
-        if not (np.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -205,22 +205,6 @@ def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     return LogitMoments(mu, sigma)
 
 
-def _confusion_core(n: int, blocks) -> np.ndarray:
-    """(n, n) confusion matrix whose row c is the mean softmax of blocks[c].
-
-    blocks yields one (M, n) block of logits per class, in class order;
-    only one block needs to exist at a time.
-    """
-    s = np.empty((n, n))
-    blocks = iter(blocks)
-    for cls in range(n):
-        # next() leaves no name or loop tuple holding a generated block, so
-        # it is freed before mean_softmax allocates its temporaries
-        s[cls] = mean_softmax(next(blocks))
-        s[cls, cls] = 0.0
-    return s
-
-
 def plugin_confusion(logits) -> ConfusionMatrix:
     """Confusion matrix of per-class logits, as from class_logits.
 
@@ -230,12 +214,16 @@ def plugin_confusion(logits) -> ConfusionMatrix:
     (0 for a single row).
     """
     n = len(logits)
+    s = np.empty((n, n))
     se = np.empty((n, n))
     for cls, rows in enumerate(logits):
         count = len(rows)
-        se[cls] = softmax_rows(rows).std(axis=0, ddof=1 if count > 1 else 0) / np.sqrt(count)
-        se[cls, cls] = 0.0
-    return ConfusionMatrix(_confusion_core(n, logits), se)
+        probs = softmax_rows(rows)
+        s[cls] = probs.mean(axis=0)
+        se[cls] = probs.std(axis=0, ddof=1 if count > 1 else 0) / np.sqrt(count)
+    np.fill_diagonal(s, 0.0)
+    np.fill_diagonal(se, 0.0)
+    return ConfusionMatrix(s, se)
 
 
 def _check_normals(normals: np.ndarray, n: int) -> None:
@@ -253,8 +241,9 @@ def mc_confusion(moments: LogitMoments, normals: np.ndarray) -> ConfusionMatrix:
     mu = moments.mu
     n = mu.shape[0]
     _check_normals(normals, n)
-    draws = (mu[cls] + normals @ _psd_factor(moments.sigma[cls]).T for cls in range(n))
-    return ConfusionMatrix(_confusion_core(n, draws))
+    s = np.array([mean_softmax(mu[cls] + normals @ _psd_factor(moments.sigma[cls]).T) for cls in range(n)])
+    np.fill_diagonal(s, 0.0)
+    return ConfusionMatrix(s)
 
 
 def prepare_round(global_model: Model, aux: Dataset, params: AttackParams) -> RoundContext:
@@ -292,12 +281,7 @@ def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistor
     be the client's record at the start of round_idx.
     """
     m, eta, gamma = cfg.epochs, cfg.eta, cfg.gamma
-    if round_idx < 1:
-        raise ValueError("round index starts at 1")
-    if history.completed_rounds != round_idx - 1:
-        raise RuntimeError(
-            f"history covers {history.completed_rounds} rounds; round {round_idx} needs {round_idx - 1}"
-        )
+    check_history(history, round_idx)
     prox, drift = round_correction(cfg, history)
     if prox:
         rho = (1.0 - prox * eta) ** (m - np.arange(1, m + 1))
@@ -400,7 +384,6 @@ def posterior_search(
     embed_norm: float,
     cfg: SchemeConfig,
     search_iters: int = 5,
-    eps_adj: float = 0.01,
     include_bias_factor: bool = False,
 ) -> np.ndarray:
     """Refine crude multi-epoch counts by simulating the confidence drift.
@@ -414,7 +397,8 @@ def posterior_search(
     the confusion matrix is re-estimated on the shifted logits. Comparing
     the simulated final matrix against the observed one column-wise moves
     one count unit from the most over-represented class to the most
-    under-represented, stopping early at a fixed point. Returns m * g.
+    under-represented, stopping early at a fixed point (no per-class gap
+    spread above _SEARCH_MIN_GAP). Returns m * g.
     """
     crude = np.asarray(crude_counts, dtype=np.int64)
     n = crude.size
@@ -427,9 +411,6 @@ def posterior_search(
         raise ValueError("crude counts must sum to epochs * batch_size")
 
     g = largest_remainder(crude / m, batch)
-    if search_iters == 0:
-        return g * m
-
     factor = embed_norm + (1.0 if include_bias_factor else 0.0)
     scale = cfg.eta / batch
     for _ in range(search_iters):
@@ -439,11 +420,12 @@ def posterior_search(
             exp_db = scale * (g * s_cur.sum(axis=1) - s_cur.T @ g)
             shift += exp_db * factor
             # every class's logits move by the same accumulated drift
-            s_cur = _confusion_core(n, (rows + shift for rows in logits))
+            s_cur = np.array([mean_softmax(rows + shift) for rows in logits])
+            np.fill_diagonal(s_cur, 0.0)
         d = (s_last_observed.s - s_cur).sum(axis=0) / (n - 1)
         hi = int(np.argmax(d))
         lo = int(np.argmin(d))
-        if d[hi] - d[lo] > eps_adj and g[lo] >= 1:
+        if d[hi] - d[lo] > _SEARCH_MIN_GAP and g[lo] >= 1:
             g[hi] += 1
             g[lo] -= 1
         else:
@@ -469,45 +451,47 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
 
     context comes from prepare_round on the global model that update
     started from; history must be the round-start state for update.round.
-    Multi-epoch updates also build the local model's confusion matrix from
-    its auxiliary logits and run the posterior search on the context's
-    logits. Nothing here is random: the result is a deterministic function
-    of the four arguments. diagnostics["confusion_se"] is the largest
-    standard error of an entry of the confusion matrices the system was
-    built from. Raises ValueError on a non-finite update and
-    DegenerateUpdateError when the update carries no signal; both checks
-    come before the context is read.
+    The system is built from the mean of the round's confusion matrices:
+    the context's alone for a single epoch, and for m > 1 also the local
+    model's, from its auxiliary logits. Its solution is rounded to the
+    m * batch_size labels of the round. Multi-epoch updates then run the
+    posterior search on the context's logits, unless search_iters is 0.
+    Nothing here is random: the result is a deterministic function of the
+    four arguments. diagnostics["confusion_se"] is the largest standard
+    error of an entry of the matrices the system was built from, and
+    diagnostics["search_l1_from_crude"] the L1 distance the search moved
+    the counts from the crude ones. Raises ValueError on a non-finite
+    update and DegenerateUpdateError when the update carries no signal;
+    both checks come before the context is read.
     """
     if not carries_signal(update, cfg):
         raise DegenerateUpdateError("eta = 0 or an all-zero delta carries no gradient signal")
-    params, s_first = context.params, context.s_first
-
+    m = cfg.epochs
     coeffs = scheme_coefficients(cfg, update.round, history)
     u = make_target(update, coeffs, cfg)
 
-    diagnostics = {}
-    if cfg.epochs == 1:
-        diagnostics["confusion_se"] = float(s_first.se.max())
-        a = build_system(s_first)
-        z, info = solve_simplex_ls(a, u, params.tol)
-        counts = round_counts(z, cfg.batch_size)
-        method = METHOD_SINGLE
-    else:
+    matrices = [context.s_first]
+    if m > 1:
         local_model = context.global_model.copy()
         local_model.params().add_(update.delta, 1.0)
-        s_last = plugin_confusion(class_logits(local_model, context.aux))
-        diagnostics["confusion_se"] = float(max(s_first.se.max(), s_last.se.max()))
-        a = build_system(ConfusionMatrix(0.5 * (s_first.s + s_last.s)))
-        z, info = solve_simplex_ls(a, u, params.tol)
-        crude = round_counts(z, cfg.epochs * cfg.batch_size)
+        matrices.append(plugin_confusion(class_logits(local_model, context.aux)))
+    diagnostics = {"confusion_se": float(max(c.se.max() for c in matrices))}
+    a = build_system(ConfusionMatrix(sum(c.s for c in matrices) / len(matrices)))
+    z, info = solve_simplex_ls(a, u)
+    counts = round_counts(z, m * cfg.batch_size)
+    method = METHOD_SINGLE
+    if m > 1:
+        crude = counts
         diagnostics["crude_counts"] = [int(c) for c in crude]
-        if params.search_iters == 0:
-            counts = crude
-            method = METHOD_CRUDE
-        else:
+        method = METHOD_CRUDE
+        search_iters = context.params.search_iters
+        if search_iters:
             embed_norm = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
             diagnostics["embedding_norm"] = float(embed_norm)
-            counts = posterior_search(crude, context.logits, s_first, s_last, embed_norm, cfg, params.search_iters)
+            counts = posterior_search(
+                crude, context.logits, context.s_first, matrices[-1], embed_norm, cfg, search_iters
+            )
+            diagnostics["search_l1_from_crude"] = int(np.abs(counts - crude).sum())
             method = METHOD_SEARCH
     diagnostics["solver_iterations"] = info["iterations"]
     diagnostics["solver_converged"] = info["converged"]

@@ -110,10 +110,19 @@ _JSON_TYPES = {
 
 
 def _checked(value, ftype, key):
-    """value, as the field type declared by ftype; ValueError naming key if it is not one."""
+    """value, as the field type declared by ftype; ValueError naming key if it is not one.
+
+    An integer in a number field becomes a float, so a config file's 1 and
+    the flag's 1.0 are one value and print alike in the result CSV.
+    """
     kind, accepts = _JSON_TYPES[ftype]
     if not accepts(value):
         raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    if ftype is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"config key {key!r} is too large for a float, got {value}") from None
     return tuple(value) if ftype is tuple else value
 
 
@@ -394,9 +403,6 @@ def _add_config_args(p, with_output=True):
     p.add_argument("--epochs", type=int, help="local epochs m")
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--rounds", type=int)
-    p.add_argument(
-        "--mc-samples", dest="mc_samples", type=int, help="validated but unused: the attack draws no Monte Carlo samples"
-    )
     p.add_argument("--search-iters", dest="search_iters", type=int)
     p.add_argument("--aux-per-class", dest="aux_per_class", type=int)
     if with_output:

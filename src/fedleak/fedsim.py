@@ -123,7 +123,8 @@ class UpdateHistory:
         return cls(client_variate=zero, server_variate=zero, cum_local_delta=zero)
 
 
-def _check_history(history: UpdateHistory, round_idx: int) -> None:
+def check_history(history: UpdateHistory, round_idx: int) -> None:
+    """Raise unless history is a client's record at the start of round round_idx."""
     if round_idx < 1:
         raise ValueError("round index starts at 1")
     if history.completed_rounds != round_idx - 1:
@@ -171,7 +172,7 @@ def local_train(
     loss or final parameters (diverging step size) and on history/round
     mismatches.
     """
-    _check_history(history, round_idx)
+    check_history(history, round_idx)
     if len(plan.batches) != cfg.epochs:
         raise ValueError("plan epochs do not match cfg.epochs")
 

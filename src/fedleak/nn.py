@@ -193,9 +193,7 @@ def forward_batch(model: Model, features: np.ndarray):
 
 def softmax(q: np.ndarray) -> np.ndarray:
     """Numerically stable softmax of a 1-D logit vector."""
-    shifted = q - q.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax_rows(q[None, :])[0]
 
 
 def softmax_rows(q: np.ndarray) -> np.ndarray:

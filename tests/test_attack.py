@@ -28,6 +28,7 @@ from fedleak.attack import (
     scheme_coefficients,
     solve_simplex_ls,
 )
+from fedleak._kernels import mean_softmax
 from fedleak.data import Dataset, make_synthetic, plan_batches
 from fedleak.fedsim import (
     LocalUpdate,
@@ -769,6 +770,57 @@ def test_report_simplex_invariant():
     assert (report.counts >= 0).all()
 
 
+def test_rlu_crude_multi_epoch_returns_crude_counts():
+    data, aux, partition, model = blob_world(2, clients=4)
+    cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
+    _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=2)
+    context = prepare_round(model, aux, AttackParams(search_iters=0))
+    attacked = 0
+    for k, update in enumerate(updates):
+        if truths[k] is None:
+            continue
+        report = rlu_attack(context, update, cfg, histories[k])
+        assert report.method == "crude_multi_epoch"
+        assert report.counts.sum() == 3 * 16
+        assert [int(c) for c in report.counts] == report.diagnostics["crude_counts"]
+        attacked += 1
+    assert attacked >= 2
+
+
+BASE_DIAGNOSTICS = {"confusion_se", "solver_iterations", "solver_converged"}
+
+
+@pytest.mark.parametrize(
+    "epochs, search_iters, method, extra",
+    [
+        (1, 5, "single_epoch", set()),
+        (3, 0, "crude_multi_epoch", {"crude_counts"}),
+        (3, 5, "posterior_search", {"crude_counts", "embedding_norm", "search_l1_from_crude"}),
+    ],
+    ids=["single", "crude", "search"],
+)
+def test_rlu_diagnostics_keys_per_method(epochs, search_iters, method, extra):
+    data, aux, partition, model = full_batch_world(4)
+    cfg = fedavg_cfg(eta=0.01, epochs=epochs, batch_size=32)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=4)
+    context = prepare_round(model, aux, AttackParams(search_iters=search_iters))
+    report = rlu_attack(context, updates[0], cfg, histories[0])
+    assert report.method == method
+    assert set(report.diagnostics) == BASE_DIAGNOSTICS | extra
+
+
+def test_rlu_search_reports_its_distance_from_crude():
+    data, aux, partition, model = blob_world(3, clients=4)
+    cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
+    _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
+    k = next(k for k, truth in enumerate(truths) if truth is not None)
+    report = rlu_attack(prepare_round(model, aux, AttackParams()), updates[k], cfg, histories[k])
+    assert report.method == "posterior_search"
+    moved = report.diagnostics["search_l1_from_crude"]
+    assert type(moved) is int
+    assert moved == np.abs(report.counts - np.array(report.diagnostics["crude_counts"])).sum()
+
+
 # ------------------------------------------------------------ round context
 
 def _counting(monkeypatch, name):
@@ -896,6 +948,15 @@ def test_plugin_confusion_single_row_has_zero_se():
     npt.assert_array_equal(confusion.se, np.zeros((3, 3)))
     probs = np.exp(logits[0][0]) / np.exp(logits[0][0]).sum()
     npt.assert_allclose(confusion.s[0], [0.0, probs[1], probs[2]], rtol=1e-14)
+
+
+def test_plugin_confusion_rows_are_mean_softmax():
+    logits = noisy_logits(5, 40, seed=2)
+    confusion = plugin_confusion(logits)
+    for n, rows in enumerate(logits):
+        expected = mean_softmax(rows)
+        for j in range(5):
+            assert confusion.s[n, j] == (0.0 if j == n else expected[j])
 
 
 @pytest.mark.parametrize("epochs", [1, 2])
