@@ -263,10 +263,8 @@ def prepare_round(global_model: Model, aux: Dataset, params: AttackParams) -> Ro
 
 def _geometric_rho(decay: float, m: int) -> np.ndarray:
     # rho_tau = (1 - decay^(m + 1 - tau)) / (1 - decay), the tail-sum of a
-    # geometric momentum series; decay = 0 collapses to all-ones.
+    # geometric momentum series; at decay = 0 every entry is exactly 1.
     taus = np.arange(1, m + 1)
-    if decay == 0.0:
-        return np.ones(m)
     return (1.0 - decay ** (m + 1 - taus)) / (1.0 - decay)
 
 

@@ -51,10 +51,6 @@ RESULT_COLUMNS = [
 _S_DATA, _S_AUX, _S_PART, _S_MODEL = 11, 12, 13, 14
 
 
-def _derive_seed(master: int, *tags) -> int:
-    return int(np.random.SeedSequence([master, *tags]).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class DataSpec:
     n_classes: int = 10
@@ -190,24 +186,16 @@ def _config_from_args(args) -> ExperimentConfig:
 def _build_world(cfg: ExperimentConfig):
     """Dataset, auxiliary set, partition, and initial model for one run."""
     d = cfg.data
-    dataset = dat.make_synthetic(d.n_classes, d.dim, d.per_class, d.separation, _derive_seed(cfg.seed, _S_DATA))
+    dataset = dat.make_synthetic(d.n_classes, d.dim, d.per_class, d.separation, dat.derive_seed(cfg.seed, _S_DATA))
     aux = dat.make_auxiliary(
-        d.n_classes, d.dim, cfg.attack.aux_per_class, d.separation, _derive_seed(cfg.seed, _S_AUX)
+        d.n_classes, d.dim, cfg.attack.aux_per_class, d.separation, dat.derive_seed(cfg.seed, _S_AUX)
     )
     partition = dat.dirichlet_partition(
-        dataset, cfg.partition.clients, cfg.partition.alpha, _derive_seed(cfg.seed, _S_PART)
+        dataset, cfg.partition.clients, cfg.partition.alpha, dat.derive_seed(cfg.seed, _S_PART)
     )
     sizes = [d.dim, *cfg.model.hidden, d.n_classes]
-    model = nn.init_model(sizes, cfg.model.activation, _derive_seed(cfg.seed, _S_MODEL))
+    model = nn.init_model(sizes, cfg.model.activation, dat.derive_seed(cfg.seed, _S_MODEL))
     return dataset, aux, partition, model
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
@@ -238,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
                 "alpha": repr(cfg.partition.alpha),
                 "m": cfg.scheme.epochs,
                 "batch": cfg.scheme.batch_size,
-                "train_acc": _fmt(stats[k]["train_acc"]) if stats[k] else "",
+                "train_acc": repr(stats[k]["train_acc"]) if stats[k] else "",
             }
             try:
                 report = atk.rlu_attack(context, updates[k], cfg.scheme, histories[k])
@@ -251,16 +239,16 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
                 sc = met.score(report.counts, truths[k], cfg.scheme.epochs, cfg.scheme.batch_size)
                 row.update(
                     {
-                        "cacc": _fmt(sc.cacc),
-                        "iacc": _fmt(sc.iacc),
+                        "cacc": repr(sc.cacc),
+                        "iacc": repr(sc.iacc),
                         "l1_err": sc.l1_error,
-                        "residual": _fmt(report.residual),
+                        "residual": repr(report.residual),
                         "status": "ok",
                     }
                 )
                 if report_dir:
                     atk.save_report(os.path.join(report_dir, f"report_r{t}_c{k}.json"), report)
-            row["wall_ms"] = _fmt(wall_ms)
+            row["wall_ms"] = repr(wall_ms)
             rows.append(row)
         current, histories = new_global, new_histories
     return rows
@@ -324,8 +312,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# Seed of the standard normals behind diagnose-moments' Gaussian confusion matrix.
+# Seed and count of the normals behind diagnose-moments' Gaussian confusion matrix.
 _GAUSS_SEED = 0
+_GAUSS_SAMPLES = 10000
 
 
 def cmd_diagnose_moments(args) -> int:
@@ -345,7 +334,7 @@ def cmd_diagnose_moments(args) -> int:
                 for b in range(args.bins):
                     writer.writerow([cls, j, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])])
     print(f"wrote {n * n * args.bins} histogram rows to {args.output}")
-    normals = np.random.default_rng(_GAUSS_SEED).standard_normal((atk.AttackParams().mc_samples, n))
+    normals = np.random.default_rng(_GAUSS_SEED).standard_normal((_GAUSS_SAMPLES, n))
     s_gauss = atk.mc_confusion(atk.estimate_moments(model, dataset), normals).s
     gap = np.abs(s_gauss - atk.plugin_confusion(logits).s).max(axis=1)
     for cls in range(n):
@@ -366,11 +355,11 @@ def cmd_report(args) -> int:
     for row in rows:
         if row["status"] != "ok":
             continue
-        key = (row["scheme"], row["optimizer"], row["alpha"], row["m"])
+        key = (row["scheme"], row["optimizer"], row["alpha"], row["m"], row["batch"])
         groups.setdefault(key, []).append(row)
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["scheme", "optimizer", "alpha", "m", "n"]
+        header = ["scheme", "optimizer", "alpha", "m", "batch", "n"]
         for name in ("cacc", "iacc", "l1_err", "residual"):
             header += [f"{name}_mean", f"{name}_std"]
         writer.writerow(header)
@@ -422,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="simulate rounds and attack every update")
     _add_config_args(p)
     p.add_argument("--report-dir", help="also write per-attack JSON reports here")
-    p.add_argument("--round-log", help="also append the per-round training log CSV here")
+    p.add_argument("--round-log", help="also write the per-round training log CSV here")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="grid of runs over alpha/epochs/seeds")

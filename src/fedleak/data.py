@@ -18,6 +18,11 @@ import numpy as np
 _DIRECTION_SEED = 20240811
 
 
+def derive_seed(master: int, *tags) -> int:
+    """Sub-seed of the master seed for the stream named by tags."""
+    return int(np.random.SeedSequence([master, *tags]).generate_state(1)[0])
+
+
 @dataclass
 class Dataset:
     features: np.ndarray  # (n, d) float64
@@ -124,10 +129,11 @@ def make_auxiliary(n_classes: int, dim: int, per_class: int, separation: float, 
 
 
 def largest_remainder(values: np.ndarray, total: int) -> np.ndarray:
-    """Round non-negative reals to ints preserving the exact total.
+    """Round non-negative reals that sum to total to ints with exactly that sum.
 
     Floors first, then hands the leftover units to the largest fractional
-    parts; ties go to the lowest index.
+    parts; ties go to the lowest index. Values that sum a whole unit or more
+    away from total raise ValueError.
     """
     values = np.asarray(values, dtype=np.float64)
     if total < 0:
@@ -136,27 +142,14 @@ def largest_remainder(values: np.ndarray, total: int) -> np.ndarray:
         raise ValueError("values must be a non-empty 1-D array")
     if (values < -1e-9).any():
         raise ValueError("values must be non-negative")
-    base = np.floor(np.maximum(values, 0.0)).astype(np.int64)
+    values = np.maximum(values, 0.0)
+    if not abs(values.sum() - total) < 1.0:
+        raise ValueError(f"values sum to {values.sum()!r}, not within one unit of total {total}")
+    base = np.floor(values).astype(np.int64)
+    # the check bounds the leftover to [0, values.size]
     leftover = int(total - base.sum())
-    if leftover < 0:
-        # Floor overshoots only if values summed above total; trim from the
-        # smallest fractional parts, highest index first.
-        frac = np.maximum(values, 0.0) - base
-        order = np.lexsort((-np.arange(values.size), frac))
-        i = 0
-        while leftover < 0 and i < values.size:
-            j = order[i]
-            if base[j] > 0:
-                base[j] -= 1
-                leftover += 1
-            i += 1
-        if leftover < 0:
-            raise ValueError("total not reachable from values")
-        return base
-    frac = np.maximum(values, 0.0) - base
-    order = np.lexsort((np.arange(values.size), -frac))
-    for i in range(leftover):
-        base[order[i % values.size]] += 1
+    order = np.lexsort((np.arange(values.size), -(values - base)))
+    base[order[:leftover]] += 1
     return base
 
 

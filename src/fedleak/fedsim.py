@@ -19,12 +19,11 @@ round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
 """
 
 import csv
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import BatchPlan, Dataset, Partition, plan_batches
+from .data import BatchPlan, Dataset, Partition, derive_seed, plan_batches
 from .nn import Model, ParamVec, backward, accuracy, zeros_like_params
 
 SCHEMES = ("fedavg", "fedprox", "scaffold", "feddyn", "feddc")
@@ -302,8 +301,7 @@ def run_round(
             stats.append(None)
             continue
         client_data = dataset.subset(shard)
-        plan_seed = np.random.SeedSequence([seed, _STREAM_PLAN, round_idx, k]).generate_state(1)[0]
-        plan = plan_batches(client_data, cfg.batch_size, cfg.epochs, int(plan_seed))
+        plan = plan_batches(client_data, cfg.batch_size, cfg.epochs, derive_seed(seed, _STREAM_PLAN, round_idx, k))
         update, local = local_train(global_model, client_data, plan, cfg, histories[k], round_idx, k)
         updates.append(update)
         truths.append(plan.true_counts.copy())
@@ -323,11 +321,11 @@ def run_round(
 
 
 def append_round_log(path, round_idx: int, cfg: SchemeConfig, stats) -> None:
-    """Append one row per client to the round-log CSV, creating the header once."""
-    new_file = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
+    """Write one row per training client to the round-log CSV; round 1 starts the file afresh."""
+    first = round_idx == 1
+    with open(path, "w" if first else "a", newline="") as fh:
         writer = csv.writer(fh)
-        if new_file:
+        if first:
             writer.writerow(
                 ["round", "client", "scheme", "optimizer", "eta", "lambda", "gamma", "m", "batch", "loss", "train_acc"]
             )

@@ -204,6 +204,15 @@ def test_coefficients_nag():
     npt.assert_allclose(coeffs.rho, [1.75, 1.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("optimizer", ["sgdm", "nag"])
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_coefficients_momentum_at_gamma_zero_are_ones(optimizer, m):
+    history, _ = fresh_history()
+    cfg = SchemeConfig(scheme="fedavg", optimizer=optimizer, eta=0.1, gamma=0.0,
+                       epochs=m, batch_size=8)
+    npt.assert_array_equal(scheme_coefficients(cfg, 1, history).rho, np.ones(m))
+
+
 def test_coefficients_fedprox():
     history, _ = fresh_history()
     cfg = SchemeConfig(scheme="fedprox", optimizer="sgd", eta=0.1, lam=1.0,

@@ -11,6 +11,7 @@ import pytest
 
 from fedleak import attack, fedsim
 from fedleak.cli import (
+    _GAUSS_SAMPLES,
     RESULT_COLUMNS,
     ExperimentConfig,
     _config_from_args,
@@ -146,6 +147,19 @@ def test_run_writes_reports_and_round_log(tmp_path):
     assert rlog.exists() and rlog.read_text().strip()
 
 
+def test_round_log_holds_one_run(tmp_path):
+    # a second run into the same path replaces the first run's rows
+    args = ["run", "--seed", "0", "--rounds", "2", *small_args(tmp_path)]
+    fresh = tmp_path / "fresh.csv"
+    assert main([*args, "--output", str(tmp_path / "a.csv"), "--round-log", str(fresh)]) == 0
+    reused = tmp_path / "reused.csv"
+    for _ in range(2):
+        assert main([*args, "--output", str(tmp_path / "b.csv"), "--round-log", str(reused)]) == 0
+    rows = read_rows(reused)
+    assert [(r["round"], r["client"]) for r in rows] == [(t, k) for t in "12" for k in "012"]
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
 def test_run_multi_round_covers_each_round(tmp_path):
     out = tmp_path / "res.csv"
     rc = main(["run", "--seed", "4", "--rounds", "3", "--epochs", "1",
@@ -251,9 +265,9 @@ def test_diagnose_moments_prints_gaussian_gap_per_class(tmp_path, capsys):
     assert rc == 0
     lines = re.findall(r"^class (\d+): max_j \|s_gauss - s_plugin\| = (\S+)$", capsys.readouterr().out, re.M)
     assert [int(c) for c, _ in lines] == [0, 1, 2, 3]
-    # the Gaussian model's Monte Carlo matrix on AttackParams().mc_samples
-    # fixed-seed normals, against the mean softmax of the logits themselves
-    normals = np.random.default_rng(0).standard_normal((attack.AttackParams().mc_samples, 4))
+    # the Gaussian model's Monte Carlo matrix on _GAUSS_SAMPLES fixed-seed
+    # normals, against the mean softmax of the logits themselves
+    normals = np.random.default_rng(0).standard_normal((_GAUSS_SAMPLES, 4))
     s_gauss = attack.mc_confusion(attack.estimate_moments(model, data), normals).s
     logits, _ = forward_batch(model, data.features)
     for n, (_, printed) in enumerate(lines):
@@ -331,6 +345,23 @@ def test_report_aggregates_by_cell(tmp_path):
     assert float(cell["0.5"]["iacc_std"]) == pytest.approx(np.std([0.8, 1.0], ddof=1))
     assert cell["5.0"]["n"] == "1"
     assert float(cell["5.0"]["iacc_std"]) == 0.0
+
+
+def test_report_splits_cells_by_batch(tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_result_csv(a, [result_row(batch=16, iacc="0.8")])
+    write_result_csv(b, [result_row(batch=64, iacc="1.0")])
+    out = tmp_path / "agg.csv"
+    assert main(["report", str(a), str(b), "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[:6] == ["scheme", "optimizer", "alpha", "m", "batch", "n"]
+    cell = {r["batch"]: r for r in read_rows(out)}
+    assert set(cell) == {"16", "64"}
+    assert [cell[b]["n"] for b in ("16", "64")] == ["1", "1"]
+    assert float(cell["16"]["iacc_mean"]) == pytest.approx(0.8)
+    assert float(cell["64"]["iacc_mean"]) == pytest.approx(1.0)
 
 
 def test_report_rejects_missing_columns(tmp_path):

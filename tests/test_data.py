@@ -5,6 +5,7 @@ import pytest
 from fedleak.data import (
     Dataset,
     class_directions,
+    derive_seed,
     dirichlet_partition,
     largest_remainder,
     load_dataset_csv,
@@ -89,6 +90,37 @@ def test_largest_remainder_random_conservation():
         assert out.sum() == total
         assert (out >= 0).all()
         assert np.abs(out - z * total).max() <= 1.0
+        # reference: one unit at a time, largest fraction first, lowest index on ties
+        values = z * total
+        ref = np.floor(values).astype(np.int64)
+        for i in sorted(range(n), key=lambda i: (ref[i] - values[i], i))[: total - ref.sum()]:
+            ref[i] += 1
+        npt.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize(
+    "values, total",
+    [([3.0, 2.0], 4), ([2.5, 3.0], 4), ([1.5, 1.5], 4), ([0.2, 0.3], 10)],
+    ids=["one_above", "one_and_a_half_above", "one_below", "far_below"],
+)
+def test_largest_remainder_rejects_values_off_total(values, total):
+    with pytest.raises(ValueError, match="within one unit"):
+        largest_remainder(np.array(values), total)
+
+
+def test_largest_remainder_accepts_values_within_one_unit():
+    npt.assert_array_equal(largest_remainder(np.array([2.4, 2.5]), 4), [2, 2])
+    npt.assert_array_equal(largest_remainder(np.array([0.4, 0.3]), 1), [1, 0])
+
+
+# -------------------------------------------------------------- sub-seeds
+
+def test_derive_seed_pins_the_streams():
+    # literal values, so a change of derivation shows on any machine:
+    # the data stream of master seed 0 (cli._S_DATA = 11), and the batch
+    # plan of master seed 5, round 1, client 0 (fedsim._STREAM_PLAN = 1)
+    assert derive_seed(0, 11) == 2218153353
+    assert derive_seed(5, 1, 1, 0) == 3269189123
 
 
 # ---------------------------------------------------------------- partition
