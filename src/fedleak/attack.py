@@ -4,11 +4,14 @@ Pipeline: forward the auxiliary set through the model, average the
 softmax of each class's logits into an erroneous-confidence matrix (the
 plug-in estimate), recombine the update's output-bias delta into a
 scheme-normalized target, solve a least-squares problem on the probability
-simplex, and round to integer counts. For multi-epoch updates a posterior
-search refines the crude solution by simulating how the confidences drift
-over the local epochs. Every update of a round is attacked against the
-same global model: prepare_round builds that model's per-class logits and
-confusion matrix once into a RoundContext, and rlu_attack takes the
+simplex, and round to integer counts. For a multi-epoch update whose
+shard is exactly one batch, every epoch sees the same labels, and a
+posterior search refines the crude solution by simulating how the
+confidences drift over the local epochs. The shard size is the one piece
+of client metadata the attack reads; the server knows it because it
+weights the aggregate by it. Every update of a round is attacked against
+the same global model: prepare_round builds that model's per-class logits
+and confusion matrix once into a RoundContext, and rlu_attack takes the
 context with each update. Nothing on the attack path draws random numbers.
 mc_confusion, the Gaussian Monte Carlo model of the same matrix, stays as
 a diagnostic of how far the logits are from Gaussian.
@@ -205,22 +208,35 @@ def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     return LogitMoments(mu, sigma)
 
 
+def _stack(logits):
+    """One (total rows, N) array of the class blocks, and each block's row bounds."""
+    return np.concatenate(logits), np.cumsum([0, *map(len, logits)])
+
+
+def _block_means(probs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row n is the mean of probs' rows bounds[n]:bounds[n + 1].
+
+    Each mean is taken over a slice of probs, which gives the same bits as
+    the mean of that block's own softmax (mean_softmax on the block).
+    """
+    return np.array([probs[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
 def plugin_confusion(logits) -> ConfusionMatrix:
     """Confusion matrix of per-class logits, as from class_logits.
 
     Row n is the mean softmax over class n's rows: the plug-in estimate of
     the expected erroneous confidences. se holds each entry's standard
     error over those rows, the sample standard deviation over sqrt(count)
-    (0 for a single row).
+    (0 for a single row). The blocks go through one softmax together.
     """
-    n = len(logits)
-    s = np.empty((n, n))
-    se = np.empty((n, n))
-    for cls, rows in enumerate(logits):
-        count = len(rows)
-        probs = softmax_rows(rows)
-        s[cls] = probs.mean(axis=0)
-        se[cls] = probs.std(axis=0, ddof=1 if count > 1 else 0) / np.sqrt(count)
+    stacked, bounds = _stack(logits)
+    probs = softmax_rows(stacked)
+    s = _block_means(probs, bounds)
+    counts = np.diff(bounds)
+    centered = probs - np.repeat(s, counts, axis=0)
+    sq_sums = np.add.reduceat(centered * centered, bounds[:-1], axis=0)
+    se = np.sqrt(sq_sums / np.maximum(counts - 1, 1)[:, None]) / np.sqrt(counts)[:, None]
     np.fill_diagonal(s, 0.0)
     np.fill_diagonal(se, 0.0)
     return ConfusionMatrix(s, se)
@@ -382,21 +398,24 @@ def posterior_search(
     embed_norm: float,
     cfg: SchemeConfig,
     search_iters: int = 5,
-    include_bias_factor: bool = False,
-) -> np.ndarray:
+):
     """Refine crude multi-epoch counts by simulating the confidence drift.
 
-    logits are the global model's per-class auxiliary logits (as from
-    class_logits) and s_first their confusion matrix. Starts from
-    per-epoch counts g = crude/m (largest-remainder repaired to
-    batch_size). Each outer iteration simulates the m local epochs: the
-    expected bias movement under g shifts every auxiliary logit by
-    embed_norm times it (optionally +1 for the bias coordinate itself), and
-    the confusion matrix is re-estimated on the shifted logits. Comparing
-    the simulated final matrix against the observed one column-wise moves
-    one count unit from the most over-represented class to the most
-    under-represented, stopping early at a fixed point (no per-class gap
-    spread above _SEARCH_MIN_GAP). Returns m * g.
+    Returns (counts, moves, stop). logits are the global model's per-class
+    auxiliary logits (as from class_logits) and s_first their confusion
+    matrix. The search assumes every epoch sees the same per-epoch counts
+    g, which holds when the client's shard is exactly one batch. It starts
+    from g = crude/m (largest-remainder repaired to batch_size). Each outer
+    iteration simulates the m local epochs: the expected bias movement
+    under g moves logit j by delta_W_j . e + delta_b_j = delta_b_j
+    (embed_norm + 1), and the confusion matrix is re-estimated on the
+    shifted logits, all classes in one softmax. Comparing the simulated
+    final matrix against the observed one column-wise moves one count unit
+    from the most over-represented class to the most under-represented.
+    counts is m * g; moves is the number of units moved, and stop says why
+    the search ended: "fixed_point" (no per-class gap spread above
+    _SEARCH_MIN_GAP), "count_floor" (the class to take from has no unit
+    left) or "iteration_cap" (search_iters iterations ran).
     """
     crude = np.asarray(crude_counts, dtype=np.int64)
     n = crude.size
@@ -409,8 +428,10 @@ def posterior_search(
         raise ValueError("crude counts must sum to epochs * batch_size")
 
     g = largest_remainder(crude / m, batch)
-    factor = embed_norm + (1.0 if include_bias_factor else 0.0)
+    factor = embed_norm + 1.0
     scale = cfg.eta / batch
+    stacked, bounds = _stack(logits)
+    moves, stop = 0, "iteration_cap"
     for _ in range(search_iters):
         shift = np.zeros(n)
         s_cur = s_first.s
@@ -418,17 +439,21 @@ def posterior_search(
             exp_db = scale * (g * s_cur.sum(axis=1) - s_cur.T @ g)
             shift += exp_db * factor
             # every class's logits move by the same accumulated drift
-            s_cur = np.array([mean_softmax(rows + shift) for rows in logits])
+            s_cur = _block_means(softmax_rows(stacked + shift), bounds)
             np.fill_diagonal(s_cur, 0.0)
         d = (s_last_observed.s - s_cur).sum(axis=0) / (n - 1)
         hi = int(np.argmax(d))
         lo = int(np.argmin(d))
-        if d[hi] - d[lo] > _SEARCH_MIN_GAP and g[lo] >= 1:
-            g[hi] += 1
-            g[lo] -= 1
-        else:
+        if d[hi] - d[lo] <= _SEARCH_MIN_GAP:
+            stop = "fixed_point"
             break
-    return g * m
+        if g[lo] < 1:
+            stop = "count_floor"
+            break
+        g[hi] += 1
+        g[lo] -= 1
+        moves += 1
+    return g * m, moves, stop
 
 
 def carries_signal(update: LocalUpdate, cfg: SchemeConfig) -> bool:
@@ -452,15 +477,18 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     The system is built from the mean of the round's confusion matrices:
     the context's alone for a single epoch, and for m > 1 also the local
     model's, from its auxiliary logits. Its solution is rounded to the
-    m * batch_size labels of the round. Multi-epoch updates then run the
-    posterior search on the context's logits, unless search_iters is 0.
-    Nothing here is random: the result is a deterministic function of the
-    four arguments. diagnostics["confusion_se"] is the largest standard
-    error of an entry of the matrices the system was built from, and
-    diagnostics["search_l1_from_crude"] the L1 distance the search moved
-    the counts from the crude ones. Raises ValueError on a non-finite
-    update and DegenerateUpdateError when the update carries no signal;
-    both checks come before the context is read.
+    m * batch_size labels of the round. A multi-epoch update whose shard is
+    exactly one batch (update.n_samples == batch_size, the server-known
+    shard size) then runs the posterior search on the context's logits,
+    unless search_iters is 0: only then does every epoch see the same
+    labels, as the search assumes. Other multi-epoch updates return the
+    crude counts. Nothing here is random: the result is a deterministic
+    function of the four arguments. diagnostics["confusion_se"] is the
+    largest standard error of an entry of the matrices the system was
+    built from; a search adds the L1 distance it moved the counts from the
+    crude ones, the units it moved and why it stopped. Raises ValueError
+    on a non-finite update and DegenerateUpdateError when the update
+    carries no signal; both checks come before the context is read.
     """
     if not carries_signal(update, cfg):
         raise DegenerateUpdateError("eta = 0 or an all-zero delta carries no gradient signal")
@@ -483,13 +511,15 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
         diagnostics["crude_counts"] = [int(c) for c in crude]
         method = METHOD_CRUDE
         search_iters = context.params.search_iters
-        if search_iters:
+        if search_iters and update.n_samples == cfg.batch_size:
             embed_norm = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
             diagnostics["embedding_norm"] = float(embed_norm)
-            counts = posterior_search(
+            counts, moves, stop = posterior_search(
                 crude, context.logits, context.s_first, matrices[-1], embed_norm, cfg, search_iters
             )
             diagnostics["search_l1_from_crude"] = int(np.abs(counts - crude).sum())
+            diagnostics["search_moves"] = moves
+            diagnostics["search_stop"] = stop
             method = METHOD_SEARCH
     diagnostics["solver_iterations"] = info["iterations"]
     diagnostics["solver_converged"] = info["converged"]

@@ -74,11 +74,19 @@ class SchemeConfig:
 
 @dataclass
 class LocalUpdate:
-    """What a client transmits for one round, plus debug-only extras."""
+    """What a client transmits for one round, plus debug-only extras.
+
+    n_samples is the client's shard size n_k. The server knows it without
+    any leak, because it weights the aggregate by it; run_round sets it
+    from the shard for every client, idle ones included, and takes the
+    aggregate weights from it. It is a count of samples held, never of
+    labels.
+    """
 
     delta: ParamVec
     round: int
     client_id: int
+    n_samples: int
     # Debug/test channel: (m, N) batch-mean CE bias gradients per epoch.
     # The attack pipeline must never read this.
     debug_ce_bias_grads: np.ndarray = field(repr=False, default=None)
@@ -213,7 +221,7 @@ def local_train(
     delta = params.sub(theta0)
     if not np.isfinite(delta.max_abs()):
         raise RuntimeError(f"non-finite parameters after local training at round {round_idx} client {client_id}")
-    update = LocalUpdate(delta, round_idx, client_id, ce_bias_grads, first_loss)
+    update = LocalUpdate(delta, round_idx, client_id, len(data), ce_bias_grads, first_loss)
     return update, local
 
 
@@ -273,19 +281,16 @@ def run_round(
     Returns (new_global, updates, truth_counts, stats, new_histories).
     updates[k] is the k-th client's LocalUpdate; clients whose shard is
     smaller than batch_size participate with a zero update and get
-    truth_counts[k] = None, stats[k] = None. truth_counts is ground truth
-    for evaluation only. new_histories are new records for the start of
-    round round_idx + 1; they share arrays with the updates and with each
-    other, and the input records stay at round-start state.
+    truth_counts[k] = None, stats[k] = None. Every update carries its
+    shard size as n_samples, and the aggregate weights are those sizes
+    over their sum. truth_counts is ground truth for evaluation only.
+    new_histories are new records for the start of round round_idx + 1;
+    they share arrays with the updates and with each other, and the input
+    records stay at round-start state.
     """
     n_clients = partition.n_clients
     if len(histories) != n_clients:
         raise ValueError("one history per client required")
-    sizes = np.array([len(a) for a in partition.assignments], dtype=np.float64)
-    if sizes.sum() == 0:
-        raise ValueError("empty partition")
-    weights = sizes / sizes.sum()
-
     updates, truths, stats = [], [], []
     for k in range(n_clients):
         shard = partition.assignments[k]
@@ -294,6 +299,7 @@ def run_round(
                 zeros_like_params(global_model),
                 round_idx,
                 k,
+                len(shard),
                 np.zeros((cfg.epochs, global_model.n_classes)),
             )
             updates.append(zero)
@@ -312,7 +318,10 @@ def run_round(
             }
         )
 
-    new_global = server_aggregate(updates, weights, global_model)
+    sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
+    if sizes.sum() == 0:
+        raise ValueError("empty partition")
+    new_global = server_aggregate(updates, sizes / sizes.sum(), global_model)
     global_delta = new_global.params().sub(global_model.params())
     new_histories = [_record_round(h, u.delta, global_delta) for h, u in zip(histories, updates)]
     if cfg.scheme == "scaffold":

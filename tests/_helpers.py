@@ -17,18 +17,20 @@ def blob_world(seed, n_classes=10, dim=16, per_class=100, separation=4.0,
     return dataset, aux, partition, model
 
 
-def full_batch_world(seed, n_classes=10, dim=16, separation=4.0, shard_size=32):
-    """Single client whose shard size equals the batch size.
+def full_batch_world(seed, n_classes=10, dim=16, separation=4.0, shard_size=32, clients=1):
+    """Clients whose shards all hold shard_size samples, one client by default.
 
-    Every local epoch then passes over the whole shard, so the per-epoch
-    label counts are one fixed vector and the round totals are exact
-    multiples of the epoch count.
+    With shard_size equal to the batch size every local epoch passes over
+    the whole shard, so the per-epoch label counts are one fixed vector and
+    the round totals are exact multiples of the epoch count. The shards
+    are disjoint slices of one permutation of the dataset.
     """
     dataset = make_synthetic(n_classes, dim, 10, separation, seed=1000 + seed)
     aux = make_auxiliary(n_classes, dim, 100, separation, seed=5000 + seed)
     rng = np.random.default_rng(2000 + seed)
-    shard = np.sort(rng.permutation(len(dataset.labels))[:shard_size])
-    partition = Partition([shard], alpha=0.0, seed=0)
+    order = rng.permutation(len(dataset.labels))
+    shards = [np.sort(order[k * shard_size:(k + 1) * shard_size]) for k in range(clients)]
+    partition = Partition(shards, alpha=0.0, seed=0)
     model = init_model([dim, 32, 16, n_classes], "relu", seed=3000 + seed)
     return dataset, aux, partition, model
 

@@ -29,7 +29,7 @@ from fedleak.attack import (
     solve_simplex_ls,
 )
 from fedleak._kernels import mean_softmax
-from fedleak.data import Dataset, make_synthetic, plan_batches
+from fedleak.data import Dataset, largest_remainder, make_synthetic, plan_batches
 from fedleak.fedsim import (
     LocalUpdate,
     SchemeConfig,
@@ -38,7 +38,7 @@ from fedleak.fedsim import (
 )
 from fedleak.metrics import iacc
 from fedleak import attack as attack_module
-from fedleak.nn import Model, forward_batch, init_model, zeros_like_params
+from fedleak.nn import Model, forward_batch, init_model, softmax_rows, zeros_like_params
 
 from _helpers import blob_world, fedavg_cfg, full_batch_world, one_round
 
@@ -352,7 +352,7 @@ def test_build_system_columns_sum_to_zero():
 def snap_update(model, delta_b, round_idx=1):
     delta = zeros_like_params(model)
     delta.biases[-1][:] = delta_b
-    return LocalUpdate(delta, round_idx, 0, np.zeros((1, model.n_classes)))
+    return LocalUpdate(delta, round_idx, 0, 32, np.zeros((1, model.n_classes)))
 
 
 def test_make_target_single_epoch_is_delta_over_eta():
@@ -564,10 +564,11 @@ def test_posterior_search_zero_iterations_passthrough():
     logits = noisy_logits(4, 100)
     s = plugin_confusion(logits)
     crude = np.array([13, 9, 6, 4])
-    refined = posterior_search(crude, logits, s, s, 0.5, cfg, search_iters=0)
+    refined, moves, stop = posterior_search(crude, logits, s, s, 0.5, cfg, search_iters=0)
     # 32 total over 4 epochs: per-epoch counts repaired to sum 8, times 4
     assert refined.sum() == 32
     npt.assert_array_equal(refined % 4, np.zeros(4))
+    assert (moves, stop) == (0, "iteration_cap")
 
 
 def test_posterior_search_validates_sum():
@@ -599,6 +600,7 @@ def test_posterior_search_fixed_point_on_full_batch_run():
     per_epoch = np.array(truths[0]) // 10
     npt.assert_array_equal(report.counts, per_epoch * 10)
     assert report.method == "posterior_search"
+    assert report.diagnostics["search_stop"] == "fixed_point"
     assert iacc(report.counts, truths[0], 10, 32) >= iacc(crude, truths[0], 10, 32)
 
 
@@ -618,12 +620,86 @@ def test_posterior_search_repairs_corrupted_counts():
     hi, lo = int(np.argmax(g_bad)), int(np.argmin(g_bad))
     g_bad[hi] -= 3
     g_bad[lo] += 3
-    refined = posterior_search(
-        g_bad * 10, logits, s_first, s_last, embed, cfg, search_iters=5, include_bias_factor=True,
-    )
+    refined, _, _ = posterior_search(g_bad * 10, logits, s_first, s_last, embed, cfg, search_iters=5)
     before = np.abs(g_bad * 10 - truths[0]).sum()
     after = np.abs(refined - truths[0]).sum()
     assert after < before
+
+
+def uneven_logits(n, seed):
+    """Per-class logit blocks of uneven sizes; class 1 has a single row."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 40, size=n)
+    sizes[1] = 1
+    return tuple(rng.standard_normal((k, n)) for k in sizes)
+
+
+def reference_search(crude, logits, s_first, s_last_observed, embed_norm, cfg, search_iters):
+    """posterior_search with one mean_softmax call per class block and epoch."""
+    n, m, batch = crude.size, cfg.epochs, cfg.batch_size
+    g = largest_remainder(crude / m, batch)
+    moves, stop = 0, "iteration_cap"
+    for _ in range(search_iters):
+        shift = np.zeros(n)
+        s_cur = s_first.s
+        for _tau in range(m):
+            shift += cfg.eta / batch * (g * s_cur.sum(axis=1) - s_cur.T @ g) * (embed_norm + 1.0)
+            s_cur = np.array([mean_softmax(rows + shift) for rows in logits])
+            np.fill_diagonal(s_cur, 0.0)
+        d = (s_last_observed.s - s_cur).sum(axis=0) / (n - 1)
+        hi, lo = int(np.argmax(d)), int(np.argmin(d))
+        if d[hi] - d[lo] <= 0.01:
+            stop = "fixed_point"
+            break
+        if g[lo] < 1:
+            stop = "count_floor"
+            break
+        g[hi] += 1
+        g[lo] -= 1
+        moves += 1
+    return g * m, moves, stop
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plugin_confusion_matches_per_block_reference(seed):
+    logits = uneven_logits(6, seed)
+    confusion = plugin_confusion(logits)
+    expected_s = np.array([mean_softmax(rows) for rows in logits])
+    np.fill_diagonal(expected_s, 0.0)
+    assert np.array_equal(confusion.s, expected_s)
+    for n, rows in enumerate(logits):
+        probs = softmax_rows(rows)
+        se = probs.std(axis=0, ddof=1 if len(rows) > 1 else 0) / np.sqrt(len(rows))
+        se[n] = 0.0
+        assert confusion.se[n] == pytest.approx(se, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_posterior_search_matches_per_block_reference(seed):
+    logits = uneven_logits(6, seed)
+    cfg = fedavg_cfg(eta=0.5, epochs=4, batch_size=12)
+    s_first = plugin_confusion(logits)
+    rng = np.random.default_rng(100 + seed)
+    s_last = plugin_confusion(tuple(rows + rng.standard_normal(6) for rows in logits))
+    crude = np.array([8, 4, 12, 8, 12, 4])
+    counts, moves, stop = posterior_search(crude, logits, s_first, s_last, 2.0, cfg, search_iters=8)
+    ref_counts, ref_moves, ref_stop = reference_search(crude, logits, s_first, s_last, 2.0, cfg, 8)
+    assert np.array_equal(counts, ref_counts)
+    assert (moves, stop) == (ref_moves, ref_stop)
+    assert moves > 0
+
+
+def test_posterior_search_stops_at_count_floor():
+    logits = uneven_logits(4, 3)
+    cfg = fedavg_cfg(eta=0.5, epochs=2, batch_size=8)
+    s_first = plugin_confusion(logits)
+    # the observed matrix says class 2 is over-counted, but it has no unit left
+    observed = np.zeros((4, 4))
+    observed[:, 2] = -1.0
+    crude = np.array([6, 4, 0, 6])
+    counts, moves, stop = posterior_search(crude, logits, s_first, ConfusionMatrix(observed), 1.0, cfg)
+    assert (moves, stop) == (0, "count_floor")
+    npt.assert_array_equal(counts, crude)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -693,7 +769,7 @@ def test_rlu_degenerate_updates_raise():
     data, aux, partition, model = blob_world(2)
     cfg = fedavg_cfg(eta=0.0, epochs=1, batch_size=32)
     history = UpdateHistory.fresh(model)
-    zero = LocalUpdate(zeros_like_params(model), 1, 0, np.zeros((1, 10)))
+    zero = LocalUpdate(zeros_like_params(model), 1, 0, 32, np.zeros((1, 10)))
     # the checks come before the context is read, so rounds without a
     # context (run_experiment builds none when no update carries signal)
     # still get the error
@@ -703,7 +779,7 @@ def test_rlu_degenerate_updates_raise():
     with pytest.raises(DegenerateUpdateError):
         rlu_attack(None, zero, cfg2, history)
     assert not carries_signal(zero, cfg2)
-    nonzero = LocalUpdate(zeros_like_params(model), 1, 0, np.zeros((1, 10)))
+    nonzero = LocalUpdate(zeros_like_params(model), 1, 0, 32, np.zeros((1, 10)))
     nonzero.delta.biases[-1][0] = 1e-3
     assert carries_signal(nonzero, cfg2) and not carries_signal(nonzero, cfg)
 
@@ -716,13 +792,13 @@ def test_rlu_non_finite_update_raises_value_error():
         delta = zeros_like_params(model)
         for arr in delta.weights + delta.biases:
             arr[...] = bad
-        broken = LocalUpdate(delta, 1, 0, updates[0].debug_ce_bias_grads)
+        broken = LocalUpdate(delta, 1, 0, 32, updates[0].debug_ce_bias_grads)
         with pytest.raises(ValueError, match="not finite"):
             rlu_attack(None, broken, cfg, histories[0])
     # one NaN entry among finite ones is caught too
     delta = updates[0].delta.copy()
     delta.biases[-1][2] = np.nan
-    broken = LocalUpdate(delta, 1, 0, updates[0].debug_ce_bias_grads)
+    broken = LocalUpdate(delta, 1, 0, 32, updates[0].debug_ce_bias_grads)
     with pytest.raises(ValueError, match="not finite"):
         rlu_attack(None, broken, cfg, histories[0])
 
@@ -734,7 +810,7 @@ def test_rlu_ignores_debug_channel():
     cfg = fedavg_cfg(eta=0.01, epochs=4, batch_size=32)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=5)
     update = updates[0]
-    blinded = LocalUpdate(update.delta, update.round, update.client_id,
+    blinded = LocalUpdate(update.delta, update.round, update.client_id, update.n_samples,
                           np.zeros_like(update.debug_ce_bias_grads))
     context = prepare_round(model, aux, AttackParams())
     a = rlu_attack(context, update, cfg, histories[0])
@@ -796,6 +872,39 @@ def test_rlu_crude_multi_epoch_returns_crude_counts():
     assert attacked >= 2
 
 
+@pytest.mark.parametrize("shard_size, method", [(32, "posterior_search"), (33, "crude_multi_epoch")])
+def test_rlu_searches_only_when_the_shard_is_one_batch(shard_size, method):
+    # the search assumes every epoch sees the same labels, which holds only
+    # when the shard is exactly one batch
+    data, aux, partition, model = full_batch_world(2, shard_size=shard_size)
+    cfg = fedavg_cfg(eta=0.01, epochs=5, batch_size=32)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=2)
+    assert updates[0].n_samples == shard_size
+    report = rlu_attack(prepare_round(model, aux, AttackParams(search_iters=5)), updates[0], cfg, histories[0])
+    assert report.method == method
+    if method == "crude_multi_epoch":
+        assert [int(c) for c in report.counts] == report.diagnostics["crude_counts"]
+        assert "embedding_norm" not in report.diagnostics
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 5.0])
+def test_default_attack_not_worse_than_its_crude_counts(alpha):
+    # criterion 08's worlds: m = 10 on Dirichlet shards larger than a batch
+    crude_scores, scores = [], []
+    for seed in range(10):
+        data, aux, partition, model = blob_world(seed, alpha=alpha)
+        cfg = fedavg_cfg(eta=0.01, epochs=10, batch_size=32)
+        _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
+        context = prepare_round(model, aux, AttackParams())
+        for k, update in enumerate(updates):
+            if truths[k] is None:
+                continue
+            report = rlu_attack(context, update, cfg, histories[k])
+            crude_scores.append(iacc(np.array(report.diagnostics["crude_counts"]), truths[k], 10, 32))
+            scores.append(iacc(report.counts, truths[k], 10, 32))
+    assert np.mean(scores) >= np.mean(crude_scores)
+
+
 BASE_DIAGNOSTICS = {"confusion_se", "solver_iterations", "solver_converged"}
 
 
@@ -804,7 +913,12 @@ BASE_DIAGNOSTICS = {"confusion_se", "solver_iterations", "solver_converged"}
     [
         (1, 5, "single_epoch", set()),
         (3, 0, "crude_multi_epoch", {"crude_counts"}),
-        (3, 5, "posterior_search", {"crude_counts", "embedding_norm", "search_l1_from_crude"}),
+        (
+            3,
+            5,
+            "posterior_search",
+            {"crude_counts", "embedding_norm", "search_l1_from_crude", "search_moves", "search_stop"},
+        ),
     ],
     ids=["single", "crude", "search"],
 )
@@ -816,10 +930,13 @@ def test_rlu_diagnostics_keys_per_method(epochs, search_iters, method, extra):
     report = rlu_attack(context, updates[0], cfg, histories[0])
     assert report.method == method
     assert set(report.diagnostics) == BASE_DIAGNOSTICS | extra
+    if method == "posterior_search":
+        assert report.diagnostics["search_stop"] in ("fixed_point", "iteration_cap", "count_floor")
+        assert type(report.diagnostics["search_moves"]) is int
 
 
 def test_rlu_search_reports_its_distance_from_crude():
-    data, aux, partition, model = blob_world(3, clients=4)
+    data, aux, partition, model = full_batch_world(3, shard_size=16, clients=4)
     cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
     k = next(k for k, truth in enumerate(truths) if truth is not None)
@@ -875,7 +992,7 @@ def test_round_context_first_matrix_is_mean_aux_softmax():
 
 
 def test_round_context_unchanged_by_multi_epoch_attacks():
-    data, aux, partition, model = blob_world(3, clients=4)
+    data, aux, partition, model = full_batch_world(3, shard_size=16, clients=4)
     cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
     params = AttackParams(search_iters=3)
@@ -905,7 +1022,7 @@ def test_rlu_attack_draws_no_random_numbers(monkeypatch):
     # neither building the round's context nor attacking with it draws
     # random numbers, so both run with numpy's generator and seed
     # constructors disabled
-    data, aux, partition, model = blob_world(3, clients=4)
+    data, aux, partition, model = full_batch_world(3, shard_size=16, clients=4)
     cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
 
@@ -982,7 +1099,7 @@ def test_confusion_se_matches_hand_computation(epochs):
     cfg = fedavg_cfg(eta=0.1, epochs=epochs, batch_size=4)
     delta = zeros_like_params(model)
     delta.biases[-1][:] = [0.4, -0.1, -0.3]
-    update = LocalUpdate(delta, 1, 0, np.zeros((epochs, 3)))
+    update = LocalUpdate(delta, 1, 0, 4, np.zeros((epochs, 3)))
     report = rlu_attack(prepare_round(model, aux, AttackParams()), update, cfg, UpdateHistory.fresh(model))
     expected = hand_confusion_se(blocks)
     if epochs > 1:

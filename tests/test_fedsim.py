@@ -200,7 +200,7 @@ def test_aggregate_single_client_identity():
 
 def test_aggregate_zero_deltas_noop():
     _, _, model = small_world(seed=6)
-    zero = LocalUpdate(zeros_like_params(model), 1, 0, np.zeros((1, model.n_classes)))
+    zero = LocalUpdate(zeros_like_params(model), 1, 0, 32, np.zeros((1, model.n_classes)))
     merged = server_aggregate([zero, zero], np.array([0.5, 0.5]), model)
     for a, b in zip(merged.weights, model.weights):
         assert np.array_equal(a, b)
@@ -211,8 +211,8 @@ def test_aggregate_opposite_deltas_cancel():
     v = zeros_like_params(model)
     for w in v.weights:
         w[:] = 0.37
-    plus = LocalUpdate(v, 1, 0, np.zeros((1, model.n_classes)))
-    minus = LocalUpdate(v.scaled(-1.0), 1, 1, np.zeros((1, model.n_classes)))
+    plus = LocalUpdate(v, 1, 0, 32, np.zeros((1, model.n_classes)))
+    minus = LocalUpdate(v.scaled(-1.0), 1, 1, 32, np.zeros((1, model.n_classes)))
     merged = server_aggregate([plus, minus], np.array([0.5, 0.5]), model)
     for a, b in zip(merged.weights, model.weights):
         npt.assert_allclose(a, b, atol=1e-15)
@@ -220,7 +220,7 @@ def test_aggregate_opposite_deltas_cancel():
 
 def test_aggregate_weight_validation():
     _, _, model = small_world(seed=6)
-    zero = LocalUpdate(zeros_like_params(model), 1, 0, np.zeros((1, model.n_classes)))
+    zero = LocalUpdate(zeros_like_params(model), 1, 0, 32, np.zeros((1, model.n_classes)))
     with pytest.raises(ValueError):
         server_aggregate([zero], np.array([0.5]), model)
     with pytest.raises(ValueError):
@@ -234,7 +234,7 @@ def test_aggregate_linearity():
     weights = np.array([0.3, 0.7])
     merged = server_aggregate(updates, weights, model)
     scaled_updates = [
-        LocalUpdate(u.delta.scaled(2.0), u.round, u.client_id, u.debug_ce_bias_grads)
+        LocalUpdate(u.delta.scaled(2.0), u.round, u.client_id, u.n_samples, u.debug_ce_bias_grads)
         for u in updates
     ]
     merged2 = server_aggregate(scaled_updates, weights, model)
@@ -301,12 +301,17 @@ def test_run_round_under_provisioned_client_zero_update():
     model = init_model([4, 8, 3], "relu", seed=30)
     cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
     histories = [UpdateHistory.fresh(model) for _ in range(2)]
-    _, updates, truths, stats, _ = run_round(
+    new_model, updates, truths, stats, _ = run_round(
         model, data, partition, cfg, histories, 1, seed=30
     )
     assert updates[0].delta.max_abs() == 0.0
     assert truths[0] is None and stats[0] is None
     assert truths[1] is not None
+    # the idle client still reports its shard size, and keeps its weight
+    assert [u.n_samples for u in updates] == [5, 85]
+    expected = server_aggregate(updates, np.array([5.0, 85.0]) / 90.0, model)
+    for a, b in zip(new_model.weights + new_model.biases, expected.weights + expected.biases):
+        assert np.array_equal(a, b)
 
 
 def test_run_round_one_backward_per_epoch(monkeypatch):
