@@ -90,6 +90,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
+        if self.scheme.eta == 0:
+            # SchemeConfig allows it for library use, but a run would only
+            # write degenerate rows: an update with eta = 0 carries no signal
+            raise ValueError("eta must be above 0: with eta = 0 no update carries a signal to attack")
 
 
 def _is_int(value) -> bool:
@@ -199,8 +203,18 @@ def _build_world(cfg: ExperimentConfig):
 
 
 def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
-    """Simulate cfg.rounds rounds, attack every update, return result rows."""
+    """Simulate cfg.rounds rounds, attack every update, return result rows.
+
+    Raises ValueError before any training when no client's shard fills a
+    batch, because then every update of the run would be degenerate.
+    """
     dataset, aux, partition, model = _build_world(cfg)
+    largest = max(len(shard) for shard in partition.assignments)
+    if largest < cfg.scheme.batch_size:
+        raise ValueError(
+            f"batch_size {cfg.scheme.batch_size} is above the largest client shard ({largest} samples):"
+            " no client can fill a batch, so no update carries a signal to attack"
+        )
     histories = [fed.UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     rows = []
     current = model
@@ -210,11 +224,7 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
         )
         if round_log:
             fed.append_round_log(round_log, t, cfg.scheme, stats)
-        # rlu_attack rejects updates without signal before it reads the
-        # context, so a round of only such updates needs none
-        context = None
-        if any(atk.carries_signal(u, cfg.scheme) for u in updates):
-            context = atk.prepare_round(current, aux, cfg.attack)
+        context = atk.prepare_round(current, aux, cfg.attack)
         for k in range(partition.n_clients):
             start = time.perf_counter()
             row = {

@@ -28,7 +28,8 @@ from fedleak.attack import (
     scheme_coefficients,
     solve_simplex_ls,
 )
-from fedleak._kernels import mean_softmax
+from fedleak import _kernels
+from fedleak._kernels import mean_softmax, pgd_simplex_ls
 from fedleak.data import Dataset, largest_remainder, make_synthetic, plan_batches
 from fedleak.fedsim import (
     LocalUpdate,
@@ -472,14 +473,147 @@ def test_solver_zero_matrix_returns_uniform():
     npt.assert_allclose(z, np.full(4, 0.25), atol=1e-12)
 
 
-def test_solver_reports_convergence_flag():
-    rng = np.random.default_rng(3)
+def test_solver_reports_unconverged_at_the_solve_cap(monkeypatch):
+    # this instance needs two KKT solves: the warm start and one on the
+    # support of its projection
+    rng = np.random.default_rng(6)
     a = rng.normal(size=(5, 5))
     u = rng.normal(size=5)
-    _, info = solve_simplex_ls(a, u, tol=1e-10, max_iters=10000)
-    assert info["converged"]
-    _, info = solve_simplex_ls(a, u, tol=0.0, max_iters=3)
-    assert not info["converged"]
+    z_full, info = solve_simplex_ls(a, u)
+    assert info["converged"] and info["iterations"] == 2
+    monkeypatch.setattr(_kernels, "MAX_KKT_SOLVES", 1)
+    z, info = solve_simplex_ls(a, u)
+    assert info["converged"] is False
+    assert info["iterations"] == 1
+    assert z.min() >= 0.0 and abs(z.sum() - 1.0) <= 1e-12
+    resid = a @ z_full - u
+    assert info["objective"] > resid @ resid
+
+
+def test_solver_descends_on_the_simplex_under_every_solve_cap(monkeypatch):
+    # each KKT solve moves toward the minimizer on the current face, so a
+    # lower cap returns a point on the simplex that is no better
+    rng = np.random.default_rng(12)
+    default_cap = _kernels.MAX_KKT_SOLVES
+    for _ in range(20):
+        a, u = rng.normal(size=(10, 10)), rng.normal(size=10)
+        monkeypatch.setattr(_kernels, "MAX_KKT_SOLVES", default_cap)
+        _, info = solve_simplex_ls(a, u)
+        full = info["iterations"]
+        previous = np.inf
+        for cap in range(1, full + 1):
+            monkeypatch.setattr(_kernels, "MAX_KKT_SOLVES", cap)
+            z, info = solve_simplex_ls(a, u)
+            assert info["converged"] is (cap == full)
+            assert z.min() >= 0.0 and abs(z.sum() - 1.0) <= 1e-12
+            assert info["objective"] <= previous * (1.0 + 1e-12)
+            previous = info["objective"]
+
+
+def kkt_violations(a, u, z):
+    """How far z is from the simplex KKT conditions of min ||A z - u||^2.
+
+    Returns (most negative entry, |sum - 1|, spread of the gradient
+    A^T (A z - u) on the support, most negative multiplier off it), the last
+    two over the gradient scale max|A^T A| + max|A^T u|.
+    """
+    grad = a.T @ (a @ z - u)
+    scale = np.abs(a.T @ a).max() + np.abs(a.T @ u).max()
+    support = z > 0.0
+    level = grad[support].mean()
+    off = grad[~support] - level
+    return (
+        min(float(z.min()), 0.0),
+        abs(float(z.sum()) - 1.0),
+        float(np.ptp(grad[support])) / scale,
+        min(float(off.min()), 0.0) / scale if off.size else 0.0,
+    )
+
+
+def random_confusion_system(rng, n):
+    s = rng.random((n, n)) * 0.3
+    np.fill_diagonal(s, 0.0)
+    a = build_system(ConfusionMatrix(s))
+    z_true = rng.dirichlet(np.full(n, 0.3))
+    return a, a @ z_true + rng.normal(size=n) * 1e-3
+
+
+@pytest.mark.parametrize("kind, n", [("general", 4), ("general", 10), ("confusion", 10), ("confusion", 100)])
+def test_solver_meets_kkt_conditions(kind, n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(20 if n < 100 else 5):
+        if kind == "general":
+            a, u = rng.normal(size=(n, n)), rng.normal(size=n)
+        else:
+            a, u = random_confusion_system(rng, n)
+        z, info = solve_simplex_ls(a, u)
+        assert info["converged"]
+        negative, sum_gap, spread, multiplier = kkt_violations(a, u, z)
+        assert negative == 0.0
+        assert sum_gap <= 1e-12
+        assert spread <= 1e-12
+        assert multiplier >= -1e-12
+
+
+def test_solver_adds_a_class_whose_multiplier_is_small():
+    # G = diag(w) and b put the optimum at [0.6, 0.4 - eps, eps, 0]; the
+    # warm start's projection drops class 2, whose multiplier on support
+    # {0, 1} is then only -10.5 eps, yet far above rounding
+    eps = 1e-7
+    w = np.array([1.0, 1.0, 10.0, 1.0])
+    b = np.array([0.6, 0.4 - eps, 10.0 * eps, -0.5])
+    z, info = solve_simplex_ls(np.diag(np.sqrt(w)), b / np.sqrt(w))
+    assert info["converged"] and info["iterations"] == 3
+    npt.assert_allclose(z, [0.6, 0.4 - eps, eps, 0.0], rtol=0.0, atol=1e-15)
+
+
+def test_solver_counts_match_converged_pgd_on_single_epoch_worlds():
+    # the criterion-06 worlds: projected gradient run to an iterate change
+    # of 1e-14 rounds to the same counts
+    compared = 0
+    for seed in range(20):
+        data, aux, partition, model = blob_world(seed)
+        cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
+        _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
+        a = build_system(prepare_round(model, aux, AttackParams()).s_first)
+        step = 1.0 / float(np.linalg.eigvalsh(a.T @ a)[-1])
+        for k, update in enumerate(updates):
+            if truths[k] is None:
+                continue
+            u = make_target(update, scheme_coefficients(cfg, 1, histories[k]), cfg)
+            z, _ = solve_simplex_ls(a, u)
+            z_pgd, _, converged = pgd_simplex_ls(a, u, step, 1e-14, 100000)
+            assert converged
+            npt.assert_array_equal(round_counts(z, 32), round_counts(z_pgd, 32))
+            compared += 1
+    assert compared == 196
+
+
+def rank_deficient_system(kind, rng):
+    a = rng.normal(size=(4, 4))
+    u = rng.normal(size=4)
+    if kind == "duplicate_columns":
+        a[:, 2] = a[:, 0]
+    elif kind == "zero_column":
+        a[:, 1] = 0.0
+    else:
+        # rank 3, and a generic u has a component outside the range of A
+        a[:, 3] = a[:, 0] + a[:, 1]
+        u = u + 10.0 * np.linalg.svd(a)[0][:, -1]
+    return a, u
+
+
+@pytest.mark.parametrize("kind", ["duplicate_columns", "zero_column", "u_outside_range"])
+def test_solver_rank_deficient_systems(kind):
+    rng = np.random.default_rng(11)
+    grid = simplex_grid(4, 0.02)
+    for _ in range(50):
+        a, u = rank_deficient_system(kind, rng)
+        z, info = solve_simplex_ls(a, u)
+        assert info["converged"]
+        assert z.min() >= 0.0 and abs(z.sum() - 1.0) <= 1e-12
+        grid_best = float(((grid @ a.T - u) ** 2).sum(axis=1).min())
+        assert info["objective"] <= grid_best + 1e-12
 
 
 # ---------------------------------------------------------------- rounding

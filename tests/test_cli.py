@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedleak import attack, fedsim
+from fedleak import attack, cli, fedsim
 from fedleak.cli import (
     _GAUSS_SAMPLES,
     RESULT_COLUMNS,
@@ -120,15 +120,45 @@ def test_run_deterministic_modulo_wall_time(tmp_path):
         assert da == db
 
 
-def test_run_eta_zero_rows_degenerate_exit_zero(tmp_path):
+def test_run_eta_zero_exit_one(tmp_path, capsys, monkeypatch):
+    # every update of such a run would be degenerate, so it never trains
+    calls = []
+    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: calls.append(1))
     out = tmp_path / "res.csv"
     rc = main(["run", "--seed", "0", "--eta", "0.0", "--epochs", "1",
                "--output", str(out), *small_args(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(r"\beta\b", err)
+    assert not out.exists()
+    assert calls == []
+
+
+def test_run_batch_above_every_shard_exit_one(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: calls.append(1))
+    cfg = _config_from_args(build_parser().parse_args(["run", "--seed", "0", *small_args(tmp_path)]))
+    largest = max(len(shard) for shard in cli._build_world(cfg)[2].assignments)
+    out = tmp_path / "res.csv"
+    rc = main(["run", "--seed", "0", "--batch-size", str(largest + 1),
+               "--output", str(out), *small_args(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(r"\bbatch_size\b", err)
+    assert f"({largest} samples)" in err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_run_batch_equal_to_largest_shard_trains_that_client(tmp_path):
+    cfg = _config_from_args(build_parser().parse_args(["run", "--seed", "0", *small_args(tmp_path)]))
+    sizes = [len(shard) for shard in cli._build_world(cfg)[2].assignments]
+    out = tmp_path / "res.csv"
+    rc = main(["run", "--seed", "0", "--batch-size", str(max(sizes)),
+               "--output", str(out), *small_args(tmp_path)])
     assert rc == 0
-    rows = read_rows(out)
-    assert rows
-    assert all(r["status"] == "degenerate" for r in rows)
-    assert all(r["iacc"] == "" for r in rows)
+    ok = [int(r["client"]) for r in read_rows(out) if r["status"] == "ok"]
+    assert ok == [k for k, size in enumerate(sizes) if size == max(sizes)]
 
 
 def test_run_writes_reports_and_round_log(tmp_path):
@@ -634,13 +664,19 @@ def test_run_experiment_monte_carlo_calls_per_round(monkeypatch, epochs):
     assert len(calls) == cfg.rounds + (trained if epochs > 1 else 0)
 
 
-@pytest.mark.parametrize("scheme", [{"eta": 0.0}, {"batch_size": 1000}], ids=["eta0", "untrained"])
-def test_run_experiment_unattackable_rounds_build_no_context(monkeypatch, scheme):
+@pytest.mark.parametrize(
+    "scheme, name", [({"eta": 0.0}, "eta"), ({"batch_size": 1000}, "batch_size")], ids=["eta0", "untrained"]
+)
+def test_run_experiment_unattackable_rounds_build_no_context(monkeypatch, scheme, name):
+    # a run whose every update would be degenerate is rejected before it
+    # trains or builds a round context
     calls = count_confusion_builds(monkeypatch)
-    rows = run_experiment(small_experiment(**scheme))
-    assert len(rows) == 6
-    assert all(r["status"] == "degenerate" for r in rows)
+    trained = []
+    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: trained.append(1))
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        run_experiment(small_experiment(**scheme))
     assert calls == []
+    assert trained == []
 
 
 @pytest.mark.parametrize(

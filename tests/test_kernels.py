@@ -1,12 +1,13 @@
-"""The numpy kernels of the attack: softmax averaging, simplex projection, PGD."""
+"""The numpy kernels of the attack: softmax averaging, simplex projection, PGD, KKT solves."""
 import os
 import subprocess
 import sys
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
-from fedleak._kernels import mean_softmax, pgd_simplex_ls, project_simplex
+from fedleak._kernels import _kkt_solve, mean_softmax, pgd_simplex_ls, project_simplex
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -72,6 +73,26 @@ def test_pgd_iteration_budget_respected():
     assert iters == 7
     assert not converged
     assert abs(z.sum() - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "corner, rhs",
+    [
+        # LU pivots on 2^-52 here and returns entries near 4.5e12
+        (1.0 + 2.0**-52, [0.5, 0.501, 1.0]),
+        # exactly singular: LU raises
+        (1.0, [0.5, 0.5, 1.0]),
+    ],
+    ids=["huge_lu_solution", "lu_raises"],
+)
+def test_kkt_solve_takes_least_squares_on_a_singular_system(corner, rhs):
+    # G = [[1, 1], [1, corner]]: two (nearly) duplicate columns of A
+    kkt = np.array([[1.0, 1.0, 1.0], [1.0, corner, 1.0], [1.0, 1.0, 0.0]])
+    rhs = np.array(rhs)
+    x = _kkt_solve(kkt, rhs, np.arange(3), 1e10)
+    lsq = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    npt.assert_array_equal(x, lsq)
+    npt.assert_allclose(x[:2], [0.5, 0.5], atol=1e-12)
 
 
 def test_single_path_ignores_an_importable_numba(tmp_path):
