@@ -44,7 +44,15 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
     cond = u + (1.0 - css) / ks > 0.0
-    k = np.nonzero(cond)[0][-1]
+    hits = np.nonzero(cond)[0]
+    if hits.size == 0:
+        # k = 0 always satisfies cond exactly (u[0] + 1 - u[0] = 1), but near
+        # 1e16 and above every entry rounds to False and v - theta would
+        # round as well; the k = 0 projection is the largest entry's vertex
+        out = np.zeros(v.shape)
+        out[np.argmax(v)] = 1.0
+        return out
+    k = hits[-1]
     theta = (css[k] - 1.0) / (k + 1.0)
     return np.maximum(v - theta, 0.0)
 

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from fedleak import fedsim
 from fedleak.attack import scheme_coefficients
-from fedleak.data import Dataset, dirichlet_partition, make_synthetic, plan_batches
+from fedleak.data import Dataset, Partition, dirichlet_partition, make_synthetic, plan_batches
 from fedleak.fedsim import (
     LocalUpdate,
     SchemeConfig,
@@ -380,6 +381,168 @@ def test_run_round_leaves_input_histories_unchanged(scheme):
                 assert a.tobytes() == b.tobytes()
         assert [h.completed_rounds for h in new_histories] == [t] * partition.n_clients
         histories = new_histories
+
+
+# ------------------------------------------------------- threaded clients
+
+def _threaded_world():
+    """Four clients on the small world: one below the batch, three training."""
+    data, _, model = small_world(seed=21)
+    order = np.random.default_rng(21).permutation(len(data.labels))
+    shards = [np.sort(order[a:b]) for a, b in ((0, 5), (5, 80), (80, 160), (160, 240))]
+    return data, Partition(shards, alpha=0.0, seed=0), model
+
+
+def _record_pools(monkeypatch):
+    """Record the max_workers of every pool run_round opens."""
+    opened = []
+    real = fedsim.ThreadPoolExecutor
+
+    def recording(max_workers):
+        opened.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(fedsim, "ThreadPoolExecutor", recording)
+    return opened
+
+
+def _force_pool(monkeypatch, cpus=2):
+    monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 0)
+    monkeypatch.setattr(fedsim, "_usable_cpus", lambda: cpus)
+
+
+def _three_rounds(world, cfg):
+    data, partition, model = world
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    current, outs = model, []
+    for t in (1, 2, 3):
+        out = run_round(current, data, partition, cfg, histories, t, seed=21)
+        outs.append(out)
+        current, histories = out[0], out[4]
+    return outs
+
+
+def _assert_rounds_identical(seq, par):
+    for (g_a, u_a, t_a, s_a, h_a), (g_b, u_b, t_b, s_b, h_b) in zip(seq, par, strict=True):
+        for a, b in zip(g_a.weights + g_a.biases, g_b.weights + g_b.biases, strict=True):
+            assert np.array_equal(a, b)
+        for a, b in zip(u_a, u_b, strict=True):
+            assert (a.round, a.client_id, a.n_samples, a.first_loss) == (b.round, b.client_id, b.n_samples, b.first_loss)
+            assert np.array_equal(a.debug_ce_bias_grads, b.debug_ce_bias_grads)
+            for x, y in zip(a.delta.weights + a.delta.biases, b.delta.weights + b.delta.biases, strict=True):
+                assert np.array_equal(x, y)
+        assert [t is None for t in t_a] == [t is None for t in t_b]
+        for a, b in zip(t_a, t_b):
+            assert a is None or np.array_equal(a, b)
+        assert s_a == s_b
+        for a, b in zip(h_a, h_b, strict=True):
+            assert a.completed_rounds == b.completed_rounds
+            for x, y in zip(_record_arrays(a), _record_arrays(b), strict=True):
+                assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SchemeConfig(scheme="scaffold", optimizer="sgd", eta=0.05, epochs=3, batch_size=16),
+        SchemeConfig(scheme="feddc", optimizer="sgd", eta=0.05, lam=2.0, epochs=2, batch_size=16),
+    ],
+    ids=["scaffold", "feddc"],
+)
+def test_run_round_threaded_clients_bit_identical(monkeypatch, cfg):
+    world = _threaded_world()
+    opened = _record_pools(monkeypatch)
+    sequential = _three_rounds(world, cfg)
+    assert opened == []
+    _force_pool(monkeypatch)
+    threaded = _three_rounds(world, cfg)
+    assert opened == [2, 2, 2]
+    assert sum(s is not None for s in threaded[0][3]) == 3
+    _assert_rounds_identical(sequential, threaded)
+
+
+def test_run_round_more_workers_than_cores_with_fast_switching(monkeypatch):
+    # three workers on a 2-CPU host, switching threads every microsecond:
+    # any state the clients shared and wrote would show up as a difference
+    world = _threaded_world()
+    cfg = SchemeConfig(scheme="scaffold", optimizer="sgd", eta=0.05, epochs=3, batch_size=16)
+    sequential = _three_rounds(world, cfg)
+    opened = _record_pools(monkeypatch)
+    _force_pool(monkeypatch, cpus=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _three_rounds(world, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert opened == [3, 3, 3]
+    _assert_rounds_identical(sequential, threaded)
+
+
+def test_run_round_threaded_client_error_matches_sequential(monkeypatch):
+    data, partition, _ = _threaded_world()
+    model = init_model([6, 10, 4], "relu", seed=21)
+    cfg = fedavg_cfg(eta=1e160, epochs=3, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    messages = []
+    for force in (False, True):
+        if force:
+            _force_pool(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError) as err:
+            run_round(model, data, partition, cfg, histories, 1, seed=21)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "non-finite" in messages[0]
+
+
+def test_run_round_workers_keep_the_callers_errstate(monkeypatch):
+    # np.errstate is context-local; each worker runs in a copy of the caller's context
+    data, partition, _ = _threaded_world()
+    model = init_model([6, 10, 4], "relu", seed=21)
+    cfg = fedavg_cfg(eta=1e160, epochs=3, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    _force_pool(monkeypatch)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        run_round(model, data, partition, cfg, histories, 1, seed=21)
+
+
+def test_client_workers_never_exceed_cpus_or_trainers(monkeypatch):
+    _, partition, model = _threaded_world()
+    cfg = fedavg_cfg(epochs=1, batch_size=16)
+    monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 0)
+    for cpus, expected in ((1, 1), (2, 2), (8, 3)):
+        monkeypatch.setattr(fedsim, "_usable_cpus", lambda: cpus)
+        assert fedsim._client_workers(model, partition, cfg) == expected
+
+
+def _no_pool(max_workers):
+    raise AssertionError("run_round opened a thread pool")
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "one_trainer"])
+def test_run_round_above_the_gate_stays_sequential_without_two_workers(monkeypatch, case):
+    data, partition, model = _threaded_world()
+    cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
+    affinity = {0} if case == "one_cpu" else {0, 1}
+    monkeypatch.setattr(fedsim.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(fedsim, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 0)
+    if case == "one_trainer":
+        big = np.concatenate(partition.assignments[1:])
+        partition = Partition([partition.assignments[0], big], alpha=0.0, seed=0)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    _, _, truths, _, _ = run_round(model, data, partition, cfg, histories, 1, seed=21)
+    assert sum(t is not None for t in truths) >= 1
+
+
+def test_default_small_world_never_opens_a_pool(monkeypatch):
+    # the default small world's local step is far below the gate, even with CPUs to spare
+    data, partition, model = small_world(seed=22, clients=3)
+    monkeypatch.setattr(fedsim, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(fedsim, "ThreadPoolExecutor", _no_pool)
+    for scheme, lam in (("fedavg", 0.0), ("scaffold", 0.0), ("feddc", 2.0)):
+        cfg = SchemeConfig(scheme=scheme, optimizer="sgd", eta=0.05, lam=lam, epochs=2, batch_size=16)
+        _three_rounds((data, partition, model), cfg)
 
 
 # ----------------------------------------------------------------- scaffold

@@ -53,6 +53,15 @@ def test_project_simplex_fixed_points():
     npt.assert_allclose(project_simplex(one_hot), one_hot, atol=1e-12)
 
 
+@pytest.mark.parametrize("v", [[1e16, -1e16, 0.5], [1e17, 0.2, 0.3]])
+def test_project_simplex_huge_entries_give_the_vertex(v):
+    # at this scale the support condition rounds to False for every k,
+    # although k = 0 always meets it exactly
+    out = project_simplex(np.array(v))
+    assert out.min() >= 0.0 and out.sum() == 1.0
+    assert np.array_equal(out, [1.0, 0.0, 0.0])
+
+
 def test_pgd_reaches_feasible_target():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(5, 5))
