@@ -5,14 +5,14 @@ softmax of each class's logits into an erroneous-confidence matrix (the
 plug-in estimate), recombine the update's output-bias delta into a
 scheme-normalized target, solve a least-squares problem on the probability
 simplex, and round to integer counts. For a multi-epoch update whose
-shard is exactly one batch, every epoch sees the same labels, and a
-posterior search refines the crude solution by simulating how the
-confidences drift over the local epochs. The shard size is the one piece
-of client metadata the attack reads; the server knows it because it
+shard is exactly one batch, every epoch sees the same labels, so the
+round's counts are the epoch count times one per-epoch vector, and the
+crude counts are rounded onto that lattice. The shard size is the one
+piece of client metadata the attack reads; the server knows it because it
 weights the aggregate by it. Every update of a round is attacked against
-the same global model: prepare_round builds that model's per-class logits
-and confusion matrix once into a RoundContext, and rlu_attack takes the
-context with each update. Nothing on the attack path draws random numbers.
+the same global model: prepare_round builds that model's confusion matrix
+once into a RoundContext, and rlu_attack takes the context with each
+update. Nothing on the attack path draws random numbers.
 mc_confusion, the Gaussian Monte Carlo model of the same matrix, stays as
 a diagnostic of how far the logits are from Gaussian.
 
@@ -40,9 +40,6 @@ METHOD_SEARCH = "posterior_search"
 
 _JITTER_SCALE = 1e-6
 _JITTER_CAP = 1e-2
-# the posterior search moves a count unit only while the spread of its
-# per-class confidence gaps exceeds this
-_SEARCH_MIN_GAP = 0.01
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -75,8 +72,10 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class AttackParams:
-    """Search and solver settings shared by every attack of a run.
+    """Settings shared by every attack of a run.
 
+    search_iters switches the one-batch rounding of posterior_search: 0
+    keeps the crude multi-epoch counts, any positive value rounds them.
     mc_samples and search_mc_samples are still validated, so configs that
     set them keep loading, but the attack no longer reads them: its
     confusion matrices come from the auxiliary logits, not from draws.
@@ -101,16 +100,14 @@ class RoundContext:
 
     Every update of a round is attacked against the same round-start global
     model, auxiliary set and settings; prepare_round builds the model's
-    per-class auxiliary logits and their confusion matrix once. Those
-    arrays are read-only, which keeps attacks from writing into shared
-    state.
+    confusion matrix once. Its arrays are read-only, which keeps attacks
+    from writing into shared state.
     """
 
     global_model: Model
     aux: Dataset
     params: AttackParams
-    logits: tuple  # logits[n]: (count of class n in aux, N) logits of global_model
-    s_first: ConfusionMatrix  # their plug-in confusion matrix
+    s_first: ConfusionMatrix  # plug-in confusion matrix of global_model on aux
 
 
 @dataclass
@@ -211,20 +208,6 @@ def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     return LogitMoments(mu, sigma)
 
 
-def _stack(logits):
-    """One (total rows, N) array of the class blocks, and each block's row bounds."""
-    return np.concatenate(logits), np.cumsum([0, *map(len, logits)])
-
-
-def _block_means(probs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Row n is the mean of probs' rows bounds[n]:bounds[n + 1].
-
-    Each mean is taken over a slice of probs, which gives the same bits as
-    the mean of that block's own softmax (mean_softmax on the block).
-    """
-    return np.array([probs[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
-
-
 def plugin_confusion(logits) -> ConfusionMatrix:
     """Confusion matrix of per-class logits, as from class_logits.
 
@@ -233,9 +216,11 @@ def plugin_confusion(logits) -> ConfusionMatrix:
     error over those rows, the sample standard deviation over sqrt(count)
     (0 for a single row). The blocks go through one softmax together.
     """
-    stacked, bounds = _stack(logits)
-    probs = softmax_rows(stacked)
-    s = _block_means(probs, bounds)
+    bounds = np.cumsum([0, *map(len, logits)])
+    probs = softmax_rows(np.concatenate(logits))
+    # each mean over a slice of probs gives the same bits as mean_softmax on
+    # that class's block alone
+    s = np.array([probs[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
     counts = np.diff(bounds)
     centered = probs - np.repeat(s, counts, axis=0)
     sq_sums = np.add.reduceat(centered * centered, bounds[:-1], axis=0)
@@ -269,15 +254,13 @@ def prepare_round(global_model: Model, aux: Dataset, params: AttackParams) -> Ro
     """The attack context of one round, built once from its global model.
 
     Pass the result to rlu_attack for every update of the round. It
-    forwards aux through global_model once and keeps the logits of each
-    class, which give the global confusion matrix and drive the posterior
-    search.
+    forwards aux through global_model once and keeps the confusion matrix
+    of the per-class logits.
     """
-    logits = class_logits(global_model, aux)
-    s_first = plugin_confusion(logits)
+    s_first = plugin_confusion(class_logits(global_model, aux))
     s_first.s.flags.writeable = False
     s_first.se.flags.writeable = False
-    return RoundContext(global_model, aux, params, logits, s_first)
+    return RoundContext(global_model, aux, params, s_first)
 
 
 def _geometric_rho(decay: float, m: int) -> np.ndarray:
@@ -377,90 +360,20 @@ def round_counts(z: np.ndarray, total: int) -> np.ndarray:
     return largest_remainder(np.maximum(z, 0.0) * total, total)
 
 
-def estimate_embedding_norm(delta_w: np.ndarray, delta_b: np.ndarray) -> float:
-    """Estimate sum_l e_l^2 of the batch-mean embedding from the output slice.
+def posterior_search(crude_counts: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+    """Round crude multi-epoch counts onto the one-batch lattice.
 
-    Each admissible row j (|delta_b_j| at least a tenth of the max) votes
-    delta_W[j, :] / delta_b_j; the componentwise median is squared and
-    summed.
-    """
-    delta_w = np.asarray(delta_w, dtype=np.float64)
-    delta_b = np.asarray(delta_b, dtype=np.float64)
-    if delta_w.ndim != 2 or delta_w.shape[0] != delta_b.size:
-        raise ValueError("delta_w must be (N, L) aligned with delta_b")
-    peak = float(np.abs(delta_b).max()) if delta_b.size else 0.0
-    if peak == 0.0:
-        raise DegenerateUpdateError("all bias deltas are zero")
-    mask = np.abs(delta_b) >= 0.1 * peak
-    candidates = delta_w[mask] / delta_b[mask, None]
-    ebar = np.median(candidates, axis=0)
-    return float(np.sum(ebar * ebar))
-
-
-def posterior_search(
-    crude_counts: np.ndarray,
-    logits: tuple,
-    s_first: ConfusionMatrix,
-    s_last_observed: ConfusionMatrix,
-    embed_norm: float,
-    cfg: SchemeConfig,
-    search_iters: int = 5,
-):
-    """Refine crude multi-epoch counts by simulating the confidence drift.
-
-    Returns (counts, moves, stop). logits are the global model's per-class
-    auxiliary logits (as from class_logits) and s_first their confusion
-    matrix. The search assumes every epoch sees the same per-epoch counts
-    g, which holds when the client's shard is exactly one batch. It starts
-    from g = crude/m (largest-remainder repaired to batch_size). Each outer
-    iteration simulates the m local epochs: the expected bias movement
-    under g moves logit j by delta_W_j . e + delta_b_j = delta_b_j
-    (embed_norm + 1), and the confusion matrix is re-estimated on the
-    shifted logits, all classes in one softmax. Comparing the simulated
-    final matrix against the observed one column-wise moves one count unit
-    from the most over-represented class to the most under-represented.
-    counts is m * g; moves is the number of units moved, and stop says why
-    the search ended: "fixed_point" (no per-class gap spread above
-    _SEARCH_MIN_GAP), "count_floor" (the class to take from has no unit
-    left) or "iteration_cap" (search_iters iterations ran).
+    When a client's shard is exactly one batch, every local epoch sees the
+    same labels, so the round's counts are m * g for one per-epoch vector g
+    that sums to batch_size. g is the largest-remainder rounding of
+    crude / m to batch_size, and the result is m * g. crude_counts must
+    sum to epochs * batch_size.
     """
     crude = np.asarray(crude_counts, dtype=np.int64)
-    n = crude.size
     m, batch = cfg.epochs, cfg.batch_size
-    if search_iters < 0:
-        raise ValueError("search_iters must be non-negative")
-    if len(logits) != n:
-        raise ValueError(f"logits must hold one block per class, got {len(logits)} for {n} classes")
     if crude.sum() != m * batch:
         raise ValueError("crude counts must sum to epochs * batch_size")
-
-    g = largest_remainder(crude / m, batch)
-    factor = embed_norm + 1.0
-    scale = cfg.eta / batch
-    stacked, bounds = _stack(logits)
-    moves, stop = 0, "iteration_cap"
-    for _ in range(search_iters):
-        shift = np.zeros(n)
-        s_cur = s_first.s
-        for _tau in range(m):
-            exp_db = scale * (g * s_cur.sum(axis=1) - s_cur.T @ g)
-            shift += exp_db * factor
-            # every class's logits move by the same accumulated drift
-            s_cur = _block_means(softmax_rows(stacked + shift), bounds)
-            np.fill_diagonal(s_cur, 0.0)
-        d = (s_last_observed.s - s_cur).sum(axis=0) / (n - 1)
-        hi = int(np.argmax(d))
-        lo = int(np.argmin(d))
-        if d[hi] - d[lo] <= _SEARCH_MIN_GAP:
-            stop = "fixed_point"
-            break
-        if g[lo] < 1:
-            stop = "count_floor"
-            break
-        g[hi] += 1
-        g[lo] -= 1
-        moves += 1
-    return g * m, moves, stop
+    return largest_remainder(crude / m, batch) * m
 
 
 def carries_signal(update: LocalUpdate, cfg: SchemeConfig) -> bool:
@@ -486,16 +399,16 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     model's, from its auxiliary logits. Its solution is rounded to the
     m * batch_size labels of the round. A multi-epoch update whose shard is
     exactly one batch (update.n_samples == batch_size, the server-known
-    shard size) then runs the posterior search on the context's logits,
-    unless search_iters is 0: only then does every epoch see the same
-    labels, as the search assumes. Other multi-epoch updates return the
-    crude counts. Nothing here is random: the result is a deterministic
-    function of the four arguments. diagnostics["confusion_se"] is the
-    largest standard error of an entry of the matrices the system was
-    built from; a search adds the L1 distance it moved the counts from the
-    crude ones, the units it moved and why it stopped. Raises ValueError
-    on a non-finite update and DegenerateUpdateError when the update
-    carries no signal; both checks come before the context is read.
+    shard size) then has its counts rounded to m times a per-epoch vector
+    by posterior_search, unless search_iters is 0: only then does every
+    epoch see the same labels. Other multi-epoch updates return the crude
+    counts. Nothing here is random: the result is a deterministic function
+    of the four arguments. diagnostics["confusion_se"] is the largest
+    standard error of an entry of the matrices the system was built from;
+    the rounding adds the L1 distance it moved the counts from the crude
+    ones. Raises ValueError on a non-finite update and
+    DegenerateUpdateError when the update carries no signal; both checks
+    come before the context is read.
     """
     if not carries_signal(update, cfg):
         raise DegenerateUpdateError("eta = 0 or an all-zero delta carries no gradient signal")
@@ -517,16 +430,9 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
         crude = counts
         diagnostics["crude_counts"] = [int(c) for c in crude]
         method = METHOD_CRUDE
-        search_iters = context.params.search_iters
-        if search_iters and update.n_samples == cfg.batch_size:
-            embed_norm = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
-            diagnostics["embedding_norm"] = float(embed_norm)
-            counts, moves, stop = posterior_search(
-                crude, context.logits, context.s_first, matrices[-1], embed_norm, cfg, search_iters
-            )
+        if context.params.search_iters and update.n_samples == cfg.batch_size:
+            counts = posterior_search(crude, cfg)
             diagnostics["search_l1_from_crude"] = int(np.abs(counts - crude).sum())
-            diagnostics["search_moves"] = moves
-            diagnostics["search_stop"] = stop
             method = METHOD_SEARCH
     diagnostics["solver_iterations"] = info["iterations"]
     diagnostics["solver_converged"] = info["converged"]

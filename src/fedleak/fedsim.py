@@ -114,10 +114,6 @@ class LocalUpdate:
     first_loss: float = field(repr=False, default=None)
 
     @property
-    def delta_w_out(self) -> np.ndarray:
-        return self.delta.weights[-1]
-
-    @property
     def delta_b_out(self) -> np.ndarray:
         return self.delta.biases[-1]
 

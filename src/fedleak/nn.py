@@ -286,10 +286,16 @@ def load_model(path) -> Model:
         header = fh.readline()
         try:
             meta = json.loads(header.decode("utf-8"))
-            sizes = [int(s) for s in meta["layer_sizes"]]
+            sizes = meta["layer_sizes"]
             activation = meta["activation"]
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise ValueError(f"corrupt checkpoint header in {path}") from exc
+        # exact ints only: a float would be truncated and a zero width would
+        # load a model whose logits are its output bias
+        if not (isinstance(sizes, list) and len(sizes) >= 2 and all(type(s) is int and s >= 1 for s in sizes)):
+            raise ValueError(
+                f"checkpoint {path} has layer_sizes {json.dumps(sizes)}; need two or more integers, each at least 1"
+            )
         blob = fh.read()
     weights, biases = [], []
     offset = 0

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,13 +15,13 @@ from fedleak.attack import (
     class_logits,
     LogitMoments,
     build_system,
-    estimate_embedding_norm,
     estimate_moments,
     make_target,
     mc_confusion,
     plugin_confusion,
     posterior_search,
     prepare_round,
+    RoundContext,
     rlu_attack,
     round_counts,
     save_report,
@@ -30,7 +30,7 @@ from fedleak.attack import (
 )
 from fedleak import _kernels
 from fedleak._kernels import mean_softmax, pgd_simplex_ls
-from fedleak.data import Dataset, largest_remainder, make_synthetic, plan_batches
+from fedleak.data import Dataset, largest_remainder, make_synthetic
 from fedleak.fedsim import (
     LocalUpdate,
     SchemeConfig,
@@ -642,48 +642,6 @@ def test_round_counts_validation():
         round_counts(np.array([0.7, 0.7]), 10)
 
 
-# ---------------------------------------------------------- embedding norm
-
-def test_embedding_norm_exact_proportional_rows():
-    c = np.array([0.3, -1.2, 0.8])
-    db = np.array([0.5, -0.25, 0.1, -0.35])
-    dw = np.outer(db, c)
-    est = estimate_embedding_norm(dw, db)
-    assert est == pytest.approx(float(np.sum(c * c)), abs=1e-12)
-
-
-def test_embedding_norm_zero_bias_degenerate():
-    with pytest.raises(DegenerateUpdateError):
-        estimate_embedding_norm(np.zeros((3, 2)), np.zeros(3))
-
-
-def test_embedding_norm_threshold_excludes_noisy_rows():
-    c = np.array([1.0, 2.0])
-    db = np.array([1.0, -1.0, 1e-6])
-    dw = np.vstack([c, -c, np.array([5.0, 5.0])])
-    est = estimate_embedding_norm(dw, db)
-    assert est == pytest.approx(5.0, abs=1e-12)
-
-
-def test_embedding_norm_single_epoch_run_oracle():
-    # median over the run's clients of the relative estimation error
-    data, aux, partition, model = blob_world(9)
-    cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
-    _, updates, truths, _, _, _ = one_round(data, partition, model, cfg, seed=9)
-    errors = []
-    for k, update in enumerate(updates):
-        if truths[k] is None:
-            continue
-        shard = partition.assignments[k]
-        plan_seed = np.random.SeedSequence([9, 1, 1, k]).generate_state(1)[0]
-        plan = plan_batches(data.subset(shard), 32, 1, int(plan_seed))
-        _, e = forward_batch(model, data.subset(shard).features[plan.batches[0]])
-        true_val = float(np.sum(e.mean(axis=0) ** 2))
-        est = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
-        errors.append(abs(est - true_val) / true_val)
-    assert np.median(errors) <= 0.10
-
-
 # --------------------------------------------------------- posterior search
 
 def noisy_logits(n, rows, seed=0):
@@ -693,33 +651,23 @@ def noisy_logits(n, rows, seed=0):
 
 
 def test_posterior_search_zero_iterations_passthrough():
-    _, model = fresh_history(4)
-    cfg = fedavg_cfg(eta=0.01, epochs=4, batch_size=8)
-    logits = noisy_logits(4, 100)
-    s = plugin_confusion(logits)
-    crude = np.array([13, 9, 6, 4])
-    refined, moves, stop = posterior_search(crude, logits, s, s, 0.5, cfg, search_iters=0)
+    # search_iters = 0 returns the crude counts even for a one-batch shard
+    data, aux, partition, model = full_batch_world(3)
+    cfg = fedavg_cfg(eta=0.01, epochs=4, batch_size=32)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
+    report = rlu_attack(prepare_round(model, aux, AttackParams(search_iters=0)), updates[0], cfg, histories[0])
+    assert report.method == "crude_multi_epoch"
+    assert [int(c) for c in report.counts] == report.diagnostics["crude_counts"]
+    refined = posterior_search(np.array([13, 9, 6, 4]), fedavg_cfg(eta=0.01, epochs=4, batch_size=8))
     # 32 total over 4 epochs: per-epoch counts repaired to sum 8, times 4
     assert refined.sum() == 32
     npt.assert_array_equal(refined % 4, np.zeros(4))
-    assert (moves, stop) == (0, "iteration_cap")
 
 
 def test_posterior_search_validates_sum():
-    _, model = fresh_history(4)
     cfg = fedavg_cfg(eta=0.01, epochs=4, batch_size=8)
-    logits = noisy_logits(4, 50)
-    s = plugin_confusion(logits)
     with pytest.raises(ValueError):
-        posterior_search(np.array([5, 5, 5, 5]), logits, s, s, 0.5, cfg)
-
-
-def test_posterior_search_needs_one_logit_block_per_class():
-    cfg = fedavg_cfg(eta=0.01, epochs=2, batch_size=3)
-    logits = noisy_logits(3, 10)
-    s = plugin_confusion(logits)
-    with pytest.raises(ValueError, match="one block per class"):
-        posterior_search(np.array([2, 2, 2]), logits[:2], s, s, 0.5, cfg)
+        posterior_search(np.array([5, 5, 5, 5]), cfg)
 
 
 def test_posterior_search_fixed_point_on_full_batch_run():
@@ -729,35 +677,35 @@ def test_posterior_search_fixed_point_on_full_batch_run():
     context = prepare_round(model, aux, AttackParams())
     report = rlu_attack(context, updates[0], cfg, histories[0])
     crude = np.array(report.diagnostics["crude_counts"])
-    # the simulated drift matches the observed one at the crude answer, so
-    # the search keeps the lattice-snapped counts
+    # rounding the crude answer onto multiples of m gives the true counts
     per_epoch = np.array(truths[0]) // 10
     npt.assert_array_equal(report.counts, per_epoch * 10)
+    npt.assert_array_equal(report.counts, largest_remainder(crude / 10, 32) * 10)
     assert report.method == "posterior_search"
-    assert report.diagnostics["search_stop"] == "fixed_point"
     assert iacc(report.counts, truths[0], 10, 32) >= iacc(crude, truths[0], 10, 32)
 
 
-def test_posterior_search_repairs_corrupted_counts():
-    data, aux, partition, model = full_batch_world(1)
-    cfg = fedavg_cfg(eta=0.05, epochs=10, batch_size=32)
-    _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=1)
-    update = updates[0]
-    logits = class_logits(model, aux)
-    s_first = plugin_confusion(logits)
-    local = model.copy()
-    local.params().add_(update.delta, 1.0)
-    s_last = plugin_confusion(class_logits(local, aux))
-    embed = estimate_embedding_norm(update.delta_w_out, update.delta_b_out)
-    g_true = np.asarray(truths[0]) // 10
-    g_bad = g_true.copy()
-    hi, lo = int(np.argmax(g_bad)), int(np.argmin(g_bad))
-    g_bad[hi] -= 3
-    g_bad[lo] += 3
-    refined, _, _ = posterior_search(g_bad * 10, logits, s_first, s_last, embed, cfg, search_iters=5)
-    before = np.abs(g_bad * 10 - truths[0]).sum()
-    after = np.abs(refined - truths[0]).sum()
-    assert after < before
+def one_batch_rounding(crude, m, batch):
+    """m times the largest-remainder split of crude / m into batch units, in plain Python."""
+    shares = [c / m for c in crude]
+    g = [math.floor(s) for s in shares]
+    by_remainder = sorted(range(len(g)), key=lambda n: (-(shares[n] - g[n]), n))
+    for n in by_remainder[: batch - sum(g)]:
+        g[n] += 1
+    return [m * x for x in g]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_posterior_search_matches_plain_rounding_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    m, batch = int(rng.integers(2, 21)), int(rng.integers(4, 65))
+    cfg = fedavg_cfg(eta=0.5, epochs=m, batch_size=batch)
+    crude = rng.multinomial(m * batch, rng.dirichlet(np.ones(6)))
+    counts = posterior_search(crude, cfg)
+    assert counts.tolist() == one_batch_rounding(crude.tolist(), m, batch)
+    assert counts.sum() == m * batch
+    # each class moves by less than one epoch's unit
+    assert (np.abs(counts - crude) < m).all()
 
 
 def uneven_logits(n, seed):
@@ -766,32 +714,6 @@ def uneven_logits(n, seed):
     sizes = rng.integers(2, 40, size=n)
     sizes[1] = 1
     return tuple(rng.standard_normal((k, n)) for k in sizes)
-
-
-def reference_search(crude, logits, s_first, s_last_observed, embed_norm, cfg, search_iters):
-    """posterior_search with one mean_softmax call per class block and epoch."""
-    n, m, batch = crude.size, cfg.epochs, cfg.batch_size
-    g = largest_remainder(crude / m, batch)
-    moves, stop = 0, "iteration_cap"
-    for _ in range(search_iters):
-        shift = np.zeros(n)
-        s_cur = s_first.s
-        for _tau in range(m):
-            shift += cfg.eta / batch * (g * s_cur.sum(axis=1) - s_cur.T @ g) * (embed_norm + 1.0)
-            s_cur = np.array([mean_softmax(rows + shift) for rows in logits])
-            np.fill_diagonal(s_cur, 0.0)
-        d = (s_last_observed.s - s_cur).sum(axis=0) / (n - 1)
-        hi, lo = int(np.argmax(d)), int(np.argmin(d))
-        if d[hi] - d[lo] <= 0.01:
-            stop = "fixed_point"
-            break
-        if g[lo] < 1:
-            stop = "count_floor"
-            break
-        g[hi] += 1
-        g[lo] -= 1
-        moves += 1
-    return g * m, moves, stop
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -806,34 +728,6 @@ def test_plugin_confusion_matches_per_block_reference(seed):
         se = probs.std(axis=0, ddof=1 if len(rows) > 1 else 0) / np.sqrt(len(rows))
         se[n] = 0.0
         assert confusion.se[n] == pytest.approx(se, rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_posterior_search_matches_per_block_reference(seed):
-    logits = uneven_logits(6, seed)
-    cfg = fedavg_cfg(eta=0.5, epochs=4, batch_size=12)
-    s_first = plugin_confusion(logits)
-    rng = np.random.default_rng(100 + seed)
-    s_last = plugin_confusion(tuple(rows + rng.standard_normal(6) for rows in logits))
-    crude = np.array([8, 4, 12, 8, 12, 4])
-    counts, moves, stop = posterior_search(crude, logits, s_first, s_last, 2.0, cfg, search_iters=8)
-    ref_counts, ref_moves, ref_stop = reference_search(crude, logits, s_first, s_last, 2.0, cfg, 8)
-    assert np.array_equal(counts, ref_counts)
-    assert (moves, stop) == (ref_moves, ref_stop)
-    assert moves > 0
-
-
-def test_posterior_search_stops_at_count_floor():
-    logits = uneven_logits(4, 3)
-    cfg = fedavg_cfg(eta=0.5, epochs=2, batch_size=8)
-    s_first = plugin_confusion(logits)
-    # the observed matrix says class 2 is over-counted, but it has no unit left
-    observed = np.zeros((4, 4))
-    observed[:, 2] = -1.0
-    crude = np.array([6, 4, 0, 6])
-    counts, moves, stop = posterior_search(crude, logits, s_first, ConfusionMatrix(observed), 1.0, cfg)
-    assert (moves, stop) == (0, "count_floor")
-    npt.assert_array_equal(counts, crude)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -1018,7 +912,7 @@ def test_rlu_searches_only_when_the_shard_is_one_batch(shard_size, method):
     assert report.method == method
     if method == "crude_multi_epoch":
         assert [int(c) for c in report.counts] == report.diagnostics["crude_counts"]
-        assert "embedding_norm" not in report.diagnostics
+        assert "search_l1_from_crude" not in report.diagnostics
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 5.0])
@@ -1039,6 +933,27 @@ def test_default_attack_not_worse_than_its_crude_counts(alpha):
     assert np.mean(scores) >= np.mean(crude_scores)
 
 
+def test_default_attack_not_worse_than_its_crude_counts_on_one_batch_shards():
+    # every epoch of a one-batch shard sees the same labels, so the default
+    # answer is the crude counts rounded onto multiples of m
+    m, batch = 20, 32
+    crude_scores, scores = [], []
+    for seed in range(10):
+        data, aux, partition, model = full_batch_world(seed, shard_size=batch, clients=3)
+        cfg = fedavg_cfg(eta=0.1, epochs=m, batch_size=batch)
+        _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
+        context = prepare_round(model, aux, AttackParams())
+        for k, update in enumerate(updates):
+            report = rlu_attack(context, update, cfg, histories[k])
+            assert report.method == "posterior_search"
+            crude = np.array(report.diagnostics["crude_counts"])
+            npt.assert_array_equal(report.counts, largest_remainder(crude / m, batch) * m)
+            crude_scores.append(iacc(crude, truths[k], m, batch))
+            scores.append(iacc(report.counts, truths[k], m, batch))
+    assert len(scores) == 30
+    assert np.mean(scores) >= np.mean(crude_scores)
+
+
 BASE_DIAGNOSTICS = {"confusion_se", "solver_iterations", "solver_converged"}
 
 
@@ -1047,12 +962,7 @@ BASE_DIAGNOSTICS = {"confusion_se", "solver_iterations", "solver_converged"}
     [
         (1, 5, "single_epoch", set()),
         (3, 0, "crude_multi_epoch", {"crude_counts"}),
-        (
-            3,
-            5,
-            "posterior_search",
-            {"crude_counts", "embedding_norm", "search_l1_from_crude", "search_moves", "search_stop"},
-        ),
+        (3, 5, "posterior_search", {"crude_counts", "search_l1_from_crude"}),
     ],
     ids=["single", "crude", "search"],
 )
@@ -1064,9 +974,6 @@ def test_rlu_diagnostics_keys_per_method(epochs, search_iters, method, extra):
     report = rlu_attack(context, updates[0], cfg, histories[0])
     assert report.method == method
     assert set(report.diagnostics) == BASE_DIAGNOSTICS | extra
-    if method == "posterior_search":
-        assert report.diagnostics["search_stop"] in ("fixed_point", "iteration_cap", "count_floor")
-        assert type(report.diagnostics["search_moves"]) is int
 
 
 def test_rlu_search_reports_its_distance_from_crude():
@@ -1122,7 +1029,9 @@ def test_round_context_first_matrix_is_mean_aux_softmax():
         for j in range(5):
             expected = 0.0 if j == n else probs[:, j].mean()
             assert context.s_first.s[n, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
-        npt.assert_array_equal(context.logits[n], rows)
+        npt.assert_array_equal(class_logits(model, aux)[n], rows)
+    # the context keeps only the matrix, not the logits it came from
+    assert [f.name for f in fields(RoundContext)] == ["global_model", "aux", "params", "s_first"]
 
 
 def test_round_context_unchanged_by_multi_epoch_attacks():
@@ -1131,9 +1040,8 @@ def test_round_context_unchanged_by_multi_epoch_attacks():
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
     params = AttackParams(search_iters=3)
     context = prepare_round(model, aux, params)
-    assert len(context.logits) == 10
-    assert all(block.shape == (100, 10) for block in context.logits)
-    shared = [*context.logits, context.s_first.s, context.s_first.se]
+    assert context.s_first.s.shape == (10, 10)
+    shared = [context.s_first.s, context.s_first.se]
     before = [arr.copy() for arr in shared]
     attacked = 0
     for k, update in enumerate(updates):

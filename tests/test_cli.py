@@ -261,6 +261,20 @@ def test_diagnose_moments_constant_logits_single_bin(tmp_path):
             assert sum(counts) == 20
 
 
+def test_diagnose_moments_rejects_a_zero_width_checkpoint(tmp_path, capsys):
+    # a 4 -> 0 -> 3 model fills its 24 payload bytes with the output bias alone
+    from fedleak.data import make_synthetic, save_dataset_csv
+
+    mpath, dpath = tmp_path / "zero.ckpt", tmp_path / "data.csv"
+    mpath.write_bytes(b'{"layer_sizes":[4,0,3],"activation":"relu"}\n' + np.zeros(3).tobytes())
+    save_dataset_csv(dpath, make_synthetic(3, 4, 5, 2.0, seed=0))
+    out = tmp_path / "moments.csv"
+    rc = main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath), "--output", str(out)])
+    assert rc == 1
+    assert "zero.ckpt has layer_sizes [4, 0, 3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_moments_histogram_means_match_forward(tmp_path):
     from fedleak.data import make_synthetic
 

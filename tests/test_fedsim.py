@@ -129,7 +129,7 @@ def test_single_epoch_sgd_delta_is_scaled_mean_gradient():
     update, _ = local_train(model, client, plan, cfg, UpdateHistory.fresh(model), 1, 0)
     _, grad = backward(model, client.features[plan.batches[0]], client.labels[plan.batches[0]])
     npt.assert_allclose(update.delta_b_out, -0.02 * grad.biases[-1], atol=1e-15)
-    npt.assert_allclose(update.delta_w_out, -0.02 * grad.weights[-1], atol=1e-15)
+    npt.assert_allclose(update.delta.weights[-1], -0.02 * grad.weights[-1], atol=1e-15)
 
 
 def test_fedavg_sgd_bias_delta_sums_to_zero():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -281,6 +282,40 @@ def test_checkpoint_truncated_rejected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError):
+        load_model(path)
+
+
+def write_checkpoint(path, layer_sizes, n_floats):
+    """A checkpoint file with the given header sizes and n_floats payload values."""
+    header = json.dumps({"layer_sizes": layer_sizes, "activation": "relu"})
+    path.write_bytes(header.encode("utf-8") + b"\n" + np.arange(n_floats, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize(
+    "layer_sizes, n_floats",
+    [
+        # 4x0 and 3x0 weights, a 0-bias and a 3-bias: every logit is the output bias
+        ([4, 0, 3], 3),
+        # 3.7 would be truncated to a 4 -> 3 layer that the payload fills
+        ([4, 3.7], 15),
+        ([4, -1, 3], 3),
+        ([4], 0),
+        ("43", 15),
+        ([4, True], 5),
+    ],
+    ids=["zero", "float", "negative", "one_layer", "string", "bool"],
+)
+def test_checkpoint_bad_layer_sizes_name_the_file(tmp_path, layer_sizes, n_floats):
+    path = tmp_path / "bad.ckpt"
+    write_checkpoint(path, layer_sizes, n_floats)
+    with pytest.raises(ValueError, match=r"bad\.ckpt has layer_sizes"):
+        load_model(path)
+
+
+def test_checkpoint_header_that_is_not_an_object_is_corrupt(tmp_path):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(b"[4, 3]\n" + np.zeros(15).tobytes())
+    with pytest.raises(ValueError, match=r"corrupt checkpoint header in .*list\.ckpt"):
         load_model(path)
 
 

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from fedleak import _kernels, cli
+from fedleak import _kernels, attack, cli
+
+from _helpers import fedavg_cfg, full_batch_world, one_round
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +39,26 @@ def test_every_traced_name_resolves():
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_every_workload_config_builds(name):
     assert isinstance(load_perfbench("workloads").config(name, 0), cli.ExperimentConfig)
+
+
+def test_posterior_search_is_looked_up_once_per_one_batch_attack(monkeypatch):
+    # the tracer's attack.posterior_search span counts calls through the
+    # module global: one per multi-epoch update whose shard is one batch
+    calls = []
+    original = attack.posterior_search
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "posterior_search", counting)
+    cfg = fedavg_cfg(eta=0.01, epochs=5, batch_size=32)
+    for shard_size, expected in [(32, 1), (33, 0)]:
+        data, aux, partition, model = full_batch_world(2, shard_size=shard_size)
+        _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=2)
+        calls.clear()
+        attack.rlu_attack(attack.prepare_round(model, aux, attack.AttackParams()), updates[0], cfg, histories[0])
+        assert len(calls) == expected, shard_size
 
 
 def test_numba_flag_exists():
