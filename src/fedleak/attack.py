@@ -39,11 +39,10 @@ METHOD_CRUDE = "crude_multi_epoch"
 METHOD_SEARCH = "posterior_search"
 
 _JITTER_SCALE = 1e-6
-_JITTER_CAP = 1e-2
 
 
 class DegenerateUpdateError(RuntimeError):
-    """The update carries no usable signal (zero delta, eta = 0, ...)."""
+    """The update carries no usable signal: its delta is identically zero."""
 
 
 @dataclass
@@ -148,24 +147,14 @@ def save_report(path, report: AttackReport) -> None:
 
 
 def _psd_factor(sigma: np.ndarray) -> np.ndarray:
-    """Factor L with L L^T ~= sigma, jitter-escalating on failure.
+    """Factor L with L L^T ~= sigma, from the eigendecomposition of its symmetric part.
 
     L is the eigenvector matrix with each column scaled by the root of its
-    clipped eigenvalue; it is square but not symmetric.
+    eigenvalue clipped at 0; it is square but not symmetric. sigma must be
+    finite.
     """
-    sym = 0.5 * (sigma + sigma.T)
-    diag_scale = float(np.mean(np.diag(sym)))
-    scale = diag_scale if diag_scale > 0 else 1.0
-    extra = 0.0
-    while True:
-        try:
-            w, v = np.linalg.eigh(sym + extra * np.eye(sym.shape[0]))
-        except np.linalg.LinAlgError:
-            extra = _JITTER_SCALE * scale if extra == 0.0 else extra * 10.0
-            if extra > _JITTER_CAP * scale:
-                raise RuntimeError("covariance factorization failed at maximum jitter")
-            continue
-        return v * np.sqrt(np.clip(w, 0.0, None))
+    w, v = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def class_logits(model: Model, aux: Dataset) -> tuple:
@@ -245,6 +234,8 @@ def mc_confusion(moments: LogitMoments, normals: np.ndarray) -> ConfusionMatrix:
     mu = moments.mu
     n = mu.shape[0]
     _check_normals(normals, n)
+    if not (np.isfinite(mu).all() and np.isfinite(moments.sigma).all()):
+        raise ValueError("logit moments must be finite")
     s = np.array([mean_softmax(mu[cls] + normals @ _psd_factor(moments.sigma[cls]).T) for cls in range(n)])
     np.fill_diagonal(s, 0.0)
     return ConfusionMatrix(s)
@@ -310,8 +301,6 @@ def make_target(update: LocalUpdate, coeffs: SchemeCoefficients, cfg: SchemeConf
     Solving A z = u over the simplex then reads z as the batch class
     proportions. For a single plain-SGD epoch this reduces to delta_b/eta.
     """
-    if cfg.eta == 0:
-        raise DegenerateUpdateError("eta = 0 transmits no gradient signal")
     sum_rho = float(coeffs.rho.sum())
     if sum_rho <= 0:
         raise ValueError("sum of rho must be positive")
@@ -351,8 +340,6 @@ def solve_simplex_ls(a: np.ndarray, u: np.ndarray):
 def round_counts(z: np.ndarray, total: int) -> np.ndarray:
     """Integer counts from simplex weights, conserving the exact total."""
     z = np.asarray(z, dtype=np.float64)
-    if total < 0:
-        raise ValueError("total must be non-negative")
     if not np.isfinite(z).all() or (z < -1e-9).any():
         raise ValueError("z must be finite and non-negative")
     if abs(z.sum() - 1.0) > 1e-6:
@@ -376,19 +363,6 @@ def posterior_search(crude_counts: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     return largest_remainder(crude / m, batch) * m
 
 
-def carries_signal(update: LocalUpdate, cfg: SchemeConfig) -> bool:
-    """Whether the update has a gradient signal to invert.
-
-    False for eta = 0 or an identically zero delta, the updates rlu_attack
-    rejects as degenerate. Raises ValueError for a NaN or infinite delta,
-    which is invalid input rather than a missing signal.
-    """
-    peak = update.delta.max_abs()
-    if not np.isfinite(peak):
-        raise ValueError("update delta is not finite")
-    return cfg.eta != 0 and peak != 0.0
-
-
 def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, history: UpdateHistory) -> AttackReport:
     """Recover the label counts behind one transmitted update.
 
@@ -406,12 +380,15 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     of the four arguments. diagnostics["confusion_se"] is the largest
     standard error of an entry of the matrices the system was built from;
     the rounding adds the L1 distance it moved the counts from the crude
-    ones. Raises ValueError on a non-finite update and
-    DegenerateUpdateError when the update carries no signal; both checks
-    come before the context is read.
+    ones. Raises ValueError on a non-finite delta and DegenerateUpdateError
+    on an all-zero one, the update of a client too small to fill a batch;
+    both checks come before the context is read.
     """
-    if not carries_signal(update, cfg):
-        raise DegenerateUpdateError("eta = 0 or an all-zero delta carries no gradient signal")
+    peak = update.delta.max_abs()
+    if not np.isfinite(peak):
+        raise ValueError("update delta is not finite")
+    if peak == 0.0:
+        raise DegenerateUpdateError("an all-zero delta carries no gradient signal")
     m = cfg.epochs
     coeffs = scheme_coefficients(cfg, update.round, history)
     u = make_target(update, coeffs, cfg)

@@ -64,6 +64,10 @@ class PartitionSpec:
     clients: int = 10
     alpha: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and above 0, got {self.alpha!r}")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -74,6 +78,11 @@ class ModelSpec:
 @dataclass(frozen=True)
 class AttackSpec(atk.AttackParams):
     aux_per_class: int = 100
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.aux_per_class < 1:
+            raise ValueError(f"aux_per_class must be at least 1, got {self.aux_per_class}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
-        if self.scheme.eta == 0:
-            # SchemeConfig allows it for library use, but a run would only
-            # write degenerate rows: an update with eta = 0 carries no signal
-            raise ValueError("eta must be above 0: with eta = 0 no update carries a signal to attack")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _is_int(value) -> bool:
@@ -206,15 +213,9 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
     """Simulate cfg.rounds rounds, attack every update, return result rows.
 
     Raises ValueError before any training when no client's shard fills a
-    batch, because then every update of the run would be degenerate.
+    batch (fed.run_round's check), because then every update is degenerate.
     """
     dataset, aux, partition, model = _build_world(cfg)
-    largest = max(len(shard) for shard in partition.assignments)
-    if largest < cfg.scheme.batch_size:
-        raise ValueError(
-            f"batch_size {cfg.scheme.batch_size} is above the largest client shard ({largest} samples):"
-            " no client can fill a batch, so no update carries a signal to attack"
-        )
     histories = [fed.UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     rows = []
     current = model
@@ -243,7 +244,7 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
             except atk.DegenerateUpdateError:
                 report = None
             wall_ms = (time.perf_counter() - start) * 1000.0
-            if report is None or truths[k] is None:
+            if report is None:
                 row.update({"cacc": "", "iacc": "", "l1_err": "", "residual": "", "status": "degenerate"})
             else:
                 sc = met.score(report.counts, truths[k], cfg.scheme.epochs, cfg.scheme.batch_size)
@@ -295,7 +296,10 @@ def _parse_grid(text, cast, flag, default):
     """Values of a comma-separated grid flag; [default] when it is absent."""
     if text is None:
         return [default]
-    values = [cast(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        values = [cast(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of {cast.__name__} values, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} lists no values")
     return values
@@ -306,17 +310,14 @@ def cmd_sweep(args) -> int:
     alphas = _parse_grid(args.alphas, float, "--alphas", base.partition.alpha)
     epoch_grid = _parse_grid(args.epoch_grid, int, "--epoch-grid", base.scheme.epochs)
     seeds = _parse_grid(args.seeds, int, "--seeds", base.seed)
-    rows = []
-    for alpha in alphas:
-        for m in epoch_grid:
-            for seed in seeds:
-                cfg = replace(
-                    base,
-                    partition=replace(base.partition, alpha=alpha),
-                    scheme=replace(base.scheme, epochs=m),
-                    seed=seed,
-                )
-                rows.extend(run_experiment(cfg))
+    # every grid point is checked before the first one runs
+    configs = [
+        replace(base, partition=replace(base.partition, alpha=alpha), scheme=replace(base.scheme, epochs=m), seed=seed)
+        for alpha in alphas
+        for m in epoch_grid
+        for seed in seeds
+    ]
+    rows = [row for cfg in configs for row in run_experiment(cfg)]
     _write_results(base.output, rows)
     print(f"wrote {len(rows)} rows to {base.output}")
     return 0

@@ -11,6 +11,7 @@ CSV layout for datasets: header f0,...,f{d-1},label, one row per sample.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,6 +210,7 @@ def save_dataset_csv(path, dataset: Dataset) -> None:
 
 
 def load_dataset_csv(path, n_classes: int = None) -> Dataset:
+    top = math.inf if n_classes is None else n_classes
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -217,10 +219,21 @@ def load_dataset_csv(path, n_classes: int = None) -> Dataset:
         dim = len(header) - 1
         feats, labels = [], []
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
             if len(row) != dim + 1:
-                raise ValueError(f"{path}: row width {len(row)} != {dim + 1}")
-            feats.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
+                raise ValueError(f"{where}: row width {len(row)} != {dim + 1}")
+            try:
+                feats.append([float(v) for v in row[:dim]])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, feats[-1])):
+                raise ValueError(f"{where}: features must be finite")
+            try:
+                labels.append(int(row[dim]))
+            except ValueError:
+                raise ValueError(f"{where}: label {row[dim]!r} is not an integer") from None
+            if not 0 <= labels[-1] < top:
+                raise ValueError(f"{where}: label {labels[-1]} is outside [0, {top})")
     labels = np.asarray(labels, dtype=np.int64)
     if n_classes is None:
         n_classes = int(labels.max()) + 1 if len(labels) else 1

@@ -54,7 +54,7 @@ _PARALLEL_MIN_STEP_MACS = 1 << 21
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Local-training recipe shared by all clients in a run."""
+    """Local-training recipe shared by all clients in a run; every scheme needs 0 < eta < inf."""
 
     scheme: str = "fedavg"
     optimizer: str = "sgd"
@@ -73,8 +73,8 @@ class SchemeConfig:
             raise ValueError(f"{self.optimizer} is only defined under fedavg")
         if self.scheme in ("scaffold", "feddyn", "feddc") and self.optimizer != "sgd":
             raise ValueError(f"{self.scheme} requires the sgd optimizer")
-        if not np.isfinite(self.eta) or self.eta < 0:
-            raise ValueError("eta must be finite and non-negative")
+        if not 0.0 < self.eta < np.inf:
+            raise ValueError(f"eta must be finite and above 0, got {self.eta!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if not np.isfinite(self.lam) or self.lam < 0:
@@ -86,9 +86,6 @@ class SchemeConfig:
         if self.scheme in ("fedprox", "feddyn", "feddc") and self.lam * self.eta >= 1.0:
             # the proximal pull must contract: q = 1 - lambda * eta in [0, 1)
             raise ValueError(f"{self.scheme} needs lambda * eta below 1, got {self.lam!r} * {self.eta!r}")
-        if self.scheme in ("scaffold", "feddc") and self.eta == 0:
-            # their updates divide by eta * epochs
-            raise ValueError(f"{self.scheme} needs eta above 0")
 
 
 @dataclass
@@ -315,12 +312,13 @@ def run_round(
     Returns (new_global, updates, truth_counts, stats, new_histories).
     updates[k] is the k-th client's LocalUpdate; clients whose shard is
     smaller than batch_size participate with a zero update and get
-    truth_counts[k] = None, stats[k] = None. Every update carries its
-    shard size as n_samples, and the aggregate weights are those sizes
-    over their sum. truth_counts is ground truth for evaluation only.
-    new_histories are new records for the start of round round_idx + 1;
-    they share arrays with the updates and with each other, and the input
-    records stay at round-start state.
+    truth_counts[k] = None, stats[k] = None, and when no shard fills a
+    batch ValueError is raised before any client trains. Every update
+    carries its shard size as n_samples, and the aggregate weights are
+    those sizes over their sum. truth_counts is ground truth for
+    evaluation only. new_histories are new records for the start of round
+    round_idx + 1; they share arrays with the updates and with each other,
+    and the input records stay at round-start state.
 
     Clients train in the calling thread, or on worker threads when
     _client_workers allows more than one; the results, and the first
@@ -330,6 +328,12 @@ def run_round(
     n_clients = partition.n_clients
     if len(histories) != n_clients:
         raise ValueError("one history per client required")
+    largest = max(map(len, partition.assignments), default=0)
+    if largest < cfg.batch_size:
+        raise ValueError(
+            f"batch_size {cfg.batch_size} is above the largest client shard ({largest} samples):"
+            " no client can fill a batch, so no update carries a signal to attack"
+        )
 
     def train_client(k):
         shard = partition.assignments[k]
@@ -365,8 +369,6 @@ def run_round(
     stats = [r[2] for r in results]
 
     sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
-    if sizes.sum() == 0:
-        raise ValueError("empty partition")
     new_global = server_aggregate(updates, sizes / sizes.sum(), global_model)
     global_delta = new_global.params().sub(global_model.params())
     new_histories = [_record_round(h, u.delta, global_delta) for h, u in zip(histories, updates)]

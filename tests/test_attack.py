@@ -11,7 +11,6 @@ from fedleak.attack import (
     AttackReport,
     ConfusionMatrix,
     DegenerateUpdateError,
-    carries_signal,
     class_logits,
     LogitMoments,
     build_system,
@@ -163,6 +162,16 @@ def test_monte_carlo_rejects_malformed_normals(shape):
     bad = np.zeros(shape)
     with pytest.raises(ValueError, match="normals"):
         mc_confusion(moments, bad)
+
+
+@pytest.mark.parametrize("field", ["mu", "sigma"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_mc_confusion_rejects_non_finite_moments(field, bad):
+    # the eigendecomposition behind each class's draws needs finite input
+    moments = LogitMoments(np.zeros((3, 3)), np.stack([np.eye(3)] * 3))
+    getattr(moments, field)[1, 0, ...] = bad
+    with pytest.raises(ValueError, match="moments must be finite"):
+        mc_confusion(moments, np.random.default_rng(0).standard_normal((10, 3)))
 
 
 def test_untrained_sum_rule():
@@ -408,15 +417,6 @@ def test_make_target_recombination_all_schemes():
                 scale = max(np.abs(expected).max(), 1e-30)
                 assert np.abs(u - expected).max() / scale <= 1e-8, (scheme, t, k)
             histories = new_histories
-
-
-def test_make_target_eta_zero_degenerate():
-    _, model = fresh_history()
-    cfg = fedavg_cfg(eta=0.0, epochs=1, batch_size=8)
-    coeffs = scheme_coefficients(fedavg_cfg(eta=0.1, epochs=1, batch_size=8), 1,
-                                 UpdateHistory.fresh(model))
-    with pytest.raises(DegenerateUpdateError):
-        make_target(snap_update(model, np.ones(4)), coeffs, cfg)
 
 
 # ---------------------------------------------------------------- solver
@@ -795,21 +795,18 @@ def test_rlu_scheme_aware_beats_naive_on_fedprox():
 
 def test_rlu_degenerate_updates_raise():
     data, aux, partition, model = blob_world(2)
-    cfg = fedavg_cfg(eta=0.0, epochs=1, batch_size=32)
+    cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
     history = UpdateHistory.fresh(model)
     zero = LocalUpdate(zeros_like_params(model), 1, 0, 32, np.zeros((1, 10)))
-    # the checks come before the context is read, so rounds without a
-    # context (run_experiment builds none when no update carries signal)
-    # still get the error
+    # the check comes before the context is read, so it holds without one
     with pytest.raises(DegenerateUpdateError):
         rlu_attack(None, zero, cfg, history)
-    cfg2 = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
+    context = prepare_round(model, aux, AttackParams())
     with pytest.raises(DegenerateUpdateError):
-        rlu_attack(None, zero, cfg2, history)
-    assert not carries_signal(zero, cfg2)
+        rlu_attack(context, zero, cfg, history)
     nonzero = LocalUpdate(zeros_like_params(model), 1, 0, 32, np.zeros((1, 10)))
     nonzero.delta.biases[-1][0] = 1e-3
-    assert carries_signal(nonzero, cfg2) and not carries_signal(nonzero, cfg)
+    assert rlu_attack(context, nonzero, cfg, history).counts.sum() == 32
 
 
 def test_rlu_non_finite_update_raises_value_error():

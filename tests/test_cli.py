@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from fedleak.data import load_dataset_csv
 from fedleak.nn import forward_batch, init_model, save_model
 
 from _helpers import sgd_train
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_rows(path):
@@ -224,6 +229,30 @@ def test_sweep_empty_grid_exit_one(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--alphas", "0.5,-1"], "alpha"),
+        (["--alphas", "0.5,nan"], "alpha"),
+        (["--epoch-grid", "1,0"], "epochs"),
+        (["--seeds", "0,-1"], "seed"),
+        (["--seeds", "1.5"], "--seeds"),
+        (["--alphas", "0.5,x"], "--alphas"),
+    ],
+    ids=["negative_alpha", "nan_alpha", "zero_epochs", "negative_seed", "float_seed", "text_alpha"],
+)
+def test_sweep_checks_its_whole_grid_before_the_first_run(tmp_path, capsys, monkeypatch, flags, name):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(1) or [])
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--output", str(out), *small_args(tmp_path), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(rf"(?<![\w-]){re.escape(name)}\b", err)
+    assert calls == []
+    assert not out.exists()
+
+
 # -------------------------------------------------------- diagnose-moments
 
 def write_world(tmp_path, model, data):
@@ -272,6 +301,37 @@ def test_diagnose_moments_rejects_a_zero_width_checkpoint(tmp_path, capsys):
     rc = main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath), "--output", str(out)])
     assert rc == 1
     assert "zero.ckpt has layer_sizes [4, 0, 3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_moments_overflowing_covariance_exits_one(tmp_path):
+    # features near 1e200 give finite logits whose covariance overflows;
+    # the Gaussian factorization must reject it instead of retrying forever
+    from fedleak.data import Dataset
+
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.standard_normal((30, 2)) * 1e200, np.arange(30) % 3, 3)
+    mpath, dpath = write_world(tmp_path, init_model([2, 3], "relu", seed=0), data)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedleak.cli", "diagnose-moments", "--model", str(mpath), "--data", str(dpath),
+         "--output", str(tmp_path / "moments.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error: logit moments must be finite" in proc.stderr
+
+
+def test_diagnose_moments_non_finite_dataset_names_the_row(tmp_path, capsys):
+    from fedleak.data import make_synthetic
+
+    mpath, dpath = write_world(tmp_path, init_model([4, 3], "relu", seed=0), make_synthetic(3, 4, 5, 2.0, seed=0))
+    lines = dpath.read_text().splitlines()
+    lines[4] = "nan," + lines[4].split(",", 1)[1]
+    dpath.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "moments.csv"
+    assert main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath), "--output", str(out)]) == 1
+    assert f"error: {dpath}, line 5: features must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -615,6 +675,23 @@ def test_run_scheme_constraints_rejected_before_training(tmp_path, capsys, monke
     assert err.startswith("error:") and re.search(rf"\b{name}\b", err)
     assert not out.exists()
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command, flags, name",
+    [
+        ("run", ["--seed", "-1"], "seed"),
+        ("gen-data", ["--seed", "-1"], "seed"),
+        ("run", ["--aux-per-class", "0"], "aux_per_class"),
+    ],
+    ids=["run_seed", "gen_data_seed", "aux_per_class"],
+)
+def test_config_errors_name_the_key(tmp_path, capsys, command, flags, name):
+    outputs = ["--output", str(tmp_path / "r.csv")] if command == "run" else [
+        "--out-data", str(tmp_path / "d.csv"), "--out-partition", str(tmp_path / "p.csv")]
+    assert main([command, *outputs, *small_args(tmp_path), *flags]) == 1
+    assert re.search(rf"^error: {name} must be ", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rounds_validation_exit_one(tmp_path):

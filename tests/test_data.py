@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -228,6 +230,25 @@ def test_dataset_csv_roundtrip(tmp_path):
     loaded = load_dataset_csv(path, n_classes=4)
     assert np.array_equal(loaded.features, data.features)
     assert np.array_equal(loaded.labels, data.labels)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("nan,0.5,1", "features must be finite"),
+        ("1e999,0.5,1", "features must be finite"),
+        ("0.1,abc,1", "could not convert string to float: 'abc'"),
+        ("0.1,0.5,1.0", "label '1.0' is not an integer"),
+        ("0.1,0.5,3", "label 3 is outside [0, 3)"),
+        ("0.1,0.5,-1", "label -1 is outside [0, 3)"),
+    ],
+    ids=["nan", "overflow", "text", "float_label", "label_too_large", "negative_label"],
+)
+def test_dataset_csv_bad_row_names_file_and_line(tmp_path, line, message):
+    path = tmp_path / "data.csv"
+    path.write_text(f"f0,f1,label\n0.1,0.2,0\n{line}\n0.3,0.4,2\n")
+    with pytest.raises(ValueError, match=f"data.csv, line 3: {re.escape(message)}"):
+        load_dataset_csv(path, n_classes=3)
 
 
 def test_partition_csv_layout(tmp_path):

@@ -95,17 +95,6 @@ def test_round_correction_per_scheme():
         assert fedsim.round_correction(cfg, fresh) == (want_prox, None), scheme
 
 
-def test_eta_zero_produces_zero_delta():
-    data, partition, model = small_world()
-    cfg = fedavg_cfg(eta=0.0, epochs=3, batch_size=16)
-    plan = plan_batches(data.subset(partition.assignments[0]), 16, 3, seed=1)
-    update, local = local_train(
-        model, data.subset(partition.assignments[0]), plan, cfg, UpdateHistory.fresh(model), 1, 0
-    )
-    assert update.delta.max_abs() == 0.0
-    assert local.params().sub(model.params()).max_abs() == 0.0
-
-
 def test_fedprox_lambda_zero_matches_fedavg():
     data, partition, model = small_world(seed=5)
     client = data.subset(partition.assignments[0])
@@ -248,15 +237,6 @@ def test_aggregate_linearity():
 
 # ---------------------------------------------------------------- run_round
 
-def test_run_round_eta_zero_global_unchanged():
-    data, partition, model = small_world(seed=10)
-    cfg = fedavg_cfg(eta=0.0, epochs=2, batch_size=16)
-    new_model, _, truths, _, _, _ = one_round(data, partition, model, cfg, seed=10)
-    for a, b in zip(new_model.weights, model.weights):
-        assert np.array_equal(a, b)
-    assert any(t is not None for t in truths)
-
-
 def test_run_round_two_equal_clients_mean():
     data = make_synthetic(4, 6, 50, 3.0, seed=20)
     rng = np.random.default_rng(20)
@@ -313,6 +293,22 @@ def test_run_round_under_provisioned_client_zero_update():
     expected = server_aggregate(updates, np.array([5.0, 85.0]) / 90.0, model)
     for a, b in zip(new_model.weights + new_model.biases, expected.weights + expected.biases):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shards", [[5, 15], [0, 0], []], ids=["small", "empty_shards", "no_clients"])
+def test_run_round_without_a_full_batch_raises_before_training(monkeypatch, shards):
+    # a round of zero updates only would carry no signal; an empty
+    # partition is the same case
+    data = make_synthetic(3, 4, 30, 2.0, seed=31)
+    bounds = np.cumsum([0, *shards])
+    partition = Partition([np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])], alpha=0.0, seed=0)
+    model = init_model([4, 8, 3], "relu", seed=31)
+    calls = []
+    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: calls.append(1))
+    histories = [UpdateHistory.fresh(model) for _ in shards]
+    with pytest.raises(ValueError, match=rf"batch_size 16 .*\({max(shards, default=0)} samples\)"):
+        run_round(model, data, partition, fedavg_cfg(eta=0.05, epochs=2, batch_size=16), histories, 1, seed=31)
+    assert calls == []
 
 
 def test_run_round_one_backward_per_epoch(monkeypatch):
@@ -592,6 +588,12 @@ def test_scaffold_closed_form_three_rounds():
         diff = got.sub(expected).max_abs()
         scale = max(expected.max_abs(), 1e-30)
         assert diff / scale <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", fedsim.SCHEMES)
+def test_scheme_config_rejects_eta_zero_for_every_scheme(scheme):
+    with pytest.raises(ValueError, match=r"\beta\b"):
+        SchemeConfig(scheme=scheme, optimizer="sgd", eta=0.0, epochs=1, batch_size=8)
 
 
 def test_scheme_config_validation():

@@ -8,6 +8,9 @@ itself, so these checks pin the contract from this side.
 import importlib
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,8 @@ def load_perfbench(name):
     return module
 
 
-WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
 def test_every_traced_name_resolves():
@@ -64,3 +68,21 @@ def test_posterior_search_is_looked_up_once_per_one_batch_attack(monkeypatch):
 def test_numba_flag_exists():
     # perfbench/run.py records it with every result
     assert isinstance(_kernels.NUMBA_ENABLED, bool)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_runs_one_second_of_single_epoch(tmp_path, trace):
+    # on a copy, so the traced run's spans land outside the checkout
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench")
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "single_epoch", "--seconds", "1", "--seed", "0",
+         "--trace", str(trace)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    if trace == 0:
+        assert list(result["metrics"]) == [m["name"] for m in BENCHMARK["end_to_end"]]
