@@ -5,11 +5,17 @@ a confusion matrix). active_set_simplex_ls solves least squares on the
 probability simplex exactly: a primal active-set method in the style of
 Lawson-Hanson NNLS, where each iteration solves one small KKT system on
 the current support and then drops a class that went non-positive or adds
-the zero class whose multiplier is most negative. pgd_simplex_ls solves
-the same problem by projected gradient, with project_simplex as its
-projection; the attack no longer calls it, and tests keep it as an
-independent reference.
+the zero class whose multiplier is most negative. Everything it needs that
+depends on A alone (G = A^T A, the bordered KKT matrix and the linear map
+of its warm start) is a SimplexSystem that simplex_system builds once, so
+each u solved against a prebuilt system pays only for A^T u, one matvec
+and the KKT solves on its own supports.
+pgd_simplex_ls solves the same problem by projected gradient, with
+project_simplex as its projection; the attack no longer calls it, and
+tests keep it as an independent reference.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +91,10 @@ def _kkt_solve(kkt, rhs, rows, limit):
     on the support. LU may solve a singular system (duplicate or zero
     columns of A, say) to a huge point instead of failing, so a solution
     whose largest entry exceeds limit is replaced by the least-squares one.
+    rhs may also be a matrix, solved column by column under one limit.
     """
     sub = kkt.take(rows, 0).take(rows, 1)
-    part = rhs.take(rows)
+    part = rhs.take(rows, 0)
     try:
         sol = np.linalg.solve(sub, part)
         singular = not abs(sol).max() <= limit
@@ -95,33 +102,80 @@ def _kkt_solve(kkt, rhs, rows, limit):
         singular = True
     if singular:
         sol = np.linalg.lstsq(sub, part, rcond=None)[0]
-    x = np.zeros(rhs.size)
+    x = np.zeros(rhs.shape)
     x[rows] = sol
     return x
 
 
-def active_set_simplex_ls(gram, b):
-    """Exact min ||A z - u||^2 over the simplex, from G = A^T A and b = A^T u.
+@dataclass(frozen=True)
+class SimplexSystem:
+    """The part of min ||A z - u||^2 over the simplex that does not depend on u.
 
-    Returns (z, kkt_solves, converged). The warm start solves the KKT
-    system on every class; if that point is positive it is the answer,
-    otherwise its simplex projection starts the primal active-set
-    iteration. A KKT solve on the support that leaves a coordinate at or
-    below zero steps to the boundary and drops the first coordinate to
-    reach it; one that does not moves there and adds the zero coordinate
-    whose multiplier (G z - b + nu) is most negative. The solve is
-    converged when no multiplier is below -_KKT_RTOL times the gradient
-    scale. After MAX_KKT_SOLVES solves the current point, which is always
-    on the simplex, is returned with converged False.
+    kkt is the bordered matrix [G 1; 1^T 0] of G = A^T A, and warm is the
+    linear map of the warm start: warm @ [A^T u; 1] is the KKT solution on
+    every class. It is kkt's inverse, or, when _kkt_solve finds kkt
+    singular, its least-squares inverse, so a singular system starts from
+    _kkt_solve's least-squares point. warm is None when A is all zero.
+    The arrays are read-only.
     """
-    n = b.size
+
+    a: np.ndarray
+    gram: np.ndarray
+    kkt: np.ndarray
+    warm: np.ndarray
+    gram_scale: float  # max |G|
+    kkt_scale: float  # max |kkt|
+
+
+def simplex_system(a) -> SimplexSystem:
+    """The SimplexSystem of a square, finite matrix A.
+
+    Costs one Gram product and one inversion of the (n + 1)-square KKT
+    matrix, the warm-start solve of every u against A at once.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("A must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite system")
+    n = a.shape[0]
+    gram = a.T @ a
     kkt = np.ones((n + 1, n + 1))
     kkt[:n, :n] = gram
     kkt[n, n] = 0.0
+    kkt_scale = float(abs(kkt).max())
+    # the limit _kkt_solve applies to a right-hand side of largest entry 1
+    warm = _kkt_solve(kkt, np.eye(n + 1), np.arange(n + 1), _KKT_COND_LIMIT / kkt_scale) if gram.any() else None
+    for arr in (a, gram, kkt, warm):
+        if arr is not None:
+            arr.flags.writeable = False
+    return SimplexSystem(a, gram, kkt, warm, float(abs(gram).max()), kkt_scale)
+
+
+def active_set_simplex_ls(system, b):
+    """Exact min ||A z - u||^2 over the simplex, from A's SimplexSystem and b = A^T u.
+
+    Returns (z, kkt_solves, converged). An all-zero A returns the uniform
+    point after no solve. Otherwise the warm start is the KKT solution on
+    every class, system.warm @ [b; 1], and counts as one solve; if that
+    point is positive it is the answer, otherwise its simplex projection
+    starts the primal active-set iteration. A KKT solve on the support
+    that leaves a coordinate at or below zero steps to the boundary and
+    drops the first coordinate to reach it; one that does not moves there
+    and adds the zero coordinate whose multiplier (G z - b + nu) is most
+    negative. The solve is converged when no multiplier is below
+    -_KKT_RTOL times the gradient scale. After MAX_KKT_SOLVES solves the
+    current point, which is always on the simplex, is returned with
+    converged False.
+    """
+    n = b.size
+    if system.warm is None:
+        return np.full(n, 1.0 / n), 0, True
+    kkt, gram = system.kkt, system.gram
     rhs = np.append(b, 1.0)
-    limit = _KKT_COND_LIMIT * abs(rhs).max() / abs(kkt).max()
-    tol = _KKT_RTOL * (abs(gram).max() + abs(b).max())
-    x = _kkt_solve(kkt, rhs, np.arange(n + 1), limit)
+    limit = _KKT_COND_LIMIT * abs(rhs).max() / system.kkt_scale
+    tol = _KKT_RTOL * (system.gram_scale + abs(b).max())
+    x = system.warm @ rhs
     solves = 1
     if x[:n].min() > 0.0:
         return x[:n], solves, True

@@ -10,9 +10,14 @@ round's counts are the epoch count times one per-epoch vector, and the
 crude counts are rounded onto that lattice. The shard size is the one
 piece of client metadata the attack reads; the server knows it because it
 weights the aggregate by it. Every update of a round is attacked against
-the same global model: prepare_round builds that model's confusion matrix
-once into a RoundContext, and rlu_attack takes the context with each
-update. Nothing on the attack path draws random numbers.
+the same global model and auxiliary set: prepare_round builds what depends
+only on them once into a RoundContext (the auxiliary features in class
+order, the global model's confusion matrix, and the simplex system of that
+matrix with its warm-start inverse), and rlu_attack takes the context
+with each update. A single-epoch update then costs its target and the
+KKT solves on its own supports; a multi-epoch one also forwards the
+class-ordered auxiliary features through its local model and builds its
+own system. Nothing on the attack path draws random numbers.
 mc_confusion, the Gaussian Monte Carlo model of the same matrix, stays as
 a diagnostic of how far the logits are from Gaussian.
 
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import active_set_simplex_ls, mean_softmax
+from ._kernels import SimplexSystem, active_set_simplex_ls, mean_softmax, simplex_system
 # Kept only for perfbench/tracing.py, which looks the name up here; the attack
 # no longer calls it.
 from ._kernels import pgd_simplex_ls  # noqa: F401
@@ -98,15 +103,21 @@ class RoundContext:
     """Everything an attack needs that is fixed for one round.
 
     Every update of a round is attacked against the same round-start global
-    model, auxiliary set and settings; prepare_round builds the model's
-    confusion matrix once. Its arrays are read-only, which keeps attacks
-    from writing into shared state.
+    model, auxiliary set and settings; prepare_round builds the rest once.
+    aux_features holds the auxiliary rows grouped by class, class n's rows
+    at aux_bounds[n]:aux_bounds[n + 1] in their order in the set, so a
+    local model's per-class logits are slices of one forward pass. system
+    is the SimplexSystem of build_system(s_first), which every
+    single-epoch update is solved against. Its arrays are read-only, which
+    keeps attacks from writing into shared state.
     """
 
     global_model: Model
-    aux: Dataset
     params: AttackParams
-    s_first: ConfusionMatrix  # plug-in confusion matrix of global_model on aux
+    s_first: ConfusionMatrix  # plug-in confusion matrix of global_model on the auxiliary set
+    aux_features: np.ndarray  # (rows, d), grouped by class
+    aux_bounds: np.ndarray  # (N + 1,) class offsets into aux_features
+    system: SimplexSystem
 
 
 @dataclass
@@ -157,24 +168,39 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
+def class_order(aux: Dataset, n_classes: int) -> tuple:
+    """aux's features grouped by class, and the class bounds.
+
+    Returns (features, bounds): class n's rows are
+    features[bounds[n]:bounds[n + 1]], in their order in aux. features is a
+    read-only view of aux.features when aux is already sorted by label, as
+    make_auxiliary builds it, and a grouped copy otherwise. Rows labelled
+    n_classes or above are left out.
+    """
+    labels = aux.labels
+    counts = np.bincount(labels, minlength=n_classes)[:n_classes]
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise ValueError(f"dataset has no samples for class {missing[0]}")
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    features = aux.features if (labels[1:] >= labels[:-1]).all() else aux.features[np.argsort(labels, kind="stable")]
+    features = features[: bounds[-1]]
+    features.flags.writeable = False
+    bounds.flags.writeable = False
+    return features, bounds
+
+
 def class_logits(model: Model, aux: Dataset) -> tuple:
     """The model's logits on the auxiliary set, one read-only block per class.
 
     Block n is the (count, N) array of logits of aux's class-n rows, in
-    their order in aux. The whole set goes through one forward pass, so
-    each row's logits do not depend on which rows share its batch; only
-    the logits are kept from it, so the embedding is freed before the
-    blocks are gathered.
+    their order in aux. The rows go through one forward pass in class
+    order, and each block is a slice of its logits.
     """
-    logits = forward_batch(model, aux.features)[0]
-    blocks = []
-    for cls in range(model.n_classes):
-        rows = logits[aux.labels == cls]
-        if len(rows) == 0:
-            raise ValueError(f"dataset has no samples for class {cls}")
-        rows.flags.writeable = False
-        blocks.append(rows)
-    return tuple(blocks)
+    features, bounds = class_order(aux, model.n_classes)
+    logits = forward_batch(model, features)[0]
+    logits.flags.writeable = False
+    return tuple(logits[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
@@ -197,16 +223,22 @@ def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     return LogitMoments(mu, sigma)
 
 
-def plugin_confusion(logits) -> ConfusionMatrix:
-    """Confusion matrix of per-class logits, as from class_logits.
+def plugin_confusion(logits, bounds=None) -> ConfusionMatrix:
+    """Confusion matrix of per-class logits.
 
-    Row n is the mean softmax over class n's rows: the plug-in estimate of
-    the expected erroneous confidences. se holds each entry's standard
-    error over those rows, the sample standard deviation over sqrt(count)
-    (0 for a single row). The blocks go through one softmax together.
+    logits is either one block per class, as from class_logits, or, with
+    bounds, one (rows, N) array grouped by class, class n's rows at
+    bounds[n]:bounds[n + 1], as from the forward pass of a RoundContext's
+    aux_features; blocks are stacked into such an array first. Row n is
+    the mean softmax over class n's rows: the plug-in estimate of the
+    expected erroneous confidences. se holds each entry's standard error
+    over those rows, the sample standard deviation over sqrt(count) (0 for
+    a single row). All rows go through one softmax together.
     """
-    bounds = np.cumsum([0, *map(len, logits)])
-    probs = softmax_rows(np.concatenate(logits))
+    if bounds is None:
+        bounds = np.cumsum([0, *map(len, logits)])
+        logits = np.concatenate(logits)
+    probs = softmax_rows(logits)
     # each mean over a slice of probs gives the same bits as mean_softmax on
     # that class's block alone
     s = np.array([probs[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
@@ -244,14 +276,16 @@ def mc_confusion(moments: LogitMoments, normals: np.ndarray) -> ConfusionMatrix:
 def prepare_round(global_model: Model, aux: Dataset, params: AttackParams) -> RoundContext:
     """The attack context of one round, built once from its global model.
 
-    Pass the result to rlu_attack for every update of the round. It
-    forwards aux through global_model once and keeps the confusion matrix
-    of the per-class logits.
+    Pass the result to rlu_attack for every update of the round. It groups
+    aux by class, forwards it through global_model once, keeps the
+    confusion matrix of the per-class logits, and builds that matrix's
+    simplex system.
     """
-    s_first = plugin_confusion(class_logits(global_model, aux))
+    features, bounds = class_order(aux, global_model.n_classes)
+    s_first = plugin_confusion(forward_batch(global_model, features)[0], bounds)
     s_first.s.flags.writeable = False
     s_first.se.flags.writeable = False
-    return RoundContext(global_model, aux, params, s_first)
+    return RoundContext(global_model, params, s_first, features, bounds, simplex_system(build_system(s_first)))
 
 
 def _geometric_rho(decay: float, m: int) -> np.ndarray:
@@ -308,32 +342,30 @@ def make_target(update: LocalUpdate, coeffs: SchemeCoefficients, cfg: SchemeConf
     return (update.delta_b_out + offset) / (cfg.eta * sum_rho)
 
 
-def solve_simplex_ls(a: np.ndarray, u: np.ndarray):
+def solve_simplex_ls(a, u: np.ndarray):
     """min ||A z - u||^2 over the probability simplex, solved exactly.
 
-    Forms G = A^T A and b = A^T u once and runs the primal active-set
-    method of _kernels.active_set_simplex_ls: a warm start from the KKT
-    solution on every class, then one small KKT solve per support change
-    until the KKT conditions hold. Returns (z, info) where info carries
-    iterations (the number of KKT solves), converged, and the objective at
-    z. If the solve stops at _kernels.MAX_KKT_SOLVES first, z is the last
-    point reached, still on the simplex, and converged is False. An
-    all-zero A returns the uniform point after no solve.
+    a is the system matrix A, or the SimplexSystem that
+    _kernels.simplex_system built from it, which holds G = A^T A and the
+    warm start's KKT inverse; a matrix is turned into one here. Only
+    b = A^T u is formed per call. The primal active-set method of
+    _kernels.active_set_simplex_ls then warm-starts from the KKT solution
+    on every class and makes one small KKT solve per support change until
+    the KKT conditions hold. Returns (z, info) where info carries
+    iterations (the number of KKT solves, the warm start included),
+    converged, and the objective at z. If the solve stops at
+    _kernels.MAX_KKT_SOLVES first, z is the last point reached, still on
+    the simplex, and converged is False. An all-zero A returns the uniform
+    point after no solve.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    system = a if isinstance(a, SimplexSystem) else simplex_system(a)
     u = np.ascontiguousarray(u, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != u.size:
-        raise ValueError("A must be square and match u")
-    if not (np.isfinite(a).all() and np.isfinite(u).all()):
-        raise ValueError("non-finite system")
-    n = u.size
-    gram = a.T @ a
-    if not gram.any():
-        z = np.full(n, 1.0 / n)
-        resid = a @ z - u
-        return z, {"iterations": 0, "converged": True, "objective": float(resid @ resid)}
-    z, solves, converged = active_set_simplex_ls(gram, a.T @ u)
-    resid = a @ z - u
+    if system.a.shape[0] != u.size:
+        raise ValueError("u must match A")
+    if not np.isfinite(u).all():
+        raise ValueError("non-finite target")
+    z, solves, converged = active_set_simplex_ls(system, system.a.T @ u)
+    resid = system.a @ z - u
     return z, {"iterations": int(solves), "converged": bool(converged), "objective": float(resid @ resid)}
 
 
@@ -369,8 +401,10 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     context comes from prepare_round on the global model that update
     started from; history must be the round-start state for update.round.
     The system is built from the mean of the round's confusion matrices:
-    the context's alone for a single epoch, and for m > 1 also the local
-    model's, from its auxiliary logits. Its solution is rounded to the
+    the context's alone for a single epoch, whose prebuilt system the
+    update is solved against, and for m > 1 also the local model's, from
+    its logits on the context's class-ordered auxiliary features, which
+    gives the update its own system. Its solution is rounded to the
     m * batch_size labels of the round. A multi-epoch update whose shard is
     exactly one batch (update.n_samples == batch_size, the server-known
     shard size) then has its counts rounded to m times a per-epoch vector
@@ -394,13 +428,14 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     u = make_target(update, coeffs, cfg)
 
     matrices = [context.s_first]
+    system = context.system
     if m > 1:
         local_model = context.global_model.copy()
         local_model.params().add_(update.delta, 1.0)
-        matrices.append(plugin_confusion(class_logits(local_model, context.aux)))
+        matrices.append(plugin_confusion(forward_batch(local_model, context.aux_features)[0], context.aux_bounds))
+        system = build_system(ConfusionMatrix((matrices[0].s + matrices[1].s) / 2))
     diagnostics = {"confusion_se": float(max(c.se.max() for c in matrices))}
-    a = build_system(ConfusionMatrix(sum(c.s for c in matrices) / len(matrices)))
-    z, info = solve_simplex_ls(a, u)
+    z, info = solve_simplex_ls(system, u)
     counts = round_counts(z, m * cfg.batch_size)
     method = METHOD_SINGLE
     if m > 1:

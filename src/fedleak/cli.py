@@ -336,6 +336,11 @@ def cmd_diagnose_moments(args) -> int:
     dataset = dat.load_dataset_csv(args.data, n_classes=model.n_classes)
     logits = atk.class_logits(model, dataset)
     n = model.n_classes
+    # the Gaussian fit is the step that can reject the logits, so it runs
+    # before the output file is opened: a failed run writes nothing
+    normals = np.random.default_rng(_GAUSS_SEED).standard_normal((_GAUSS_SAMPLES, n))
+    s_gauss = atk.mc_confusion(atk.estimate_moments(model, dataset), normals).s
+    gap = np.abs(s_gauss - atk.plugin_confusion(logits).s).max(axis=1)
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "bin_left", "bin_right", "count"])
@@ -345,9 +350,6 @@ def cmd_diagnose_moments(args) -> int:
                 for b in range(args.bins):
                     writer.writerow([cls, j, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])])
     print(f"wrote {n * n * args.bins} histogram rows to {args.output}")
-    normals = np.random.default_rng(_GAUSS_SEED).standard_normal((_GAUSS_SAMPLES, n))
-    s_gauss = atk.mc_confusion(atk.estimate_moments(model, dataset), normals).s
-    gap = np.abs(s_gauss - atk.plugin_confusion(logits).s).max(axis=1)
     for cls in range(n):
         print(f"class {cls}: max_j |s_gauss - s_plugin| = {gap[cls]:.6e}")
     return 0

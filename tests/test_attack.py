@@ -28,7 +28,7 @@ from fedleak.attack import (
     solve_simplex_ls,
 )
 from fedleak import _kernels
-from fedleak._kernels import mean_softmax, pgd_simplex_ls
+from fedleak._kernels import _KKT_COND_LIMIT, _kkt_solve, mean_softmax, pgd_simplex_ls
 from fedleak.data import Dataset, largest_remainder, make_synthetic
 from fedleak.fedsim import (
     LocalUpdate,
@@ -1027,34 +1027,173 @@ def test_round_context_first_matrix_is_mean_aux_softmax():
             expected = 0.0 if j == n else probs[:, j].mean()
             assert context.s_first.s[n, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
         npt.assert_array_equal(class_logits(model, aux)[n], rows)
-    # the context keeps only the matrix, not the logits it came from
-    assert [f.name for f in fields(RoundContext)] == ["global_model", "aux", "params", "s_first"]
+    # the context keeps the matrix, the class-ordered aux rows and the
+    # matrix's prebuilt solve, not the logits they came from
+    assert [f.name for f in fields(RoundContext)] == [
+        "global_model", "params", "s_first", "aux_features", "aux_bounds", "system",
+    ]
 
 
-def test_round_context_unchanged_by_multi_epoch_attacks():
+def context_arrays(context):
+    """Every array a RoundContext holds, by name."""
+    system = context.system
+    return {
+        "s_first.s": context.s_first.s,
+        "s_first.se": context.s_first.se,
+        "aux_features": context.aux_features,
+        "aux_bounds": context.aux_bounds,
+        "system.a": system.a,
+        "system.gram": system.gram,
+        "system.kkt": system.kkt,
+        "system.warm": system.warm,
+    }
+
+
+def check_round_context_unchanged_by_attacks(epochs, method):
+    """Attack every trained update of one round; every context array stays read-only and unchanged."""
     data, aux, partition, model = full_batch_world(3, shard_size=16, clients=4)
-    cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
+    cfg = fedavg_cfg(eta=0.01, epochs=epochs, batch_size=16)
     _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
     params = AttackParams(search_iters=3)
     context = prepare_round(model, aux, params)
     assert context.s_first.s.shape == (10, 10)
-    shared = [context.s_first.s, context.s_first.se]
-    before = [arr.copy() for arr in shared]
+    shared = context_arrays(context)
+    # context_arrays names every array the context and its parts hold
+    held = [v for part in (context, context.s_first, context.system) for v in vars(part).values()]
+    assert sorted(id(v) for v in held if isinstance(v, np.ndarray)) == sorted(map(id, shared.values()))
+    before = {name: arr.copy() for name, arr in shared.items()}
     attacked = 0
     for k, update in enumerate(updates):
         if truths[k] is None:
             continue
         report = rlu_attack(context, update, cfg, histories[k])
-        assert report.method == "posterior_search"
+        assert report.method == method
         attacked += 1
+        for name, arr in shared.items():
+            npt.assert_array_equal(arr, before[name], err_msg=name)
+            assert not arr.flags.writeable, name
     assert attacked >= 2
-    for old, new in zip(before, shared):
-        npt.assert_array_equal(old, new)
-        assert not new.flags.writeable
+    return model, aux, context
+
+
+def test_round_context_unchanged_by_single_epoch_attacks():
+    check_round_context_unchanged_by_attacks(1, "single_epoch")
+
+
+def test_round_context_unchanged_by_multi_epoch_attacks():
+    model, aux, context = check_round_context_unchanged_by_attacks(3, "posterior_search")
     # the global-model matrix is the one plugin_confusion gives on the logits
     again = plugin_confusion(class_logits(model, aux))
     assert np.array_equal(again.s, context.s_first.s)
     assert np.array_equal(again.se, context.s_first.se)
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_shuffled_auxiliary_set_gives_the_class_ordered_counts(epochs):
+    data, aux, partition, model = blob_world(5, clients=6)
+    cfg = fedavg_cfg(eta=0.01, epochs=epochs, batch_size=16)
+    _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=5)
+    perm = np.random.default_rng(5).permutation(len(aux))
+    shuffled = Dataset(aux.features[perm], aux.labels[perm], aux.n_classes)
+    ordered = prepare_round(model, aux, AttackParams())
+    mixed = prepare_round(model, shuffled, AttackParams())
+    # make_auxiliary's set is already grouped by class, so it is not copied
+    assert np.shares_memory(ordered.aux_features, aux.features)
+    assert not np.shares_memory(mixed.aux_features, shuffled.features)
+    npt.assert_array_equal(mixed.aux_bounds, ordered.aux_bounds)
+    npt.assert_allclose(mixed.s_first.s, ordered.s_first.s, rtol=0.0, atol=1e-15)
+    attacked = 0
+    for k, update in enumerate(updates):
+        if truths[k] is None:
+            continue
+        expected = rlu_attack(ordered, update, cfg, histories[k])
+        npt.assert_array_equal(rlu_attack(mixed, update, cfg, histories[k]).counts, expected.counts)
+        attacked += 1
+    assert attacked >= 3
+    # each class's block keeps that class's rows in their order in the set
+    logits = forward_batch(model, shuffled.features)[0]
+    for n, block in enumerate(class_logits(model, shuffled)):
+        npt.assert_allclose(block, logits[shuffled.labels == n], rtol=1e-13, atol=0.0)
+
+
+def assert_same_solve(report, standalone, total):
+    """A single-epoch report against a standalone solve: counts, KKT solves, objective."""
+    z, info = standalone
+    npt.assert_array_equal(report.counts, round_counts(z, total))
+    assert report.diagnostics["solver_iterations"] == info["iterations"]
+    worst = max(report.residual, info["objective"])
+    if worst > 1e-20:
+        assert abs(report.residual - info["objective"]) <= 1e-9 * worst
+
+
+def test_round_shared_solve_matches_the_standalone_solve_on_single_epoch_worlds():
+    # the criterion-06 worlds: the update solved against the round's
+    # prebuilt system gives what solving build_system(s_first) afresh gives
+    compared = 0
+    cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
+    for seed in range(20):
+        data, aux, partition, model = blob_world(seed)
+        _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=seed)
+        context = prepare_round(model, aux, AttackParams())
+        a = build_system(context.s_first)
+        for k, update in enumerate(updates):
+            if truths[k] is None:
+                continue
+            report = rlu_attack(context, update, cfg, histories[k])
+            u = make_target(update, scheme_coefficients(cfg, 1, histories[k]), cfg)
+            assert_same_solve(report, solve_simplex_ls(a, u), 32)
+            compared += 1
+    assert compared == 196
+
+
+def saturated_world(saturated, n=4):
+    """Identity model and aux set whose classes in `saturated` are never confused.
+
+    A saturated class's logits put 1000 on its own class, so its softmax
+    rows are exactly one-hot and its confusion row is exactly zero.
+    """
+    rng = np.random.default_rng(8)
+    features, labels = [], []
+    for cls in range(n):
+        rows = rng.random((6, n))
+        if cls in saturated:
+            rows[:, cls] += 1000.0
+        features.append(rows)
+        labels += [cls] * 6
+    return identity_model(n), Dataset(np.vstack(features), np.array(labels), n)
+
+
+@pytest.mark.parametrize("saturated", [(1, 2), (0, 1, 2, 3)], ids=["two_identical_rows", "all_zero"])
+def test_round_shared_solve_on_a_singular_system(saturated):
+    model, aux = saturated_world(saturated)
+    context = prepare_round(model, aux, AttackParams())
+    s = context.s_first.s
+    npt.assert_array_equal(s[list(saturated)], 0.0)
+    system = context.system
+    if len(saturated) == 4:
+        # A = 0: every point is optimal, and the solve returns the uniform one
+        assert system.warm is None
+    else:
+        # A e_1 = A e_2 = 0, so the KKT matrix is singular
+        assert np.linalg.matrix_rank(system.kkt) < 5
+    rng = np.random.default_rng(9)
+    cfg = fedavg_cfg(eta=0.1, epochs=1, batch_size=8)
+    for _ in range(20):
+        delta = zeros_like_params(model)
+        delta.biases[-1][:] = rng.normal(size=4) * 0.1
+        update = LocalUpdate(delta, 1, 0, 8, np.zeros((1, 4)))
+        report = rlu_attack(context, update, cfg, UpdateHistory.fresh(model))
+        u = make_target(update, scheme_coefficients(cfg, 1, UpdateHistory.fresh(model)), cfg)
+        assert_same_solve(report, solve_simplex_ls(build_system(context.s_first), u), 8)
+        assert report.diagnostics["solver_converged"]
+        if system.warm is None:
+            npt.assert_array_equal(report.z_star, np.full(4, 0.25))
+            assert report.diagnostics["solver_iterations"] == 0
+            continue
+        # the warm start is _kkt_solve's least-squares point on every class
+        rhs = np.append(system.a.T @ u, 1.0)
+        limit = _KKT_COND_LIMIT * abs(rhs).max() / abs(system.kkt).max()
+        npt.assert_allclose(system.warm @ rhs, _kkt_solve(system.kkt, rhs, np.arange(5), limit), rtol=1e-9, atol=1e-12)
 
 
 def test_rlu_attack_draws_no_random_numbers(monkeypatch):

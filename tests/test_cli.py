@@ -322,6 +322,22 @@ def test_diagnose_moments_overflowing_covariance_exits_one(tmp_path):
     assert "error: logit moments must be finite" in proc.stderr
 
 
+def test_diagnose_moments_rejected_fit_writes_no_output(tmp_path, capsys):
+    # logits near 1e155 are finite, but their covariance overflows, so the
+    # Gaussian fit is rejected; that happens before the histogram file opens
+    from fedleak.data import make_synthetic
+
+    model = init_model([4, 8, 3], "relu", seed=0)
+    model.weights[0] *= 1e155
+    mpath, dpath = write_world(tmp_path, model, make_synthetic(3, 4, 20, 2.0, seed=0))
+    out = tmp_path / "moments.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath), "--output", str(out)])
+    assert rc == 1
+    assert "error: logit moments must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_moments_non_finite_dataset_names_the_row(tmp_path, capsys):
     from fedleak.data import make_synthetic
 

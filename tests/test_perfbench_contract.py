@@ -65,6 +65,29 @@ def test_posterior_search_is_looked_up_once_per_one_batch_attack(monkeypatch):
         assert len(calls) == expected, shard_size
 
 
+@pytest.mark.parametrize("epochs", [1, 5])
+def test_solve_simplex_ls_is_looked_up_once_per_attack(monkeypatch, epochs):
+    # the tracer's attack.solve_simplex_ls span and its solver counters
+    # wrap the module global: a single-epoch update, solved against the
+    # round's prebuilt system, must still go through it
+    calls = []
+    original = attack.solve_simplex_ls
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    cfg = fedavg_cfg(eta=0.01, epochs=epochs, batch_size=16)
+    data, aux, partition, model = full_batch_world(4, shard_size=16, clients=3)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=4)
+    context = attack.prepare_round(model, aux, attack.AttackParams())
+    monkeypatch.setattr(attack, "solve_simplex_ls", counting)
+    for k, update in enumerate(updates):
+        calls.clear()
+        attack.rlu_attack(context, update, cfg, histories[k])
+        assert len(calls) == 1, k
+
+
 def test_numba_flag_exists():
     # perfbench/run.py records it with every result
     assert isinstance(_kernels.NUMBA_ENABLED, bool)
