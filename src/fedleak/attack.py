@@ -21,16 +21,30 @@ own system. Nothing on the attack path draws random numbers.
 mc_confusion, the Gaussian Monte Carlo model of the same matrix, stays as
 a diagnostic of how far the logits are from Gaussian.
 
+Every forward pass of the auxiliary set goes through _aux_logits. A pass
+large enough for BLAS to dominate (each half at least
+fedsim._PARALLEL_MIN_STEP_MACS multiply-adds and _SPLIT_MIN_ROWS rows, as
+on the train_heavy benchmark model) is cut in two, and one kept helper
+thread forwards the first half while the calling thread forwards the
+second, so a multi-epoch attack uses a second CPU. Where the pass is cut
+depends only on the row and weight counts, never on the CPU count, so a
+run's results do not depend on how many CPUs it has.
+
 Everything here sees only what a curious server would: the global model,
 the transmitted update, past transmissions, the training recipe, and an
 auxiliary dataset. Ground-truth label counts never enter.
 """
 
+import contextvars
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fedsim
 from ._kernels import SimplexSystem, active_set_simplex_ls, mean_softmax, simplex_system
 # Kept only for perfbench/tracing.py, which looks the name up here; the attack
 # no longer calls it.
@@ -44,6 +58,19 @@ METHOD_CRUDE = "crude_multi_epoch"
 METHOD_SEARCH = "posterior_search"
 
 _JITTER_SCALE = 1e-6
+
+# Rows in each half of a split auxiliary pass (_aux_logits), at least. The
+# halves should give the one-pass logits bit for bit, which is up to the
+# BLAS. With OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU, a block of 120 rows
+# or fewer through the train_heavy model (75 through the default 16-32-16-10
+# model) took a small-matrix kernel with other last bits, and blocks of 121
+# rows or more matched.
+_SPLIT_MIN_ROWS = 256
+
+# The kept helper thread of _aux_logits and the pid that started it. A
+# forked child inherits the executor but not its thread, so it starts its own.
+_helper_lock = threading.Lock()
+_helper = (None, None)
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -190,15 +217,61 @@ def class_order(aux: Dataset, n_classes: int) -> tuple:
     return features, bounds
 
 
+def _forward_helper() -> ThreadPoolExecutor:
+    """The one-thread executor that runs the first half of a split pass.
+
+    Started on first use and kept for the life of the process; a forked
+    child that finds its parent's helper starts a new one.
+    """
+    global _helper
+    with _helper_lock:
+        pid, executor = _helper
+        if pid != os.getpid():
+            executor = ThreadPoolExecutor(1, thread_name_prefix="fedleak-aux-forward")
+            _helper = (os.getpid(), executor)
+        return executor
+
+
+def _aux_logits(model: Model, features: np.ndarray) -> np.ndarray:
+    """forward_batch(model, features)[0], on up to two CPUs.
+
+    Every forward pass of the auxiliary set comes through here. A pass
+    whose halves each reach _SPLIT_MIN_ROWS rows and
+    fedsim._PARALLEL_MIN_STEP_MACS multiply-adds (rows times the weight
+    count) is cut at rows // 2. BLAS releases the GIL, so the helper
+    thread forwards the first half, in a copy of the caller's context
+    (np.errstate holds there too), while the caller forwards the second;
+    with one usable CPU the caller forwards both. The cut depends only on
+    the row and weight counts, so the logits never depend on the CPU
+    count. Whether they equal one pass bit for bit is up to the BLAS; on
+    the benchmark's models they do. An error in the first half reaches
+    the caller before one in the second, as in one pass. forward_batch is
+    looked up in this module at call time.
+    """
+    half = len(features) // 2
+    if half < _SPLIT_MIN_ROWS or half * sum(w.size for w in model.weights) < fedsim._PARALLEL_MIN_STEP_MACS:
+        return forward_batch(model, features)[0]
+    head, tail = features[:half], features[half:]
+    if fedsim._usable_cpus() < 2:
+        return np.concatenate((forward_batch(model, head)[0], forward_batch(model, tail)[0]))
+    future = _forward_helper().submit(contextvars.copy_context().run, forward_batch, model, head)
+    try:
+        second = forward_batch(model, tail)[0]
+    finally:
+        # wait for the helper even when the second half failed; its error wins
+        first = future.result()[0]
+    return np.concatenate((first, second))
+
+
 def class_logits(model: Model, aux: Dataset) -> tuple:
     """The model's logits on the auxiliary set, one read-only block per class.
 
     Block n is the (count, N) array of logits of aux's class-n rows, in
     their order in aux. The rows go through one forward pass in class
-    order, and each block is a slice of its logits.
+    order (_aux_logits), and each block is a slice of its logits.
     """
     features, bounds = class_order(aux, model.n_classes)
-    logits = forward_batch(model, features)[0]
+    logits = _aux_logits(model, features)
     logits.flags.writeable = False
     return tuple(logits[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
@@ -210,10 +283,15 @@ def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     mean(diagonal) added on the diagonal, which keeps later factorizations
     stable without moving zero-variance cases off exact zero.
     """
-    n = model.n_classes
+    return _logit_moments(class_logits(model, aux))
+
+
+def _logit_moments(logits) -> LogitMoments:
+    """estimate_moments of per-class logit blocks, as from class_logits."""
+    n = len(logits)
     mu = np.zeros((n, n))
     sigma = np.zeros((n, n, n))
-    for cls, rows in enumerate(class_logits(model, aux)):
+    for cls, rows in enumerate(logits):
         mu[cls] = rows.mean(axis=0)
         centered = rows - mu[cls]
         cov = centered.T @ centered / max(len(rows) - 1, 1)
@@ -282,7 +360,7 @@ def prepare_round(global_model: Model, aux: Dataset, params: AttackParams) -> Ro
     simplex system.
     """
     features, bounds = class_order(aux, global_model.n_classes)
-    s_first = plugin_confusion(forward_batch(global_model, features)[0], bounds)
+    s_first = plugin_confusion(_aux_logits(global_model, features), bounds)
     s_first.s.flags.writeable = False
     s_first.se.flags.writeable = False
     return RoundContext(global_model, params, s_first, features, bounds, simplex_system(build_system(s_first)))
@@ -432,7 +510,7 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     if m > 1:
         local_model = context.global_model.copy()
         local_model.params().add_(update.delta, 1.0)
-        matrices.append(plugin_confusion(forward_batch(local_model, context.aux_features)[0], context.aux_bounds))
+        matrices.append(plugin_confusion(_aux_logits(local_model, context.aux_features), context.aux_bounds))
         system = build_system(ConfusionMatrix((matrices[0].s + matrices[1].s) / 2))
     diagnostics = {"confusion_se": float(max(c.se.max() for c in matrices))}
     z, info = solve_simplex_ls(system, u)

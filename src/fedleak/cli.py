@@ -339,7 +339,7 @@ def cmd_diagnose_moments(args) -> int:
     # the Gaussian fit is the step that can reject the logits, so it runs
     # before the output file is opened: a failed run writes nothing
     normals = np.random.default_rng(_GAUSS_SEED).standard_normal((_GAUSS_SAMPLES, n))
-    s_gauss = atk.mc_confusion(atk.estimate_moments(model, dataset), normals).s
+    s_gauss = atk.mc_confusion(atk._logit_moments(logits), normals).s
     gap = np.abs(s_gauss - atk.plugin_confusion(logits).s).max(axis=1)
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import re
@@ -402,6 +403,40 @@ def test_diagnose_moments_prints_gaussian_gap_per_class(tmp_path, capsys):
         assert 0.0 < float(printed) < 0.05
 
 
+def test_diagnose_moments_forwards_once_with_the_two_pass_output(tmp_path, capsys, monkeypatch):
+    # the Gaussian moments come from the logit blocks the histograms use; the
+    # output is what estimate_moments' own second pass gave
+    from fedleak.data import make_synthetic
+
+    data = make_synthetic(4, 8, 50, 3.0, seed=6)
+    model = init_model([8, 10, 4], "tanh", seed=6)
+    mpath, dpath = write_world(tmp_path, model, data)
+    normals = np.random.default_rng(0).standard_normal((_GAUSS_SAMPLES, 4))
+    s_gauss = attack.mc_confusion(attack.estimate_moments(model, data), normals).s
+    blocks = attack.class_logits(model, data)
+    gap = np.abs(s_gauss - attack.plugin_confusion(blocks).s).max(axis=1)
+    expected_csv = tmp_path / "expected.csv"
+    with open(expected_csv, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "j", "bin_left", "bin_right", "count"])
+        for n, rows in enumerate(blocks):
+            for j in range(4):
+                counts, edges = np.histogram(rows[:, j], bins=7)
+                writer.writerows([n, j, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])] for b in range(7))
+    out = tmp_path / "moments.csv"
+    expected_out = f"wrote {4 * 4 * 7} histogram rows to {out}\n" + "".join(
+        f"class {n}: max_j |s_gauss - s_plugin| = {gap[n]:.6e}\n" for n in range(4)
+    )
+    forwards = []
+    real = attack.forward_batch
+    monkeypatch.setattr(attack, "forward_batch", lambda *a: forwards.append(1) or real(*a))
+    rc = main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath), "--output", str(out), "--bins", "7"])
+    assert rc == 0
+    assert len(forwards) == 1
+    assert capsys.readouterr().out == expected_out
+    assert out.read_bytes() == expected_csv.read_bytes()
+
+
 def test_diagnose_moments_trained_model_diagonal_dominance(tmp_path):
     from fedleak.data import make_synthetic
 
@@ -724,6 +759,22 @@ def test_console_script_installed():
     assert proc.returncode == 0
     for name in ("gen-data", "run", "sweep", "diagnose-moments", "report"):
         assert name in proc.stdout
+
+
+def test_console_script_target_and_module_help():
+    # runs without an installed console script: the entry point that
+    # [project.scripts] names resolves, and the module lists every subcommand
+    text = (SRC.parent / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    target = re.search(r'^fedleak\s*=\s*"([\w.]+):(\w+)"', section, re.M)
+    assert target is not None
+    module, attr = target.groups()
+    assert getattr(importlib.import_module(module), attr) is main
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "fedleak.cli", "--help"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert "{gen-data,run,sweep,diagnose-moments,report}" in proc.stdout
 
 
 def test_run_experiment_api_matches_csv(tmp_path):
