@@ -14,11 +14,17 @@ the same pair. Histories are immutable round-start records
 (UpdateHistory): run_round builds the next round's records and never
 writes into the ones it was given.
 
-run_round trains a round's clients one after another, or on a thread pool
-of at most one worker per usable CPU when one local step is large enough
-for BLAS, which releases the GIL, to dominate (_PARALLEL_MIN_STEP_MACS).
-local_train is pure and every client works on its own arrays, so both
-orders give bit-identical results.
+train_stack trains a stack of K clients from one global model: every
+parameter, gradient, velocity and drift array carries a leading client
+axis, so an epoch costs one gather, one backward (nn.backward_stack) and
+one update for the whole stack, and slice k is bit for bit what client k
+gives alone. local_train is its one-client case. run_round trains all of
+a round's clients as one stack while one local step is small enough for
+Python dispatch to dominate it. From _PARALLEL_MIN_STEP_MACS multiply-adds
+on, BLAS, which releases the GIL, dominates, and run_round trains
+one-client stacks on a thread pool of at most one worker per usable CPU.
+train_stack is pure and every stack works on its own arrays, so all
+three ways give bit-identical results.
 
 Round-log CSV layout (append_round_log):
 round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
@@ -33,7 +39,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import BatchPlan, Dataset, Partition, derive_seed, plan_batches
-from .nn import Model, ParamVec, backward, accuracy, zeros_like_params
+from .nn import Model, ParamVec, accuracy, zeros_like_params
+# fedsim's one backward pass is the stacked one; perfbench traces it under this name
+from .nn import backward_stack as backward
 
 SCHEMES = ("fedavg", "fedprox", "scaffold", "feddyn", "feddc")
 OPTIMIZERS = ("sgd", "sgdm", "nag")
@@ -174,6 +182,14 @@ def round_correction(cfg: SchemeConfig, history: UpdateHistory):
     return prox, drift
 
 
+def _stacked(vecs) -> ParamVec:
+    """One ParamVec whose arrays stack those of vecs along a new leading axis."""
+    return ParamVec(
+        [np.stack(layer) for layer in zip(*(v.weights for v in vecs))],
+        [np.stack(layer) for layer in zip(*(v.biases for v in vecs))],
+    )
+
+
 def local_train(
     model: Model,
     data: Dataset,
@@ -185,35 +201,65 @@ def local_train(
 ):
     """Run m local epochs from `model`; returns (LocalUpdate, trained Model).
 
+    The one-client case of train_stack; see there for the step and the
+    errors. Pure: neither `model` nor `history` is modified.
+    """
+    batches = np.stack(plan.batches)[None]
+    return train_stack(model, data, batches, cfg, [history], round_idx, [client_id], [len(data)])[0]
+
+
+def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histories, round_idx: int, client_ids, sizes):
+    """Run m local epochs for a stack of K clients from `model`.
+
+    batches is a (K, m, B) index array into `data`: client k's batch of
+    epoch tau is batches[k, tau]. histories, client_ids and sizes (the
+    shard sizes, for LocalUpdate.n_samples) hold one entry per client.
+    Returns one (LocalUpdate, trained Model) pair per client; every array
+    carries a leading client axis while training, and the pairs hold views
+    into those arrays.
+
     Every step adds round_correction's drift and then its proximal pull to
     the cross-entropy gradient; sgdm and nag then fold it into a velocity.
-    Pure: neither `model` nor `history` is modified. Raises on non-finite
-    loss or final parameters (diverging step size) and on history/round
-    mismatches.
+    Each client's numbers are bit for bit those of training it alone.
+    Pure: neither `model` nor any history is modified. Raises on history/
+    round mismatches (first client first), on a non-finite loss (at its
+    first epoch, first client of the stack at that epoch) and on
+    non-finite final parameters (first client), so a one-client stack
+    raises what that client's training does.
     """
-    check_history(history, round_idx)
-    if len(plan.batches) != cfg.epochs:
+    for history in histories:
+        check_history(history, round_idx)
+    stack, m = batches.shape[:2]
+    if m != cfg.epochs:
         raise ValueError("plan epochs do not match cfg.epochs")
 
-    local = model.copy()
-    params = local.params()
-    theta0 = model.params()  # read-only reference copy of round-start params
-    eta, gamma, m = cfg.eta, cfg.gamma, cfg.epochs
-    prox, drift = round_correction(cfg, history)
+    theta0 = model.params()  # read-only reference to the round-start params
+    params = _stacked([theta0] * stack)
+    eta, gamma = cfg.eta, cfg.gamma
+    # every history has completed round_idx - 1 rounds, so the drift is
+    # None for all of them or for none
+    corrections = [round_correction(cfg, h) for h in histories]
+    prox, drift = corrections[0]
+    if drift is not None:
+        drift = _stacked([d for _, d in corrections])
 
     # sgdm: v <- gamma v + g; nag: v <- gamma v + (1 + gamma) g - gamma g_prev
     lead = gamma if cfg.optimizer == "nag" else 0.0
-    velocity = prev_grad = None if cfg.optimizer == "sgd" else zeros_like_params(model)
-    ce_bias_grads = np.zeros((m, model.n_classes))
+    velocity = prev_grad = None if cfg.optimizer == "sgd" else ParamVec(
+        [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases]
+    )
+    ce_bias_grads = np.zeros((stack, m, model.n_classes))
 
     for tau in range(m):
-        idx = plan.batches[tau]
-        loss, grad = backward(local, data.features[idx], data.labels[idx])
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at round {round_idx} epoch {tau + 1}")
+        idx = batches[:, tau]
+        losses, grad = backward(params, model.activation, data.features[idx], data.labels[idx])
+        finite = np.isfinite(losses)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise RuntimeError(f"non-finite loss at round {round_idx} epoch {tau + 1} client {client_ids[k]}")
         if tau == 0:
-            first_loss = float(loss)
-        ce_bias_grads[tau] = grad.biases[-1]
+            first_losses = losses
+        ce_bias_grads[:, tau] = grad.biases[-1]
 
         if drift is not None:
             grad.add_(drift, 1.0)
@@ -231,10 +277,26 @@ def local_train(
         params.add_(grad, -eta)
 
     delta = params.sub(theta0)
-    if not np.isfinite(delta.max_abs()):
-        raise RuntimeError(f"non-finite parameters after local training at round {round_idx} client {client_id}")
-    update = LocalUpdate(delta, round_idx, client_id, len(data), ce_bias_grads, first_loss)
-    return update, local
+    finite = np.ones(stack, dtype=bool)
+    for arr in delta.weights + delta.biases:
+        finite &= np.isfinite(arr.reshape(stack, -1)).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise RuntimeError(f"non-finite parameters after local training at round {round_idx} client {client_ids[k]}")
+
+    out = []
+    for k, (client_id, size) in enumerate(zip(client_ids, sizes)):
+        update = LocalUpdate(
+            ParamVec([w[k] for w in delta.weights], [b[k] for b in delta.biases]),
+            round_idx,
+            client_id,
+            size,
+            ce_bias_grads[k],
+            float(first_losses[k]),
+        )
+        local = Model([w[k] for w in params.weights], [b[k] for b in params.biases], model.activation)
+        out.append((update, local))
+    return out
 
 
 def server_aggregate(updates, weights, global_model: Model) -> Model:
@@ -287,13 +349,15 @@ def _usable_cpus() -> int:
 
 
 def _client_workers(model: Model, partition: Partition, cfg: SchemeConfig) -> int:
-    """Threads to train a round's clients on; 1 means in the calling thread.
+    """How run_round trains a round's clients.
 
-    More than 1 only when one local step reaches _PARALLEL_MIN_STEP_MACS
-    multiply-adds, and then min(usable CPUs, clients that fill a batch).
+    0 when one local step stays below _PARALLEL_MIN_STEP_MACS
+    multiply-adds: all clients as one stack in the calling thread.
+    Otherwise one client per stack, on min(usable CPUs, clients that fill
+    a batch) threads, where 1 means in the calling thread.
     """
     if cfg.batch_size * sum(w.size for w in model.weights) < _PARALLEL_MIN_STEP_MACS:
-        return 1
+        return 0
     trainers = sum(len(shard) >= cfg.batch_size for shard in partition.assignments)
     return min(_usable_cpus(), trainers)
 
@@ -320,10 +384,10 @@ def run_round(
     round_idx + 1; they share arrays with the updates and with each other,
     and the input records stay at round-start state.
 
-    Clients train in the calling thread, or on worker threads when
-    _client_workers allows more than one; the results, and the first
-    client error raised, are the same either way. local_train, backward
-    and accuracy are looked up in this module at call time.
+    Clients train as one stack, or as one-client stacks in the calling
+    thread or on worker threads (_client_workers); the results, and the
+    first client error raised, are the same either way. train_stack,
+    backward and accuracy are looked up in this module at call time.
     """
     n_clients = partition.n_clients
     if len(histories) != n_clients:
@@ -334,39 +398,59 @@ def run_round(
             f"batch_size {cfg.batch_size} is above the largest client shard ({largest} samples):"
             " no client can fill a batch, so no update carries a signal to attack"
         )
+    trainers = [k for k in range(n_clients) if len(partition.assignments[k]) >= cfg.batch_size]
 
-    def train_client(k):
-        shard = partition.assignments[k]
-        if len(shard) < cfg.batch_size:
-            zero = LocalUpdate(
-                zeros_like_params(global_model),
-                round_idx,
-                k,
-                len(shard),
-                np.zeros((cfg.epochs, global_model.n_classes)),
-            )
-            return zero, None, None
-        client_data = dataset.subset(shard)
-        plan = plan_batches(client_data, cfg.batch_size, cfg.epochs, derive_seed(seed, _STREAM_PLAN, round_idx, k))
-        update, local = local_train(global_model, client_data, plan, cfg, histories[k], round_idx, k)
-        stat = {
-            "loss": update.first_loss,
-            "train_acc": accuracy(local, client_data.features, client_data.labels),
-        }
-        return update, plan.true_counts.copy(), stat
+    def plan(k):
+        client_data = dataset.subset(partition.assignments[k])
+        plan_seed = derive_seed(seed, _STREAM_PLAN, round_idx, k)
+        return client_data, plan_batches(client_data, cfg.batch_size, cfg.epochs, plan_seed)
+
+    def train(ks, plans):
+        # the (K, m, B) batch indices into the whole dataset, built once
+        batches = np.stack([partition.assignments[k][np.stack(p.batches)] for k, (_, p) in zip(ks, plans)])
+        sizes = [len(partition.assignments[k]) for k in ks]
+        trained = train_stack(global_model, dataset, batches, cfg, [histories[k] for k in ks], round_idx, ks, sizes)
+        results = []
+        for (update, local), (client_data, p) in zip(trained, plans):
+            stat = {"loss": update.first_loss, "train_acc": accuracy(local, client_data.features, client_data.labels)}
+            results.append((update, p.true_counts.copy(), stat))
+        return results
+
+    def train_one(k):
+        return train([k], [plan(k)])[0]
 
     workers = _client_workers(global_model, partition, cfg)
-    if workers > 1:
+    if workers == 0:
+        plans = [plan(k) for k in trainers]
+        try:
+            results = train(trainers, plans)
+        except (RuntimeError, FloatingPointError):
+            # a client diverged or holds a wrong record: train one client at
+            # a time in client order, so the error raised is the one
+            # client-order training raises
+            results = None
+        if results is None:
+            results = [train([k], [p])[0] for k, p in zip(trainers, plans)]
+    elif workers > 1:
         # each task runs in a copy of the caller's context, so np.errstate
         # and other context-local settings hold in the workers too
-        contexts = [contextvars.copy_context() for _ in range(n_clients)]
+        contexts = [contextvars.copy_context() for _ in trainers]
         with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda ctx, k: ctx.run(train_client, k), contexts, range(n_clients)))
+            results = list(pool.map(lambda ctx, k: ctx.run(train_one, k), contexts, trainers))
     else:
-        results = [train_client(k) for k in range(n_clients)]
-    updates = [r[0] for r in results]
-    truths = [r[1] for r in results]
-    stats = [r[2] for r in results]
+        results = [train_one(k) for k in trainers]
+
+    results = dict(zip(trainers, results))
+    updates, truths, stats = [], [], []
+    for k, shard in enumerate(partition.assignments):
+        if k in results:
+            update, truth, stat = results[k]
+        else:
+            idle = np.zeros((cfg.epochs, global_model.n_classes))
+            update, truth, stat = LocalUpdate(zeros_like_params(global_model), round_idx, k, len(shard), idle), None, None
+        updates.append(update)
+        truths.append(truth)
+        stats.append(stat)
 
     sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
     new_global = server_aggregate(updates, sizes / sizes.sum(), global_model)

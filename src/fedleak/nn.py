@@ -228,40 +228,64 @@ def backward(model: Model, features: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and its gradient over a batch.
 
     Returns (loss, ParamVec of gradients). Gradients are means over the
-    batch, so duplicating a sample leaves them unchanged.
+    batch, so duplicating a sample leaves them unchanged. This is the
+    one-model case of backward_stack.
     """
-    act, act_grad = ACTIVATIONS[model.activation]
+    params = ParamVec([w[None] for w in model.weights], [b[None] for b in model.biases])
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    batch = x.shape[0]
+    losses, grad = backward_stack(params, model.activation, x[None], y[None])
+    return float(losses[0]), ParamVec([g[0] for g in grad.weights], [g[0] for g in grad.biases])
+
+
+def backward_stack(params: ParamVec, activation: str, features: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy losses and gradients of K models, each on its own batch.
+
+    params holds (K, out, in) weights and (K, out) biases, features is
+    (K, B, d) and labels (K, B). Returns (losses (K,), ParamVec of (K, ...)
+    gradients). Slice k is bit for bit what model k gives alone: every
+    matmul runs per slice with the one-model shapes and transposes,
+    elementwise ops are per element, and each batch reduction keeps its
+    order within the slice.
+    """
+    act, act_grad = ACTIVATIONS[activation]
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    stack, batch = y.shape
     if batch == 0:
         raise ValueError("empty batch")
+    weights, biases = params.weights, params.biases
 
     pre = []
     h = x
     hs = [h]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = h @ w.T + b
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = h @ w.transpose(0, 2, 1) + b[:, None, :]
         pre.append(z)
         h = act(z)
         hs.append(h)
-    logits = h @ model.weights[-1].T + model.biases[-1]
-    loss = cross_entropy(logits, y)
+    logits = h @ weights[-1].transpose(0, 2, 1) + biases[-1][:, None, :]
 
-    delta = softmax_rows(logits)
-    delta[np.arange(batch), y] -= 1.0
+    # the log-sum-exp of the loss and the softmax of the delta share one exp
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=2, keepdims=True)
+    true_class = (np.arange(stack)[:, None], np.arange(batch), y)
+    losses = np.mean(np.log(total[:, :, 0]) - shifted[true_class], axis=1)
+    delta = e / total
+    delta[true_class] -= 1.0
     delta /= batch
 
-    grad_w = [None] * len(model.weights)
-    grad_b = [None] * len(model.biases)
-    grad_w[-1] = delta.T @ hs[-1]
-    grad_b[-1] = delta.sum(axis=0)
+    grad_w = [None] * len(weights)
+    grad_b = [None] * len(biases)
+    grad_w[-1] = delta.transpose(0, 2, 1) @ hs[-1]
+    grad_b[-1] = delta.sum(axis=1)
     up = delta
-    for i in range(len(model.weights) - 2, -1, -1):
-        up = (up @ model.weights[i + 1]) * act_grad(pre[i])
-        grad_w[i] = up.T @ hs[i]
-        grad_b[i] = up.sum(axis=0)
-    return loss, ParamVec(grad_w, grad_b)
+    for i in range(len(weights) - 2, -1, -1):
+        up = (up @ weights[i + 1]) * act_grad(pre[i])
+        grad_w[i] = up.transpose(0, 2, 1) @ hs[i]
+        grad_b[i] = up.sum(axis=1)
+    return losses, ParamVec(grad_w, grad_b)
 
 
 def accuracy(model: Model, features: np.ndarray, labels: np.ndarray) -> float:

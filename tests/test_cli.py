@@ -129,7 +129,7 @@ def test_run_deterministic_modulo_wall_time(tmp_path):
 def test_run_eta_zero_exit_one(tmp_path, capsys, monkeypatch):
     # every update of such a run would be degenerate, so it never trains
     calls = []
-    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
     out = tmp_path / "res.csv"
     rc = main(["run", "--seed", "0", "--eta", "0.0", "--epochs", "1",
                "--output", str(out), *small_args(tmp_path)])
@@ -142,7 +142,7 @@ def test_run_eta_zero_exit_one(tmp_path, capsys, monkeypatch):
 
 def test_run_batch_above_every_shard_exit_one(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
     cfg = _config_from_args(build_parser().parse_args(["run", "--seed", "0", *small_args(tmp_path)]))
     largest = max(len(shard) for shard in cli._build_world(cfg)[2].assignments)
     out = tmp_path / "res.csv"
@@ -719,7 +719,7 @@ def test_invalid_scheme_params_exit_one(tmp_path):
 )
 def test_run_scheme_constraints_rejected_before_training(tmp_path, capsys, monkeypatch, flags, name):
     calls = []
-    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
     out = tmp_path / "r.csv"
     assert main(["run", *flags, "--output", str(out), *small_args(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -830,11 +830,39 @@ def test_run_experiment_unattackable_rounds_build_no_context(monkeypatch, scheme
     # trains or builds a round context
     calls = count_confusion_builds(monkeypatch)
     trained = []
-    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: trained.append(1))
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: trained.append(1))
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         run_experiment(small_experiment(**scheme))
     assert calls == []
     assert trained == []
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [fedsim.SchemeConfig(), fedsim.SchemeConfig(scheme="fedprox", lam=25.0, eta=0.01, epochs=10)],
+    ids=["default", "multi_epoch_search"],
+)
+def test_small_worlds_train_each_round_as_one_stack(monkeypatch, scheme):
+    # the default world's local step is far below fedsim's gate, so every
+    # round trains all its clients with one train_stack call and no pool
+    stacks = []
+    original = fedsim.train_stack
+
+    def recording(model, data, batches, *args):
+        stacks.append(len(batches))
+        return original(model, data, batches, *args)
+
+    def no_pool(max_workers):
+        raise AssertionError("run_round opened a thread pool")
+
+    monkeypatch.setattr(fedsim, "train_stack", recording)
+    monkeypatch.setattr(fedsim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(fedsim, "_usable_cpus", lambda: 64)
+    cfg = replace(ExperimentConfig(seed=1), scheme=scheme, rounds=3)
+    rows = run_experiment(cfg)
+    trained = [sum(r["round"] == t and r["train_acc"] != "" for r in rows) for t in (1, 2, 3)]
+    assert min(trained) >= 2
+    assert stacks == trained
 
 
 @pytest.mark.parametrize(

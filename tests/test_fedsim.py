@@ -7,7 +7,7 @@ import pytest
 
 from fedleak import fedsim
 from fedleak.attack import scheme_coefficients
-from fedleak.data import Dataset, Partition, dirichlet_partition, make_synthetic, plan_batches
+from fedleak.data import Dataset, Partition, derive_seed, dirichlet_partition, make_synthetic, plan_batches
 from fedleak.fedsim import (
     LocalUpdate,
     SchemeConfig,
@@ -31,6 +31,7 @@ SCHEME_GRID = [
     ("feddyn", "sgd", 10.0, 0.0),
     ("feddc", "sgd", 10.0, 0.0),
 ]
+GRID_IDS = ["fedavg", "sgdm", "nag", "scaffold", "fedprox", "feddyn", "feddc"]
 
 
 def small_world(seed=0, n_classes=4, clients=2):
@@ -304,7 +305,7 @@ def test_run_round_without_a_full_batch_raises_before_training(monkeypatch, shar
     partition = Partition([np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])], alpha=0.0, seed=0)
     model = init_model([4, 8, 3], "relu", seed=31)
     calls = []
-    monkeypatch.setattr(fedsim, "local_train", lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
     histories = [UpdateHistory.fresh(model) for _ in shards]
     with pytest.raises(ValueError, match=rf"batch_size 16 .*\({max(shards, default=0)} samples\)"):
         run_round(model, data, partition, fedavg_cfg(eta=0.05, epochs=2, batch_size=16), histories, 1, seed=31)
@@ -312,23 +313,24 @@ def test_run_round_without_a_full_batch_raises_before_training(monkeypatch, shar
 
 
 def test_run_round_one_backward_per_epoch(monkeypatch):
-    # the round log's first-batch loss comes from local_train's first epoch,
-    # not from a second backward pass
+    # below the gate the round's clients train as one stack: one backward
+    # per epoch for all of them, and the round log's first-batch loss comes
+    # from the first epoch, not from a second backward pass
     data, partition, model = small_world(seed=16, clients=3)
     cfg = fedavg_cfg(eta=0.05, epochs=3, batch_size=16)
-    calls = []
+    stacks = []
     original = fedsim.backward
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(params, activation, features, labels):
+        stacks.append(len(labels))
+        return original(params, activation, features, labels)
 
     monkeypatch.setattr(fedsim, "backward", counting)
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     _, _, truths, stats, _ = run_round(model, data, partition, cfg, histories, 1, seed=16)
     trained = sum(1 for t in truths if t is not None)
     assert trained >= 2
-    assert len(calls) == cfg.epochs * trained
+    assert stacks == [trained] * cfg.epochs
     for st in stats:
         if st is not None:
             assert np.isfinite(st["loss"])
@@ -437,24 +439,52 @@ def _assert_rounds_identical(seq, par):
                 assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        SchemeConfig(scheme="scaffold", optimizer="sgd", eta=0.05, epochs=3, batch_size=16),
-        SchemeConfig(scheme="feddc", optimizer="sgd", eta=0.05, lam=2.0, epochs=2, batch_size=16),
-    ],
-    ids=["scaffold", "feddc"],
-)
-def test_run_round_threaded_clients_bit_identical(monkeypatch, cfg):
-    world = _threaded_world()
+def _grid_cfg(scheme, optimizer, lam, gamma, batch_size=16):
+    return SchemeConfig(
+        scheme=scheme, optimizer=optimizer, eta=0.05, lam=lam, gamma=gamma, epochs=3, batch_size=batch_size
+    )
+
+
+def _one_stack_against_the_pool(monkeypatch, world, cfg, trainers):
+    """Three rounds as one stack and as one-client stacks on a 2-thread pool, compared bit for bit."""
     opened = _record_pools(monkeypatch)
-    sequential = _three_rounds(world, cfg)
+    stacked = _three_rounds(world, cfg)
     assert opened == []
     _force_pool(monkeypatch)
-    threaded = _three_rounds(world, cfg)
+    pooled = _three_rounds(world, cfg)
     assert opened == [2, 2, 2]
-    assert sum(s is not None for s in threaded[0][3]) == 3
-    _assert_rounds_identical(sequential, threaded)
+    assert sum(s is not None for s in pooled[0][3]) == trainers
+    _assert_rounds_identical(stacked, pooled)
+
+
+@pytest.mark.parametrize(
+    "scheme, optimizer, lam, gamma",
+    SCHEME_GRID,
+    ids=GRID_IDS,
+)
+def test_run_round_threaded_clients_bit_identical(monkeypatch, scheme, optimizer, lam, gamma):
+    # every scheme and optimizer over three rounds, so drift and velocity are live
+    _one_stack_against_the_pool(monkeypatch, _threaded_world(), _grid_cfg(scheme, optimizer, lam, gamma), trainers=3)
+
+
+@pytest.mark.parametrize(
+    "sizes, activation, batch_size",
+    [
+        ([6, 10, 4], "relu", 16),
+        ([6, 4], "tanh", 16),  # linear: no hidden layer
+        ([6, 13, 7, 4], "tanh", 16),  # widths that are not multiples of 8
+        ([6, 9, 4], "relu", 1),
+        ([6, 4], "relu", 1),
+    ],
+    ids=["relu", "linear", "odd-widths", "relu-batch1", "linear-batch1"],
+)
+@pytest.mark.parametrize("scheme, optimizer, lam, gamma", SCHEME_GRID, ids=GRID_IDS)
+def test_run_round_stack_bit_identical_across_models(monkeypatch, sizes, activation, batch_size, scheme, optimizer,
+                                                     lam, gamma):
+    data, partition, _ = _threaded_world()
+    world = (data, partition, init_model(sizes, activation, seed=21))
+    cfg = _grid_cfg(scheme, optimizer, lam, gamma, batch_size)
+    _one_stack_against_the_pool(monkeypatch, world, cfg, trainers=4 if batch_size == 1 else 3)
 
 
 def test_run_round_more_workers_than_cores_with_fast_switching(monkeypatch):
@@ -491,6 +521,69 @@ def test_run_round_threaded_client_error_matches_sequential(monkeypatch):
     assert "non-finite" in messages[0]
 
 
+def test_run_round_first_error_is_the_client_order_one_in_both_paths(monkeypatch):
+    # clients 1 and 2 train to non-finite parameters, and client 3's
+    # features are infinite, so its loss is non-finite at epoch 1: the one
+    # stack meets client 3's loss first, but client-order training, and so
+    # run_round on either path, raises client 1's error
+    data, partition, _ = _threaded_world()
+    features = data.features * 100.0
+    features[partition.assignments[3]] = np.inf
+    data = Dataset(features, data.labels, data.n_classes)
+    model = init_model([6, 10, 4], "relu", seed=21)
+    cfg = fedavg_cfg(eta=1e308, epochs=1, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (1, 3):
+            client = data.subset(partition.assignments[k])
+            plan = plan_batches(client, 16, 1, derive_seed(21, fedsim._STREAM_PLAN, 1, k))
+            with pytest.raises(RuntimeError) as err:
+                local_train(model, client, plan, cfg, histories[k], 1, k)
+            messages.append(str(err.value))
+        assert messages == [
+            "non-finite parameters after local training at round 1 client 1",
+            "non-finite loss at round 1 epoch 1 client 3",
+        ]
+        for force in (False, True):
+            if force:
+                _force_pool(monkeypatch)
+            with pytest.raises(RuntimeError) as err:
+                run_round(model, data, partition, cfg, histories, 1, seed=21)
+            assert str(err.value) == messages[0]
+
+
+def test_train_stack_names_the_first_client_with_a_non_finite_loss():
+    data, partition, _ = _threaded_world()
+    features = data.features.copy()
+    features[partition.assignments[3]] = np.inf
+    data = Dataset(features, data.labels, data.n_classes)
+    model = init_model([6, 10, 4], "relu", seed=21)
+    cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
+    clients = [1, 3, 2]
+    batches = np.stack([partition.assignments[k][:32].reshape(2, 16) for k in clients])
+    histories = [UpdateHistory.fresh(model)] * 3
+    sizes = [len(partition.assignments[k]) for k in clients]
+    expected = r"^non-finite loss at round 1 epoch 1 client 3$"
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match=expected):
+        fedsim.train_stack(model, data, batches, cfg, histories, 1, clients, sizes)
+
+
+def test_run_round_nonfinite_loss_names_the_client_in_both_paths(monkeypatch):
+    data, partition, _ = _threaded_world()
+    model = init_model([6, 10, 4], "relu", seed=21)
+    cfg = fedavg_cfg(eta=1e160, epochs=3, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    messages = []
+    for force in (False, True):
+        if force:
+            _force_pool(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError) as err:
+            run_round(model, data, partition, cfg, histories, 1, seed=21)
+        messages.append(str(err.value))
+    assert messages == ["non-finite loss at round 1 epoch 2 client 1"] * 2
+
+
 def test_run_round_workers_keep_the_callers_errstate(monkeypatch):
     # np.errstate is context-local; each worker runs in a copy of the caller's context
     data, partition, _ = _threaded_world()
@@ -509,6 +602,27 @@ def test_client_workers_never_exceed_cpus_or_trainers(monkeypatch):
     for cpus, expected in ((1, 1), (2, 2), (8, 3)):
         monkeypatch.setattr(fedsim, "_usable_cpus", lambda: cpus)
         assert fedsim._client_workers(model, partition, cfg) == expected
+
+
+def test_run_round_trains_through_train_stack(monkeypatch):
+    # the tests that prove a rejected round or run trains nothing patch
+    # fedsim.train_stack, so a normal round must call it on either path
+    stacks = []
+    original = fedsim.train_stack
+
+    def recording(model, data, batches, cfg, histories, round_idx, client_ids, sizes):
+        stacks.append(list(client_ids))
+        return original(model, data, batches, cfg, histories, round_idx, client_ids, sizes)
+
+    monkeypatch.setattr(fedsim, "train_stack", recording)
+    world = _threaded_world()
+    cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
+    _three_rounds(world, cfg)
+    assert stacks == [[1, 2, 3]] * 3
+    stacks.clear()
+    _force_pool(monkeypatch)
+    _three_rounds(world, cfg)
+    assert sorted(stacks) == [[1]] * 3 + [[2]] * 3 + [[3]] * 3
 
 
 def _no_pool(max_workers):

@@ -1,10 +1,18 @@
-"""The count columns of one seeded run, compared exactly with a committed file.
+"""The count columns of seeded runs, compared exactly with committed files.
 
-The run is `fedleak run --seed 3 --scheme scaffold --epochs 3 --alpha 0.05
---rounds 4`: 40 attacked updates, four of them on one-batch shards that
-get the posterior-search rounding. Any change to the simulation, the
-attack or the numbers numpy and BLAS produce for them shows up as a
-differing line. Regenerate the file after a deliberate change with
+Two runs are pinned:
+
+- `golden_scaffold_seed3.csv`: `fedleak run --seed 3 --scheme scaffold
+  --epochs 3 --alpha 0.05 --rounds 4`, 40 attacked updates, four of them
+  on one-batch shards that get the posterior-search rounding;
+- `golden_fedprox_m10_seed3.csv`: `fedleak run --seed 3 --scheme fedprox
+  --lambda 25 --eta 0.01 --epochs 10 --rounds 3`, the multi-epoch shape of
+  the `multi_epoch_search` benchmark workload, whose clients train as one
+  stack per round.
+
+Any change to the simulation, the attack or the numbers numpy and BLAS
+produce for them shows up as a differing line. Regenerate the files after
+a deliberate change with
 
     PYTHONPATH=src python3 tests/test_golden_counts.py
 """
@@ -17,14 +25,22 @@ from pathlib import Path
 
 from fedleak import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden_scaffold_seed3.csv"
-ARGV = ["run", "--seed", "3", "--scheme", "scaffold", "--epochs", "3", "--alpha", "0.05", "--rounds", "4"]
+HERE = Path(__file__).resolve().parent
+RUNS = {
+    "golden_scaffold_seed3.csv": [
+        "run", "--seed", "3", "--scheme", "scaffold", "--epochs", "3", "--alpha", "0.05", "--rounds", "4",
+    ],
+    "golden_fedprox_m10_seed3.csv": [
+        "run", "--seed", "3", "--scheme", "fedprox", "--lambda", "25", "--eta", "0.01", "--epochs", "10",
+        "--rounds", "3",
+    ],
+}
 COLUMNS = ["round", "client", "method", "counts", "iacc", "cacc", "l1_err", "status"]
 
 
-def golden_text() -> str:
+def golden_text(argv) -> str:
     """The run's count columns as CSV text; counts and method come from the attack reports."""
-    cfg = cli._config_from_args(cli.build_parser().parse_args(ARGV))
+    cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -42,10 +58,19 @@ def golden_text() -> str:
     return out.getvalue()
 
 
+def check_golden(golden):
+    assert golden_text(RUNS[golden]) == (HERE / golden).read_text()
+
+
 def test_count_columns_match_the_golden_file():
-    assert golden_text() == GOLDEN.read_text()
+    check_golden("golden_scaffold_seed3.csv")
+
+
+def test_fedprox_m10_count_columns_match_the_golden_file():
+    check_golden("golden_fedprox_m10_seed3.csv")
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(golden_text())
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    for golden, argv in RUNS.items():
+        (HERE / golden).write_text(golden_text(argv))
+        print(f"wrote {HERE / golden}", file=sys.stderr)

@@ -10,7 +10,9 @@ from fedleak.nn import (
     SELU_ALPHA,
     SELU_LAMBDA,
     Model,
+    ParamVec,
     backward,
+    backward_stack,
     cross_entropy,
     forward,
     forward_batch,
@@ -19,6 +21,7 @@ from fedleak.nn import (
     output_layer_gradient,
     save_model,
     softmax,
+    softmax_rows,
     zeros_like_params,
 )
 
@@ -231,6 +234,50 @@ def test_backward_weight_gradient_outer_product_structure():
     q, e = forward(model, x[0])
     gb = output_layer_gradient(q, 3)
     npt.assert_allclose(grad.weights[-1], np.outer(gb, e), rtol=1e-12)
+
+
+def one_model_backward(model, x, y):
+    """The one-model backward pass with 2-D arrays, its loss from cross_entropy and its delta from softmax_rows."""
+    act, act_grad = ACTIVATIONS[model.activation]
+    pre, hs = [], [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        pre.append(hs[-1] @ w.T + b)
+        hs.append(act(pre[-1]))
+    logits = hs[-1] @ model.weights[-1].T + model.biases[-1]
+    loss = cross_entropy(logits, y)
+    delta = softmax_rows(logits)
+    delta[np.arange(len(y)), y] -= 1.0
+    delta /= len(y)
+    grad_w, grad_b = [delta.T @ hs[-1]], [delta.sum(axis=0)]
+    up = delta
+    for i in range(len(model.weights) - 2, -1, -1):
+        up = (up @ model.weights[i + 1]) * act_grad(pre[i])
+        grad_w.insert(0, up.T @ hs[i])
+        grad_b.insert(0, up.sum(axis=0))
+    return loss, grad_w, grad_b
+
+
+@pytest.mark.parametrize(
+    "sizes, batch",
+    [([6, 10, 4], 16), ([6, 4], 16), ([16, 32, 16, 10], 32), ([6, 13, 7, 4], 5), ([6, 9, 4], 1), ([3, 1, 2], 9)],
+    ids=["hidden10", "linear", "default", "odd-widths", "batch1", "width1"],
+)
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_backward_stack_slices_match_the_one_model_pass_bit_for_bit(sizes, batch, activation):
+    # three models with their own parameters and batches, as one stack
+    rng = np.random.default_rng(batch)
+    models = [init_model(sizes, activation, seed=s) for s in range(3)]
+    x = rng.normal(size=(3, batch, sizes[0])) * 2.0
+    y = rng.integers(0, sizes[-1], size=(3, batch))
+    params = ParamVec([np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                      [np.stack(bs) for bs in zip(*(m.biases for m in models))])
+    losses, grad = backward_stack(params, activation, x, y)
+    for k, model in enumerate(models):
+        loss, grad_w, grad_b = one_model_backward(model, x[k], y[k])
+        assert losses[k].tobytes() == np.float64(loss).tobytes()
+        assert backward(model, x[k], y[k])[0] == loss
+        for a, b in zip(grad.weights + grad.biases, grad_w + grad_b, strict=True):
+            assert a[k].tobytes() == b.tobytes()
 
 
 def test_backward_empty_batch_rejected():
