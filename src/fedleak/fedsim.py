@@ -19,12 +19,13 @@ parameter, gradient, velocity and drift array carries a leading client
 axis, so an epoch costs one gather, one backward (nn.backward_stack) and
 one update for the whole stack, and slice k is bit for bit what client k
 gives alone. local_train is its one-client case. run_round trains all of
-a round's clients as one stack while one local step is small enough for
-Python dispatch to dominate it. From _PARALLEL_MIN_STEP_MACS multiply-adds
-on, BLAS, which releases the GIL, dominates, and run_round trains
-one-client stacks on a thread pool of at most one worker per usable CPU.
-train_stack is pure and every stack works on its own arrays, so all
-three ways give bit-identical results.
+a round's clients as one stack in the calling thread, so each epoch's
+Python dispatch is paid once for the round. Only when one local step
+reaches _PARALLEL_MIN_STEP_MACS multiply-adds, where BLAS, which releases
+the GIL, dominates, and at least two workers are available does run_round
+train one-client stacks on a thread pool of at most one worker per usable
+CPU instead. train_stack is pure and every stack works on its own arrays,
+so both ways give bit-identical results.
 
 Round-log CSV layout (append_round_log):
 round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
@@ -39,9 +40,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import BatchPlan, Dataset, Partition, derive_seed, plan_batches
-from .nn import Model, ParamVec, accuracy, zeros_like_params
-# fedsim's one backward pass is the stacked one; perfbench traces it under this name
-from .nn import backward_stack as backward
+from .nn import Model, ParamVec, accuracy, backward_stack, zeros_like_params
+# unused here; perfbench/tracing.py looks nn.backward up under this name
+from .nn import backward  # noqa: F401
 
 SCHEMES = ("fedavg", "fedprox", "scaffold", "feddyn", "feddc")
 OPTIMIZERS = ("sgd", "sgdm", "nag")
@@ -252,7 +253,7 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
 
     for tau in range(m):
         idx = batches[:, tau]
-        losses, grad = backward(params, model.activation, data.features[idx], data.labels[idx])
+        losses, grad = backward_stack(params, model.activation, data.features[idx], data.labels[idx])
         finite = np.isfinite(losses)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -349,15 +350,13 @@ def _usable_cpus() -> int:
 
 
 def _client_workers(model: Model, partition: Partition, cfg: SchemeConfig) -> int:
-    """How run_round trains a round's clients.
+    """Threads to train a round's clients on; 1 means in the calling thread.
 
-    0 when one local step stays below _PARALLEL_MIN_STEP_MACS
-    multiply-adds: all clients as one stack in the calling thread.
-    Otherwise one client per stack, on min(usable CPUs, clients that fill
-    a batch) threads, where 1 means in the calling thread.
+    More than 1 only when one local step reaches _PARALLEL_MIN_STEP_MACS
+    multiply-adds, and then min(usable CPUs, clients that fill a batch).
     """
     if cfg.batch_size * sum(w.size for w in model.weights) < _PARALLEL_MIN_STEP_MACS:
-        return 0
+        return 1
     trainers = sum(len(shard) >= cfg.batch_size for shard in partition.assignments)
     return min(_usable_cpus(), trainers)
 
@@ -384,10 +383,11 @@ def run_round(
     round_idx + 1; they share arrays with the updates and with each other,
     and the input records stay at round-start state.
 
-    Clients train as one stack, or as one-client stacks in the calling
-    thread or on worker threads (_client_workers); the results, and the
-    first client error raised, are the same either way. train_stack,
-    backward and accuracy are looked up in this module at call time.
+    Clients train as one stack in the calling thread, or as one-client
+    stacks on worker threads when _client_workers gives more than one; the
+    results, and the first client error raised, are the same either way.
+    train_stack, backward_stack and accuracy are looked up in this module
+    at call time.
     """
     n_clients = partition.n_clients
     if len(histories) != n_clients:
@@ -420,7 +420,13 @@ def run_round(
         return train([k], [plan(k)])[0]
 
     workers = _client_workers(global_model, partition, cfg)
-    if workers == 0:
+    if workers > 1:
+        # each task runs in a copy of the caller's context, so np.errstate
+        # and other context-local settings hold in the workers too
+        contexts = [contextvars.copy_context() for _ in trainers]
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(lambda ctx, k: ctx.run(train_one, k), contexts, trainers))
+    else:
         plans = [plan(k) for k in trainers]
         try:
             results = train(trainers, plans)
@@ -431,14 +437,6 @@ def run_round(
             results = None
         if results is None:
             results = [train([k], [p])[0] for k, p in zip(trainers, plans)]
-    elif workers > 1:
-        # each task runs in a copy of the caller's context, so np.errstate
-        # and other context-local settings hold in the workers too
-        contexts = [contextvars.copy_context() for _ in trainers]
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda ctx, k: ctx.run(train_one, k), contexts, trainers))
-    else:
-        results = [train_one(k) for k in trainers]
 
     results = dict(zip(trainers, results))
     updates, truths, stats = [], [], []

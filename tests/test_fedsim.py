@@ -319,13 +319,13 @@ def test_run_round_one_backward_per_epoch(monkeypatch):
     data, partition, model = small_world(seed=16, clients=3)
     cfg = fedavg_cfg(eta=0.05, epochs=3, batch_size=16)
     stacks = []
-    original = fedsim.backward
+    original = fedsim.backward_stack
 
     def counting(params, activation, features, labels):
         stacks.append(len(labels))
         return original(params, activation, features, labels)
 
-    monkeypatch.setattr(fedsim, "backward", counting)
+    monkeypatch.setattr(fedsim, "backward_stack", counting)
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     _, _, truths, stats, _ = run_round(model, data, partition, cfg, histories, 1, seed=16)
     trained = sum(1 for t in truths if t is not None)
@@ -602,6 +602,8 @@ def test_client_workers_never_exceed_cpus_or_trainers(monkeypatch):
     for cpus, expected in ((1, 1), (2, 2), (8, 3)):
         monkeypatch.setattr(fedsim, "_usable_cpus", lambda: cpus)
         assert fedsim._client_workers(model, partition, cfg) == expected
+    monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 1 << 21)
+    assert fedsim._client_workers(model, partition, cfg) == 1
 
 
 def test_run_round_trains_through_train_stack(monkeypatch):
@@ -631,6 +633,7 @@ def _no_pool(max_workers):
 
 @pytest.mark.parametrize("case", ["one_cpu", "one_trainer"])
 def test_run_round_above_the_gate_stays_sequential_without_two_workers(monkeypatch, case):
+    # with one worker the round trains in the calling thread, as one stack
     data, partition, model = _threaded_world()
     cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
     affinity = {0} if case == "one_cpu" else {0, 1}
@@ -640,9 +643,18 @@ def test_run_round_above_the_gate_stays_sequential_without_two_workers(monkeypat
     if case == "one_trainer":
         big = np.concatenate(partition.assignments[1:])
         partition = Partition([partition.assignments[0], big], alpha=0.0, seed=0)
+    stacks = []
+    original = fedsim.train_stack
+
+    def recording(model, data, batches, cfg, histories, round_idx, client_ids, sizes):
+        stacks.append(list(client_ids))
+        return original(model, data, batches, cfg, histories, round_idx, client_ids, sizes)
+
+    monkeypatch.setattr(fedsim, "train_stack", recording)
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     _, _, truths, _, _ = run_round(model, data, partition, cfg, histories, 1, seed=21)
-    assert sum(t is not None for t in truths) >= 1
+    assert stacks == [[k for k, t in enumerate(truths) if t is not None]]
+    assert stacks[0]
 
 
 def test_default_small_world_never_opens_a_pool(monkeypatch):
