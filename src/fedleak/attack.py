@@ -24,22 +24,18 @@ a diagnostic of how far the logits are from Gaussian.
 Every forward pass of the auxiliary set goes through _aux_logits. A pass
 large enough for BLAS to dominate (each half at least
 fedsim._PARALLEL_MIN_STEP_MACS multiply-adds and _SPLIT_MIN_ROWS rows, as
-on the train_heavy benchmark model) is cut in two, and one kept helper
-thread forwards the first half while the calling thread forwards the
-second, so a multi-epoch attack uses a second CPU. Where the pass is cut
-depends only on the row and weight counts, never on the CPU count, so a
-run's results do not depend on how many CPUs it has.
+on the train_heavy benchmark model) is cut in two, and fedsim._map
+forwards the halves, on two CPUs where there are two, so a multi-epoch
+attack uses a second CPU. Where the pass is cut depends only on the row
+and weight counts, never on the CPU count, so a run's results do not
+depend on how many CPUs it has.
 
 Everything here sees only what a curious server would: the global model,
 the transmitted update, past transmissions, the training recipe, and an
 auxiliary dataset. Ground-truth label counts never enter.
 """
 
-import contextvars
 import json
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,11 +62,6 @@ _JITTER_SCALE = 1e-6
 # model) took a small-matrix kernel with other last bits, and blocks of 121
 # rows or more matched.
 _SPLIT_MIN_ROWS = 256
-
-# The kept helper thread of _aux_logits and the pid that started it. A
-# forked child inherits the executor but not its thread, so it starts its own.
-_helper_lock = threading.Lock()
-_helper = (None, None)
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -217,50 +208,25 @@ def class_order(aux: Dataset, n_classes: int) -> tuple:
     return features, bounds
 
 
-def _forward_helper() -> ThreadPoolExecutor:
-    """The one-thread executor that runs the first half of a split pass.
-
-    Started on first use and kept for the life of the process; a forked
-    child that finds its parent's helper starts a new one.
-    """
-    global _helper
-    with _helper_lock:
-        pid, executor = _helper
-        if pid != os.getpid():
-            executor = ThreadPoolExecutor(1, thread_name_prefix="fedleak-aux-forward")
-            _helper = (os.getpid(), executor)
-        return executor
-
-
 def _aux_logits(model: Model, features: np.ndarray) -> np.ndarray:
     """forward_batch(model, features)[0], on up to two CPUs.
 
     Every forward pass of the auxiliary set comes through here. A pass
     whose halves each reach _SPLIT_MIN_ROWS rows and
     fedsim._PARALLEL_MIN_STEP_MACS multiply-adds (rows times the weight
-    count) is cut at rows // 2. BLAS releases the GIL, so the helper
-    thread forwards the first half, in a copy of the caller's context
-    (np.errstate holds there too), while the caller forwards the second;
-    with one usable CPU the caller forwards both. The cut depends only on
-    the row and weight counts, so the logits never depend on the CPU
-    count. Whether they equal one pass bit for bit is up to the BLAS; on
-    the benchmark's models they do. An error in the first half reaches
-    the caller before one in the second, as in one pass. forward_batch is
+    count) is cut at rows // 2, and fedsim._map forwards the two halves:
+    on its kept pool, where BLAS releases the GIL, with two usable CPUs,
+    and one after the other in the calling thread with one. The cut
+    depends only on the row and weight counts, so the logits never depend
+    on the CPU count. Whether they equal one pass bit for bit is up to the
+    BLAS; on the benchmark's models they do. An error in the first half
+    is raised before one in the second, as in one pass. forward_batch is
     looked up in this module at call time.
     """
     half = len(features) // 2
     if half < _SPLIT_MIN_ROWS or half * sum(w.size for w in model.weights) < fedsim._PARALLEL_MIN_STEP_MACS:
         return forward_batch(model, features)[0]
-    head, tail = features[:half], features[half:]
-    if fedsim._usable_cpus() < 2:
-        return np.concatenate((forward_batch(model, head)[0], forward_batch(model, tail)[0]))
-    future = _forward_helper().submit(contextvars.copy_context().run, forward_batch, model, head)
-    try:
-        second = forward_batch(model, tail)[0]
-    finally:
-        # wait for the helper even when the second half failed; its error wins
-        first = future.result()[0]
-    return np.concatenate((first, second))
+    return np.concatenate(fedsim._map(lambda rows: forward_batch(model, rows)[0], (features[:half], features[half:])))
 
 
 def class_logits(model: Model, aux: Dataset) -> tuple:

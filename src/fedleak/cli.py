@@ -332,8 +332,13 @@ def cmd_diagnose_moments(args) -> int:
     """Histogram every (class, logit) pair, then print per class how far the
     Monte Carlo confusion matrix of a Gaussian fit to the logits is from the
     plug-in matrix of the logits themselves, as max_j |s_gauss - s_plugin|."""
+    if args.bins < 1:
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
     model = nn.load_model(args.model)
     dataset = dat.load_dataset_csv(args.data, n_classes=model.n_classes)
+    width, inputs = dataset.features.shape[1], model.layer_sizes[0]
+    if width != inputs:
+        raise ValueError(f"{args.data} has {width} features per row, but the model in {args.model} takes {inputs}")
     logits = atk.class_logits(model, dataset)
     n = model.n_classes
     # the Gaussian fit is the step that can reject the logits, so it runs

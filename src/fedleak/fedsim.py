@@ -18,14 +18,19 @@ train_stack trains a stack of K clients from one global model: every
 parameter, gradient, velocity and drift array carries a leading client
 axis, so an epoch costs one gather, one backward (nn.backward_stack) and
 one update for the whole stack, and slice k is bit for bit what client k
-gives alone. local_train is its one-client case. run_round trains all of
-a round's clients as one stack in the calling thread, so each epoch's
-Python dispatch is paid once for the round. Only when one local step
-reaches _PARALLEL_MIN_STEP_MACS multiply-adds, where BLAS, which releases
-the GIL, dominates, and at least two workers are available does run_round
-train one-client stacks on a thread pool of at most one worker per usable
-CPU instead. train_stack is pure and every stack works on its own arrays,
-so both ways give bit-identical results.
+gives alone. local_train is its one-client case. run_round makes two
+decisions. While one local step stays below _PARALLEL_MIN_STEP_MACS
+multiply-adds, the round trains as one stack in the calling thread, so
+each epoch's Python dispatch is paid once for the round. From the gate
+up, where BLAS (which releases the GIL) dominates, or when the one stack
+raises, the round trains one-client stacks through _map. train_stack is
+pure and every stack works on its own arrays, so both give bit-identical
+results.
+
+_map is the package's one way onto a second CPU: list(map(...)) on a
+kept pool of one worker thread per usable CPU, or inline with one CPU.
+run_round and the attack's auxiliary forward pass (attack._aux_logits)
+both go through it.
 
 Round-log CSV layout (append_round_log):
 round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
@@ -34,7 +39,8 @@ round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
 import contextvars
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,9 +57,9 @@ OPTIMIZERS = ("sgd", "sgdm", "nag")
 _STREAM_PLAN = 1
 
 # Multiply-adds of one local step (batch_size times the weight count) from
-# which run_round trains a round's clients on worker threads. numpy releases
-# the GIL only inside BLAS and large ufuncs; below this the Python between
-# those calls holds it and threads only add overhead. Median round training
+# which run_round trains a round's clients as one-client stacks through _map.
+# numpy releases the GIL only inside BLAS and large ufuncs; below this the
+# Python between those calls holds it and threads only add overhead. Median round training
 # time on a 2-CPU host with one BLAS thread (20 clients, scaffold, m = 10),
 # sequential vs 2 threads: 38k MACs 39 vs 67 ms, 1.5M 106 vs 120 ms, 2.1M
 # 150 vs 132 ms, 4.3M 253 vs 182 ms, 10.8M (train_heavy's step) 501 vs
@@ -349,16 +355,42 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _client_workers(model: Model, partition: Partition, cfg: SchemeConfig) -> int:
-    """Threads to train a round's clients on; 1 means in the calling thread.
+# The kept pool of _map: ((pid, workers), executor). A forked child inherits
+# the executor but not its threads, so it builds its own; a dropped executor's
+# idle threads exit once it is collected.
+_pool_lock = threading.Lock()
+_pool = (None, None)
 
-    More than 1 only when one local step reaches _PARALLEL_MIN_STEP_MACS
-    multiply-adds, and then min(usable CPUs, clients that fill a batch).
+
+def _map(fn, *iterables) -> list:
+    """list(map(fn, *iterables)), on a kept pool of one thread per usable CPU.
+
+    Each call runs on the pool in a copy of the caller's context, so
+    np.errstate holds there too. The pool is built on first use and again
+    when the pid (in a forked child) or the usable-CPU count changes. With
+    fewer than two calls or one usable CPU the calls run inline instead.
+    Results come back in call order. When a call raises, the calls not yet
+    started are cancelled, the running ones are waited for, and the
+    earliest failing call's error is raised, as in map. fn must not call
+    _map itself: a worker waiting on its own pool can block them all.
     """
-    if cfg.batch_size * sum(w.size for w in model.weights) < _PARALLEL_MIN_STEP_MACS:
-        return 1
-    trainers = sum(len(shard) >= cfg.batch_size for shard in partition.assignments)
-    return min(_usable_cpus(), trainers)
+    calls = list(zip(*iterables))
+    workers = _usable_cpus()
+    if len(calls) < 2 or workers < 2:
+        return [fn(*args) for args in calls]
+    global _pool
+    with _pool_lock:
+        built_for, executor = _pool
+        if built_for != (os.getpid(), workers):
+            executor = ThreadPoolExecutor(workers, thread_name_prefix="fedleak-worker")
+            _pool = ((os.getpid(), workers), executor)
+        futures = [executor.submit(contextvars.copy_context().run, fn, *args) for args in calls]
+    try:
+        return [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def run_round(
@@ -383,9 +415,10 @@ def run_round(
     round_idx + 1; they share arrays with the updates and with each other,
     and the input records stay at round-start state.
 
-    Clients train as one stack in the calling thread, or as one-client
-    stacks on worker threads when _client_workers gives more than one; the
-    results, and the first client error raised, are the same either way.
+    Below _PARALLEL_MIN_STEP_MACS the clients train as one stack in the
+    calling thread. From the gate up, or when that stack raises, they
+    train as one-client stacks in client order through _map; the results,
+    and the first client-order error raised, are the same either way.
     train_stack, backward_stack and accuracy are looked up in this module
     at call time.
     """
@@ -400,43 +433,32 @@ def run_round(
         )
     trainers = [k for k in range(n_clients) if len(partition.assignments[k]) >= cfg.batch_size]
 
-    def plan(k):
-        client_data = dataset.subset(partition.assignments[k])
-        plan_seed = derive_seed(seed, _STREAM_PLAN, round_idx, k)
-        return client_data, plan_batches(client_data, cfg.batch_size, cfg.epochs, plan_seed)
-
-    def train(ks, plans):
+    def train(ks):
+        subsets = [dataset.subset(partition.assignments[k]) for k in ks]
+        plans = [
+            plan_batches(client_data, cfg.batch_size, cfg.epochs, derive_seed(seed, _STREAM_PLAN, round_idx, k))
+            for k, client_data in zip(ks, subsets)
+        ]
         # the (K, m, B) batch indices into the whole dataset, built once
-        batches = np.stack([partition.assignments[k][np.stack(p.batches)] for k, (_, p) in zip(ks, plans)])
+        batches = np.stack([partition.assignments[k][np.stack(p.batches)] for k, p in zip(ks, plans)])
         sizes = [len(partition.assignments[k]) for k in ks]
         trained = train_stack(global_model, dataset, batches, cfg, [histories[k] for k in ks], round_idx, ks, sizes)
         results = []
-        for (update, local), (client_data, p) in zip(trained, plans):
+        for (update, local), client_data, p in zip(trained, subsets, plans):
             stat = {"loss": update.first_loss, "train_acc": accuracy(local, client_data.features, client_data.labels)}
             results.append((update, p.true_counts.copy(), stat))
         return results
 
-    def train_one(k):
-        return train([k], [plan(k)])[0]
-
-    workers = _client_workers(global_model, partition, cfg)
-    if workers > 1:
-        # each task runs in a copy of the caller's context, so np.errstate
-        # and other context-local settings hold in the workers too
-        contexts = [contextvars.copy_context() for _ in trainers]
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda ctx, k: ctx.run(train_one, k), contexts, trainers))
-    else:
-        plans = [plan(k) for k in trainers]
+    results = None
+    if cfg.batch_size * sum(w.size for w in global_model.weights) < _PARALLEL_MIN_STEP_MACS:
         try:
-            results = train(trainers, plans)
+            results = train(trainers)
         except (RuntimeError, FloatingPointError):
-            # a client diverged or holds a wrong record: train one client at
-            # a time in client order, so the error raised is the one
-            # client-order training raises
-            results = None
-        if results is None:
-            results = [train([k], [p])[0] for k, p in zip(trainers, plans)]
+            # a client diverged or holds a wrong record: the one-client
+            # stacks below raise the error client-order training raises
+            pass
+    if results is None:
+        results = [result for [result] in _map(train, [[k] for k in trainers])]
 
     results = dict(zip(trainers, results))
     updates, truths, stats = [], [], []

@@ -352,6 +352,27 @@ def test_diagnose_moments_non_finite_dataset_names_the_row(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_diagnose_moments_rejects_bins_below_one_before_any_work(tmp_path, capsys, bins):
+    # the paths need not exist: --bins is checked before anything is read
+    out = tmp_path / "moments.csv"
+    rc = main(["diagnose-moments", "--model", str(tmp_path / "none.ckpt"), "--data", str(tmp_path / "none.csv"),
+               "--output", str(out), "--bins", bins])
+    assert rc == 1
+    assert f"error: --bins must be at least 1, got {bins}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_moments_rejects_a_dataset_of_another_width(tmp_path, capsys):
+    from fedleak.data import make_synthetic
+
+    mpath, dpath = write_world(tmp_path, init_model([4, 8, 3], "relu", seed=0), make_synthetic(3, 6, 5, 2.0, seed=0))
+    out = tmp_path / "moments.csv"
+    assert main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath), "--output", str(out)]) == 1
+    assert f"error: {dpath} has 6 features per row, but the model in {mpath} takes 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_moments_histogram_means_match_forward(tmp_path):
     from fedleak.data import make_synthetic
 
@@ -844,7 +865,7 @@ def test_run_experiment_unattackable_rounds_build_no_context(monkeypatch, scheme
 )
 def test_small_worlds_train_each_round_as_one_stack(monkeypatch, scheme):
     # the default world's local step is far below fedsim's gate, so every
-    # round trains all its clients with one train_stack call and no pool
+    # round trains all its clients with one train_stack call, not through _map
     stacks = []
     original = fedsim.train_stack
 
@@ -852,11 +873,11 @@ def test_small_worlds_train_each_round_as_one_stack(monkeypatch, scheme):
         stacks.append(len(batches))
         return original(model, data, batches, *args)
 
-    def no_pool(max_workers):
-        raise AssertionError("run_round opened a thread pool")
+    def no_map(*args):
+        raise AssertionError("run_round went through fedsim._map")
 
     monkeypatch.setattr(fedsim, "train_stack", recording)
-    monkeypatch.setattr(fedsim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(fedsim, "_map", no_map)
     monkeypatch.setattr(fedsim, "_usable_cpus", lambda: 64)
     cfg = replace(ExperimentConfig(seed=1), scheme=scheme, rounds=3)
     rows = run_experiment(cfg)

@@ -1,5 +1,11 @@
+import multiprocessing
+import os
+import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -391,17 +397,18 @@ def _threaded_world():
     return data, Partition(shards, alpha=0.0, seed=0), model
 
 
-def _record_pools(monkeypatch):
-    """Record the max_workers of every pool run_round opens."""
-    opened = []
-    real = fedsim.ThreadPoolExecutor
+def _record_maps(monkeypatch):
+    """Record how many one-client stacks each round maps through fedsim._map."""
+    mapped = []
+    real = fedsim._map
 
-    def recording(max_workers):
-        opened.append(max_workers)
-        return real(max_workers)
+    def recording(fn, *iterables):
+        calls = list(zip(*iterables))
+        mapped.append(len(calls))
+        return real(fn, *zip(*calls))
 
-    monkeypatch.setattr(fedsim, "ThreadPoolExecutor", recording)
-    return opened
+    monkeypatch.setattr(fedsim, "_map", recording)
+    return mapped
 
 
 def _force_pool(monkeypatch, cpus=2):
@@ -447,12 +454,12 @@ def _grid_cfg(scheme, optimizer, lam, gamma, batch_size=16):
 
 def _one_stack_against_the_pool(monkeypatch, world, cfg, trainers):
     """Three rounds as one stack and as one-client stacks on a 2-thread pool, compared bit for bit."""
-    opened = _record_pools(monkeypatch)
+    mapped = _record_maps(monkeypatch)
     stacked = _three_rounds(world, cfg)
-    assert opened == []
+    assert mapped == []
     _force_pool(monkeypatch)
     pooled = _three_rounds(world, cfg)
-    assert opened == [2, 2, 2]
+    assert mapped == [trainers] * 3
     assert sum(s is not None for s in pooled[0][3]) == trainers
     _assert_rounds_identical(stacked, pooled)
 
@@ -493,7 +500,7 @@ def test_run_round_more_workers_than_cores_with_fast_switching(monkeypatch):
     world = _threaded_world()
     cfg = SchemeConfig(scheme="scaffold", optimizer="sgd", eta=0.05, epochs=3, batch_size=16)
     sequential = _three_rounds(world, cfg)
-    opened = _record_pools(monkeypatch)
+    mapped = _record_maps(monkeypatch)
     _force_pool(monkeypatch, cpus=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -501,7 +508,7 @@ def test_run_round_more_workers_than_cores_with_fast_switching(monkeypatch):
         threaded = _three_rounds(world, cfg)
     finally:
         sys.setswitchinterval(interval)
-    assert opened == [3, 3, 3]
+    assert mapped == [3, 3, 3]
     _assert_rounds_identical(sequential, threaded)
 
 
@@ -584,28 +591,6 @@ def test_run_round_nonfinite_loss_names_the_client_in_both_paths(monkeypatch):
     assert messages == ["non-finite loss at round 1 epoch 2 client 1"] * 2
 
 
-def test_run_round_workers_keep_the_callers_errstate(monkeypatch):
-    # np.errstate is context-local; each worker runs in a copy of the caller's context
-    data, partition, _ = _threaded_world()
-    model = init_model([6, 10, 4], "relu", seed=21)
-    cfg = fedavg_cfg(eta=1e160, epochs=3, batch_size=16)
-    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
-    _force_pool(monkeypatch)
-    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        run_round(model, data, partition, cfg, histories, 1, seed=21)
-
-
-def test_client_workers_never_exceed_cpus_or_trainers(monkeypatch):
-    _, partition, model = _threaded_world()
-    cfg = fedavg_cfg(epochs=1, batch_size=16)
-    monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 0)
-    for cpus, expected in ((1, 1), (2, 2), (8, 3)):
-        monkeypatch.setattr(fedsim, "_usable_cpus", lambda: cpus)
-        assert fedsim._client_workers(model, partition, cfg) == expected
-    monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 1 << 21)
-    assert fedsim._client_workers(model, partition, cfg) == 1
-
-
 def test_run_round_trains_through_train_stack(monkeypatch):
     # the tests that prove a rejected round or run trains nothing patch
     # fedsim.train_stack, so a normal round must call it on either path
@@ -627,18 +612,18 @@ def test_run_round_trains_through_train_stack(monkeypatch):
     assert sorted(stacks) == [[1]] * 3 + [[2]] * 3 + [[3]] * 3
 
 
-def _no_pool(max_workers):
-    raise AssertionError("run_round opened a thread pool")
+def _no_map(*args):
+    raise AssertionError("run_round went through fedsim._map")
 
 
 @pytest.mark.parametrize("case", ["one_cpu", "one_trainer"])
 def test_run_round_above_the_gate_stays_sequential_without_two_workers(monkeypatch, case):
-    # with one worker the round trains in the calling thread, as one stack
+    # above the gate the round trains one-client stacks through _map, which
+    # with one CPU, or one trainer, runs them in the calling thread, in client order
     data, partition, model = _threaded_world()
     cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
     affinity = {0} if case == "one_cpu" else {0, 1}
     monkeypatch.setattr(fedsim.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-    monkeypatch.setattr(fedsim, "ThreadPoolExecutor", _no_pool)
     monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 0)
     if case == "one_trainer":
         big = np.concatenate(partition.assignments[1:])
@@ -647,24 +632,163 @@ def test_run_round_above_the_gate_stays_sequential_without_two_workers(monkeypat
     original = fedsim.train_stack
 
     def recording(model, data, batches, cfg, histories, round_idx, client_ids, sizes):
-        stacks.append(list(client_ids))
+        stacks.append((list(client_ids), threading.current_thread()))
         return original(model, data, batches, cfg, histories, round_idx, client_ids, sizes)
 
     monkeypatch.setattr(fedsim, "train_stack", recording)
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     _, _, truths, _, _ = run_round(model, data, partition, cfg, histories, 1, seed=21)
-    assert stacks == [[k for k, t in enumerate(truths) if t is not None]]
-    assert stacks[0]
+    trainers = [k for k, t in enumerate(truths) if t is not None]
+    assert trainers
+    assert stacks == [([k], threading.current_thread()) for k in trainers]
 
 
 def test_default_small_world_never_opens_a_pool(monkeypatch):
     # the default small world's local step is far below the gate, even with CPUs to spare
     data, partition, model = small_world(seed=22, clients=3)
     monkeypatch.setattr(fedsim, "_usable_cpus", lambda: 64)
-    monkeypatch.setattr(fedsim, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr(fedsim, "_map", _no_map)
     for scheme, lam in (("fedavg", 0.0), ("scaffold", 0.0), ("feddc", 2.0)):
         cfg = SchemeConfig(scheme=scheme, optimizer="sgd", eta=0.05, lam=lam, epochs=2, batch_size=16)
         _three_rounds((data, partition, model), cfg)
+
+
+# ------------------------------------------------------------------- _map
+
+def _map_on(monkeypatch, cpus):
+    monkeypatch.setattr(fedsim, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_returns_results_in_call_order(monkeypatch, cpus):
+    _map_on(monkeypatch, cpus)
+    caller = threading.current_thread()
+    out = fedsim._map(lambda a, b: (a * b, threading.current_thread() is caller), range(6), range(10, 16))
+    assert [r for r, _ in out] == [a * b for a, b in zip(range(6), range(10, 16))]
+    # one CPU runs every call inline, two run them all on the pool
+    assert [inline for _, inline in out] == [cpus == 1] * 6
+    assert fedsim._map(abs, []) == []
+    # a single call is not worth a worker
+    assert fedsim._map(lambda x: threading.current_thread(), [0]) == [caller]
+
+
+def test_map_keeps_the_callers_errstate(monkeypatch):
+    # np.errstate is context-local; every call runs in a copy of the caller's context
+    _map_on(monkeypatch, 2)
+    caller = threading.current_thread()
+    threads = []
+
+    def overflow(x):
+        threads.append(threading.current_thread())
+        return np.array([x]) * 1e10
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        fedsim._map(overflow, [1.0, 1e300])
+    assert len(threads) == 2 and caller not in threads
+    with np.errstate(over="ignore"):
+        assert np.isinf(fedsim._map(overflow, [1.0, 1e300])[1]).all()
+
+
+class CallError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("later_fails", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_raises_the_earliest_failing_calls_error(monkeypatch, cpus, later_fails):
+    # on the pool call 0 fails after call 1 has failed or returned; inline
+    # call 1 never runs. Either way call 0's error is raised, as in map
+    _map_on(monkeypatch, cpus)
+    raised = {}
+    done = threading.Event()
+
+    def call(i):
+        if i == 0:
+            done.wait(0.2)
+        elif i == 1:
+            done.set()
+            if not later_fails:
+                return i
+        raised[i] = CallError(i)
+        raise raised[i]
+
+    with pytest.raises(CallError) as err:
+        fedsim._map(call, [0, 1])
+    assert err.value is raised[0]
+
+
+def test_map_leaves_nothing_running_when_a_call_fails(monkeypatch):
+    # call 0 fails once call 1 has started; call 1 and any call a worker
+    # took meanwhile must have finished, and the rest never start
+    _map_on(monkeypatch, 2)
+    started, finished = [], []
+    running = threading.Event()
+    slow = threading.Event()  # never set: a started call takes its full wait
+
+    def call(i):
+        if i == 0:
+            assert running.wait(10)
+            raise CallError(i)
+        started.append(i)
+        running.set()
+        slow.wait(0.2)
+        finished.append(i)
+
+    calls = range(8)
+    with pytest.raises(CallError):
+        fedsim._map(call, calls)
+    assert 1 in started and sorted(finished) == sorted(started)
+    assert len(started) < len(calls) - 1
+    slow.wait(0.3)
+    assert sorted(finished) == sorted(started)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_map_runs_on_one_kept_thread_per_usable_cpu_at_most(monkeypatch, cpus):
+    _map_on(monkeypatch, cpus)
+    threads = set()
+
+    def call(i):
+        threads.add(threading.current_thread())
+        time.sleep(0.01)
+
+    for _ in range(5):
+        fedsim._map(call, range(8))
+    if cpus == 1:
+        assert threads == {threading.current_thread()}
+    else:
+        # the same workers serve every call, and they are still there
+        assert 2 <= len(threads) <= cpus
+        assert all(t.is_alive() and t.name.startswith("fedleak-worker") for t in threads)
+
+
+def _map_in_child(expected):
+    ok = fedsim._map(abs, [-1, -2, -3]) == expected and fedsim._pool[0][0] == os.getpid()
+    os._exit(0 if ok else 1)
+
+
+def test_map_in_a_forked_child_builds_its_own_pool(monkeypatch):
+    _map_on(monkeypatch, 2)
+    expected = fedsim._map(abs, [-1, -2, -3])
+    assert fedsim._pool[0][0] == os.getpid()
+    child = multiprocessing.get_context("fork").Process(target=_map_in_child, args=(expected,))
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join(timeout=10)
+    assert not alive, "a forked child's _map waited on its parent's pool"
+    assert child.exitcode == 0
+
+
+def test_import_starts_no_thread():
+    code = "import threading, fedleak, fedleak.cli; print(threading.active_count())"
+    src = str(Path(fedsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 # ----------------------------------------------------------------- scaffold
