@@ -73,6 +73,19 @@ def test_split_logits_equal_one_pass_bit_for_bit(monkeypatch, world, cpus):
     assert split.dtype == one_pass.dtype and np.array_equal(split.view(np.int64), one_pass.view(np.int64))
 
 
+def test_helper_keeps_the_callers_errstate(monkeypatch):
+    # np.errstate is context-local; the pool's threads forward each half in a
+    # copy of the caller's context
+    model, features = _world(*SPLIT_WORLDS["train_heavy"])
+    features = features.copy()
+    features[:10] = np.inf  # inf - inf in the first half's matmul only
+    _cpus(monkeypatch, 2)
+    threads = _count_forwards(monkeypatch)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        attack._aux_logits(model, features)
+    assert len(threads) == 2 and threading.current_thread() not in threads
+
+
 def test_run_experiment_rows_do_not_depend_on_the_cpu_count(monkeypatch):
     threads = _count_forwards(monkeypatch)
     rows = {}

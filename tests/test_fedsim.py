@@ -416,6 +416,19 @@ def _force_pool(monkeypatch, cpus=2):
     monkeypatch.setattr(fedsim, "_usable_cpus", lambda: cpus)
 
 
+def test_run_round_workers_keep_the_callers_errstate(monkeypatch):
+    # np.errstate is context-local; each worker runs in a copy of the caller's context
+    data, partition, _ = _threaded_world()
+    model = init_model([6, 10, 4], "relu", seed=21)
+    cfg = fedavg_cfg(eta=1e160, epochs=3, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    _force_pool(monkeypatch)
+    mapped = _record_maps(monkeypatch)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        run_round(model, data, partition, cfg, histories, 1, seed=21)
+    assert mapped == [3]
+
+
 def _three_rounds(world, cfg):
     data, partition, model = world
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
