@@ -7,12 +7,15 @@ Gaussian rows otherwise. Because the directions do not depend on the draw
 seed, an auxiliary set generated with a different seed comes from exactly
 the same distribution as the client data.
 
+A batch plan (plan_batches) is an (m, B) index array into one client's
+shard, drawn from the shard size and a seed alone, never from labels.
+
 CSV layout for datasets: header f0,...,f{d-1},label, one row per sample.
 """
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,19 +71,6 @@ class Partition:
     @property
     def n_clients(self) -> int:
         return len(self.assignments)
-
-
-@dataclass
-class BatchPlan:
-    """Per-epoch batch index lists plus the label-count ground truth.
-
-    true_counts is evaluation-only bookkeeping; attack code never receives
-    a BatchPlan.
-    """
-
-    batches: list  # m arrays of indices into the client dataset
-    true_counts: np.ndarray  # (N,) totals over all epochs
-    per_epoch_counts: np.ndarray = field(repr=False, default=None)  # (m, N)
 
 
 def class_directions(n_classes: int, dim: int) -> np.ndarray:
@@ -183,22 +173,18 @@ def dirichlet_partition(dataset: Dataset, n_clients: int, alpha: float, seed: in
     return Partition(assignments, alpha, seed)
 
 
-def plan_batches(client_data: Dataset, batch_size: int, epochs: int, seed: int) -> BatchPlan:
-    """One batch per epoch, sampled without replacement, fresh shuffle per epoch."""
+def plan_batches(n_samples: int, batch_size: int, epochs: int, seed: int) -> np.ndarray:
+    """(epochs, batch_size) int64 indices into a shard of n_samples, from the seed alone.
+
+    One batch per epoch, sampled without replacement, fresh shuffle per epoch:
+    row tau is default_rng(seed)'s tau-th permutation(n_samples), cut to batch_size.
+    """
     if batch_size < 1 or epochs < 1:
         raise ValueError("batch_size and epochs must be at least 1")
-    if len(client_data) < batch_size:
-        raise ValueError(
-            f"client has {len(client_data)} samples; batch_size {batch_size} is larger"
-        )
+    if n_samples < batch_size:
+        raise ValueError(f"client has {n_samples} samples; batch_size {batch_size} is larger")
     rng = np.random.default_rng(seed)
-    batches = []
-    per_epoch = np.zeros((epochs, client_data.n_classes), dtype=np.int64)
-    for tau in range(epochs):
-        perm = rng.permutation(len(client_data))[:batch_size]
-        batches.append(perm.astype(np.int64))
-        per_epoch[tau] = np.bincount(client_data.labels[perm], minlength=client_data.n_classes)
-    return BatchPlan(batches, per_epoch.sum(axis=0), per_epoch)
+    return np.array([rng.permutation(n_samples)[:batch_size] for _ in range(epochs)], dtype=np.int64)
 
 
 def save_dataset_csv(path, dataset: Dataset) -> None:

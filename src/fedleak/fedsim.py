@@ -3,7 +3,8 @@
 Every scheme runs m local epochs of one batch each; the per-epoch
 cross-entropy bias gradient (batch mean) is recorded on a debug channel
 of the LocalUpdate so tests can recombine the transmitted bias delta
-exactly. Attack code never reads that channel.
+exactly. Attack code never reads that channel. run_round draws each
+client's (m, B) batch plan once per round and counts the truth from it.
 
 Schemes differ only in what they add to every local gradient of a round,
 and round_correction is the one place that says it: a proximal pull
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import BatchPlan, Dataset, Partition, derive_seed, plan_batches
+from .data import Dataset, Partition, derive_seed, plan_batches
 from .nn import Model, ParamVec, accuracy, backward_stack, zeros_like_params
 # unused here; perfbench/tracing.py looks nn.backward up under this name
 from .nn import backward  # noqa: F401
@@ -94,6 +95,11 @@ class SchemeConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError("lambda must be finite and non-negative")
+        # a value the recipe never reads would be silently ignored
+        if self.gamma and self.optimizer == "sgd":
+            raise ValueError(f"gamma {self.gamma!r} has no effect under sgd, only under sgdm and nag")
+        if self.lam and self.scheme in ("fedavg", "scaffold"):
+            raise ValueError(f"lambda {self.lam!r} has no effect under {self.scheme}, only under the proximal schemes")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -200,7 +206,7 @@ def _stacked(vecs) -> ParamVec:
 def local_train(
     model: Model,
     data: Dataset,
-    plan: BatchPlan,
+    plan: np.ndarray,
     cfg: SchemeConfig,
     history: UpdateHistory,
     round_idx: int,
@@ -208,11 +214,11 @@ def local_train(
 ):
     """Run m local epochs from `model`; returns (LocalUpdate, trained Model).
 
+    plan is an (m, B) index array into `data`, as plan_batches draws it.
     The one-client case of train_stack; see there for the step and the
     errors. Pure: neither `model` nor `history` is modified.
     """
-    batches = np.stack(plan.batches)[None]
-    return train_stack(model, data, batches, cfg, [history], round_idx, [client_id], [len(data)])[0]
+    return train_stack(model, data, plan[None], cfg, [history], round_idx, [client_id], [len(data)])[0]
 
 
 def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histories, round_idx: int, client_ids, sizes):
@@ -410,61 +416,65 @@ def run_round(
     truth_counts[k] = None, stats[k] = None, and when no shard fills a
     batch ValueError is raised before any client trains. Every update
     carries its shard size as n_samples, and the aggregate weights are
-    those sizes over their sum. truth_counts is ground truth for
-    evaluation only. new_histories are new records for the start of round
-    round_idx + 1; they share arrays with the updates and with each other,
-    and the input records stay at round-start state.
+    those sizes over their sum. truth_counts[k] counts the labels of the
+    batches client k trained on, ground truth for evaluation only.
+    new_histories are new records for the start of round round_idx + 1;
+    they share arrays with the updates and with each other, and the input
+    records stay at round-start state.
 
-    Below _PARALLEL_MIN_STEP_MACS the clients train as one stack in the
-    calling thread. From the gate up, or when that stack raises, they
-    train as one-client stacks in client order through _map; the results,
-    and the first client-order error raised, are the same either way.
+    Each training client's (m, B) plan is drawn once, in the calling
+    thread, before either path runs. Below _PARALLEL_MIN_STEP_MACS the
+    clients train as one stack in the calling thread. From the gate up, or
+    when that stack raises, they train as one-client stacks in client
+    order through _map, on the same plans; the results, and the first
+    client-order error raised, are the same either way. plan_batches,
     train_stack, backward_stack and accuracy are looked up in this module
     at call time.
     """
-    n_clients = partition.n_clients
-    if len(histories) != n_clients:
+    shards = partition.assignments
+    if len(histories) != len(shards):
         raise ValueError("one history per client required")
-    largest = max(map(len, partition.assignments), default=0)
+    largest = max(map(len, shards), default=0)
     if largest < cfg.batch_size:
         raise ValueError(
             f"batch_size {cfg.batch_size} is above the largest client shard ({largest} samples):"
             " no client can fill a batch, so no update carries a signal to attack"
         )
-    trainers = [k for k in range(n_clients) if len(partition.assignments[k]) >= cfg.batch_size]
+    # each trainer's (m, B) batch indices into the whole dataset, drawn once
+    # for the round and shared by both training paths; the keys are the trainers
+    plans = {
+        k: shard[plan_batches(len(shard), cfg.batch_size, cfg.epochs, derive_seed(seed, _STREAM_PLAN, round_idx, k))]
+        for k, shard in enumerate(shards)
+        if len(shard) >= cfg.batch_size
+    }
 
     def train(ks):
-        subsets = [dataset.subset(partition.assignments[k]) for k in ks]
-        plans = [
-            plan_batches(client_data, cfg.batch_size, cfg.epochs, derive_seed(seed, _STREAM_PLAN, round_idx, k))
-            for k, client_data in zip(ks, subsets)
-        ]
-        # the (K, m, B) batch indices into the whole dataset, built once
-        batches = np.stack([partition.assignments[k][np.stack(p.batches)] for k, p in zip(ks, plans)])
-        sizes = [len(partition.assignments[k]) for k in ks]
+        batches = np.stack([plans[k] for k in ks])
+        sizes = [len(shards[k]) for k in ks]
         trained = train_stack(global_model, dataset, batches, cfg, [histories[k] for k in ks], round_idx, ks, sizes)
         results = []
-        for (update, local), client_data, p in zip(trained, subsets, plans):
-            stat = {"loss": update.first_loss, "train_acc": accuracy(local, client_data.features, client_data.labels)}
-            results.append((update, p.true_counts.copy(), stat))
+        for k, (update, local) in zip(ks, trained):
+            train_acc = accuracy(local, dataset.features[shards[k]], dataset.labels[shards[k]])
+            results.append((update, {"loss": update.first_loss, "train_acc": train_acc}))
         return results
 
     results = None
     if cfg.batch_size * sum(w.size for w in global_model.weights) < _PARALLEL_MIN_STEP_MACS:
         try:
-            results = train(trainers)
+            results = train(list(plans))
         except (RuntimeError, FloatingPointError):
             # a client diverged or holds a wrong record: the one-client
             # stacks below raise the error client-order training raises
             pass
     if results is None:
-        results = [result for [result] in _map(train, [[k] for k in trainers])]
+        results = [result for [result] in _map(train, [[k] for k in plans])]
 
-    results = dict(zip(trainers, results))
+    results = dict(zip(plans, results))
     updates, truths, stats = [], [], []
-    for k, shard in enumerate(partition.assignments):
+    for k, shard in enumerate(shards):
         if k in results:
-            update, truth, stat = results[k]
+            update, stat = results[k]
+            truth = np.bincount(dataset.labels[plans[k]].ravel(), minlength=dataset.n_classes)
         else:
             idle = np.zeros((cfg.epochs, global_model.n_classes))
             update, truth, stat = LocalUpdate(zeros_like_params(global_model), round_idx, k, len(shard), idle), None, None

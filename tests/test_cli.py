@@ -671,7 +671,8 @@ def test_config_layer_size_below_one_exit_one(tmp_path, capsys, hidden):
 @pytest.mark.parametrize("scheme, optimizer", [("feddyn", "sgd"), ("fedavg", "nag")])
 def test_every_config_flag_lands_in_its_field(tmp_path, scheme, optimizer):
     # each pair leaves one of scheme/optimizer at its default, so between
-    # them a flag that reached no field would show in one case
+    # them a flag that reached no field would show in one case; --lambda
+    # only applies to feddyn's case and --gamma only to nag's
     flags = {
         "--seed": ("seed", 7),
         "--n-classes": ("data.n_classes", 5),
@@ -692,6 +693,7 @@ def test_every_config_flag_lands_in_its_field(tmp_path, scheme, optimizer):
         "--aux-per-class": ("attack.aux_per_class", 40),
         "--output": ("output", str(tmp_path / "out.csv")),
     }
+    del flags["--gamma" if optimizer == "sgd" else "--lambda"]
     argv = ["run"]
     for flag, (_, value) in flags.items():
         argv += [flag, str(value)]
@@ -735,8 +737,11 @@ def test_invalid_scheme_params_exit_one(tmp_path):
         (["--scheme", "fedprox", "--lambda", "150"], "lambda"),
         (["--scheme", "scaffold", "--eta", "0"], "eta"),
         (["--scheme", "feddc", "--eta", "0", "--lambda", "1"], "eta"),
+        (["--gamma", "0.9"], "gamma"),
+        (["--lambda", "0.5"], "lambda"),
+        (["--scheme", "scaffold", "--lambda", "0.5"], "lambda"),
     ],
-    ids=["fedprox-contraction", "scaffold-eta0", "feddc-eta0"],
+    ids=["fedprox-contraction", "scaffold-eta0", "feddc-eta0", "sgd-gamma", "fedavg-lambda", "scaffold-lambda"],
 )
 def test_run_scheme_constraints_rejected_before_training(tmp_path, capsys, monkeypatch, flags, name):
     calls = []

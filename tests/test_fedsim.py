@@ -105,7 +105,7 @@ def test_round_correction_per_scheme():
 def test_fedprox_lambda_zero_matches_fedavg():
     data, partition, model = small_world(seed=5)
     client = data.subset(partition.assignments[0])
-    plan = plan_batches(client, 16, 3, seed=5)
+    plan = plan_batches(len(client), 16, 3, seed=5)
     cfg_avg = fedavg_cfg(eta=0.05, epochs=3, batch_size=16)
     cfg_prox = SchemeConfig(scheme="fedprox", optimizer="sgd", eta=0.05, lam=0.0,
                             epochs=3, batch_size=16)
@@ -121,9 +121,9 @@ def test_single_epoch_sgd_delta_is_scaled_mean_gradient():
     data, partition, model = small_world(seed=7)
     client = data.subset(partition.assignments[0])
     cfg = fedavg_cfg(eta=0.02, epochs=1, batch_size=16)
-    plan = plan_batches(client, 16, 1, seed=7)
+    plan = plan_batches(len(client), 16, 1, seed=7)
     update, _ = local_train(model, client, plan, cfg, UpdateHistory.fresh(model), 1, 0)
-    _, grad = backward(model, client.features[plan.batches[0]], client.labels[plan.batches[0]])
+    _, grad = backward(model, client.features[plan[0]], client.labels[plan[0]])
     npt.assert_allclose(update.delta_b_out, -0.02 * grad.biases[-1], atol=1e-15)
     npt.assert_allclose(update.delta.weights[-1], -0.02 * grad.weights[-1], atol=1e-15)
 
@@ -162,7 +162,7 @@ def test_nonfinite_loss_raises():
     data, partition, _ = small_world(seed=3)
     client = data.subset(partition.assignments[0])
     model = init_model([6, 10, 4], "relu", seed=3)
-    plan = plan_batches(client, 16, 3, seed=3)
+    plan = plan_batches(len(client), 16, 3, seed=3)
     cfg = fedavg_cfg(eta=1e160, epochs=3, batch_size=16)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
         local_train(model, client, plan, cfg, UpdateHistory.fresh(model), 1, 0)
@@ -174,7 +174,7 @@ def test_nonfinite_final_params_raise():
     client = data.subset(partition.assignments[0])
     client = Dataset(client.features * 100.0, client.labels, client.n_classes)
     model = init_model([6, 10, 4], "relu", seed=3)
-    plan = plan_batches(client, 16, 1, seed=3)
+    plan = plan_batches(len(client), 16, 1, seed=3)
     cfg = fedavg_cfg(eta=1e308, epochs=1, batch_size=16)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(RuntimeError, match="parameters .* round 1 client 7"):
@@ -188,7 +188,7 @@ def test_aggregate_single_client_identity():
     cfg = fedavg_cfg(eta=0.05, epochs=1, batch_size=16)
     data, partition, _ = small_world(seed=4)
     client = data.subset(partition.assignments[0])
-    plan = plan_batches(client, 16, 1, seed=4)
+    plan = plan_batches(len(client), 16, 1, seed=4)
     update, local = local_train(model, client, plan, cfg, UpdateHistory.fresh(model), 1, 0)
     merged = server_aggregate([update], np.array([1.0]), model)
     for a, b in zip(merged.weights, local.weights):
@@ -541,23 +541,28 @@ def test_run_round_threaded_client_error_matches_sequential(monkeypatch):
     assert "non-finite" in messages[0]
 
 
-def test_run_round_first_error_is_the_client_order_one_in_both_paths(monkeypatch):
-    # clients 1 and 2 train to non-finite parameters, and client 3's
-    # features are infinite, so its loss is non-finite at epoch 1: the one
-    # stack meets client 3's loss first, but client-order training, and so
-    # run_round on either path, raises client 1's error
+def _diverging_world():
+    """The threaded world where clients 1 and 2 train to non-finite
+    parameters and client 3's features are infinite, so its loss is
+    non-finite at epoch 1."""
     data, partition, _ = _threaded_world()
     features = data.features * 100.0
     features[partition.assignments[3]] = np.inf
     data = Dataset(features, data.labels, data.n_classes)
     model = init_model([6, 10, 4], "relu", seed=21)
-    cfg = fedavg_cfg(eta=1e308, epochs=1, batch_size=16)
+    return data, partition, model, fedavg_cfg(eta=1e308, epochs=1, batch_size=16)
+
+
+def test_run_round_first_error_is_the_client_order_one_in_both_paths(monkeypatch):
+    # the one stack meets client 3's loss first, but client-order
+    # training, and so run_round on either path, raises client 1's error
+    data, partition, model, cfg = _diverging_world()
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     messages = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in (1, 3):
             client = data.subset(partition.assignments[k])
-            plan = plan_batches(client, 16, 1, derive_seed(21, fedsim._STREAM_PLAN, 1, k))
+            plan = plan_batches(len(client), 16, 1, derive_seed(21, fedsim._STREAM_PLAN, 1, k))
             with pytest.raises(RuntimeError) as err:
                 local_train(model, client, plan, cfg, histories[k], 1, k)
             messages.append(str(err.value))
@@ -571,6 +576,53 @@ def test_run_round_first_error_is_the_client_order_one_in_both_paths(monkeypatch
             with pytest.raises(RuntimeError) as err:
                 run_round(model, data, partition, cfg, histories, 1, seed=21)
             assert str(err.value) == messages[0]
+
+
+def test_run_round_falls_back_on_the_plans_it_drew(monkeypatch):
+    # when the one stack raises, the one-client stacks train on the plans
+    # already drawn for the round: plan_batches runs once per trainer
+    data, partition, model, cfg = _diverging_world()
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    drawn = []
+    original = fedsim.plan_batches
+
+    def counting(n_samples, batch_size, epochs, seed):
+        drawn.append(n_samples)
+        return original(n_samples, batch_size, epochs, seed)
+
+    monkeypatch.setattr(fedsim, "plan_batches", counting)
+    mapped = _record_maps(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="client 1$"):
+        run_round(model, data, partition, cfg, histories, 1, seed=21)
+    assert mapped == [3]
+    assert drawn == [len(partition.assignments[k]) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("path", ["one_stack", "pool"])
+def test_run_round_truths_are_a_recount_of_its_own_batches(monkeypatch, path):
+    data, partition, model = _threaded_world()
+    cfg = fedavg_cfg(eta=0.05, epochs=3, batch_size=16)
+    trained = {}
+    original = fedsim.train_stack
+
+    def recording(model, data, batches, cfg, histories, round_idx, client_ids, sizes):
+        trained.update(zip(client_ids, batches))
+        return original(model, data, batches, cfg, histories, round_idx, client_ids, sizes)
+
+    monkeypatch.setattr(fedsim, "train_stack", recording)
+    mapped = _record_maps(monkeypatch)
+    if path == "pool":
+        _force_pool(monkeypatch)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    _, _, truths, _, _ = run_round(model, data, partition, cfg, histories, 1, seed=21)
+    assert mapped == ([3] if path == "pool" else [])
+    assert truths[0] is None  # client 0's shard is below the batch
+    assert sorted(trained) == [1, 2, 3]
+    for k, batches in trained.items():
+        assert batches.shape == (cfg.epochs, cfg.batch_size)
+        assert np.isin(batches, partition.assignments[k]).all()
+        npt.assert_array_equal(truths[k], np.bincount(data.labels[batches].ravel(), minlength=data.n_classes))
+        assert truths[k].sum() == cfg.epochs * cfg.batch_size
 
 
 def test_train_stack_names_the_first_client_with_a_non_finite_loss():
