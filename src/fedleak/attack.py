@@ -273,22 +273,43 @@ def plugin_confusion(logits, bounds=None) -> ConfusionMatrix:
     logits is either one block per class, as from class_logits, or, with
     bounds, one (rows, N) array grouped by class, class n's rows at
     bounds[n]:bounds[n + 1], as from the forward pass of a RoundContext's
-    aux_features; blocks are stacked into such an array first. Row n is
-    the mean softmax over class n's rows: the plug-in estimate of the
-    expected erroneous confidences. se holds each entry's standard error
-    over those rows, the sample standard deviation over sqrt(count) (0 for
-    a single row). All rows go through one softmax together.
+    aux_features; blocks are stacked into such an array first. bounds must
+    run from 0 to the row count, and a class with no rows is a ValueError
+    that names it. Row n is the mean softmax over class n's rows: the
+    plug-in estimate of the expected erroneous confidences. se holds each
+    entry's standard error over those rows, the sample standard deviation
+    over sqrt(count) (0 for a single row).
+
+    All rows go through one softmax together, and the probabilities are
+    then centred and squared in place. When every class has the same row
+    count, as make_auxiliary builds it, the means and the centring come
+    from one (classes, count, N) view of the probabilities, and the pass
+    allocates no other (rows, N) array; other counts take one mean per
+    class slice. Both give the bits of mean_softmax on each class's block
+    alone.
     """
     if bounds is None:
         bounds = np.cumsum([0, *map(len, logits)])
         logits = np.concatenate(logits)
-    probs = softmax_rows(logits)
-    # each mean over a slice of probs gives the same bits as mean_softmax on
-    # that class's block alone
-    s = np.array([probs[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    bounds = np.asarray(bounds)
+    if bounds[0] != 0 or bounds[-1] != len(logits):
+        raise ValueError(f"bounds must run from 0 to the {len(logits)} logit rows, got {bounds[0]} to {bounds[-1]}")
     counts = np.diff(bounds)
-    centered = probs - np.repeat(s, counts, axis=0)
-    sq_sums = np.add.reduceat(centered * centered, bounds[:-1], axis=0)
+    empty = np.flatnonzero(counts < 1)
+    if empty.size:
+        raise ValueError(f"class {empty[0]} has no logit rows")
+    probs = softmax_rows(logits)
+    if probs.flags.c_contiguous and (counts == counts[0]).all():
+        blocks = probs.reshape(len(counts), counts[0], -1)
+        s = blocks.mean(axis=1)
+        blocks -= s[:, None, :]
+    else:
+        s = np.array([probs[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
+        probs -= np.repeat(s, counts, axis=0)
+    probs *= probs
+    # reduceat for both: blocks.sum(axis=1) adds in another order and moves
+    # the last bits of se
+    sq_sums = np.add.reduceat(probs, bounds[:-1], axis=0)
     se = np.sqrt(sq_sums / np.maximum(counts - 1, 1)[:, None]) / np.sqrt(counts)[:, None]
     np.fill_diagonal(s, 0.0)
     np.fill_diagonal(se, 0.0)
@@ -474,8 +495,12 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     matrices = [context.s_first]
     system = context.system
     if m > 1:
-        local_model = context.global_model.copy()
-        local_model.params().add_(update.delta, 1.0)
+        start = context.global_model
+        local_model = Model(
+            [w + d for w, d in zip(start.weights, update.delta.weights)],
+            [b + d for b, d in zip(start.biases, update.delta.biases)],
+            start.activation,
+        )
         matrices.append(plugin_confusion(_aux_logits(local_model, context.aux_features), context.aux_bounds))
         system = build_system(ConfusionMatrix((matrices[0].s + matrices[1].s) / 2))
     diagnostics = {"confusion_se": float(max(c.se.max() for c in matrices))}

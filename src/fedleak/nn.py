@@ -20,16 +20,16 @@ SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 def _relu_grad(z):
     return (z > 0.0).astype(np.float64)
 
 
-def _tanh(z):
-    return np.tanh(z)
+def _tanh(z, out=None):
+    return np.tanh(z, out=out)
 
 
 def _tanh_grad(z):
@@ -37,25 +37,45 @@ def _tanh_grad(z):
     return 1.0 - t * t
 
 
-def _elu(z):
-    return np.where(z > 0.0, z, np.expm1(z))
+def _copy_into(z, out):
+    """out holding z's values: a new float64 copy when out is None."""
+    if out is None:
+        return np.array(z, dtype=np.float64)
+    if out is not z:
+        np.copyto(out, z)
+    return out
+
+
+def _elu(z, out=None):
+    # expm1 only where z <= 0, which is np.where(z > 0, z, expm1(z)) bit
+    # for bit, NaN included, without an expm1 of the whole array
+    out = _copy_into(z, out)
+    return np.expm1(out, out=out, where=out <= 0.0)
 
 
 def _elu_grad(z):
     return np.where(z > 0.0, 1.0, np.exp(z))
 
 
-def _selu(z):
-    return SELU_LAMBDA * np.where(z > 0.0, z, SELU_ALPHA * np.expm1(z))
+def _selu(z, out=None):
+    out = _copy_into(z, out)
+    neg = out <= 0.0
+    np.expm1(out, out=out, where=neg)
+    np.multiply(out, SELU_ALPHA, out=out, where=neg)
+    out *= SELU_LAMBDA
+    return out
 
 
 def _selu_grad(z):
     return SELU_LAMBDA * np.where(z > 0.0, 1.0, SELU_ALPHA * np.exp(z))
 
 
-def _silu(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s
+def _silu(z, out=None):
+    s = np.negative(z)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return np.multiply(z, s, out=out)
 
 
 def _silu_grad(z):
@@ -63,6 +83,8 @@ def _silu_grad(z):
     return s * (1.0 + z * (1.0 - s))
 
 
+# name -> (activation, gradient). Each activation takes an optional out=,
+# which may be z itself, and gives the same bits either way.
 ACTIVATIONS = {
     "relu": (_relu, _relu_grad),
     "tanh": (_tanh, _tanh_grad),
@@ -86,11 +108,11 @@ class ParamVec:
         return ParamVec([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def add_(self, other: "ParamVec", scale: float = 1.0) -> "ParamVec":
-        """In-place self += scale * other."""
+        """In-place self += scale * other; at scale 1.0, other is added as is."""
         for w, ow in zip(self.weights, other.weights):
-            w += scale * ow
+            w += ow if scale == 1.0 else scale * ow
         for b, ob in zip(self.biases, other.biases):
-            b += scale * ob
+            b += ob if scale == 1.0 else scale * ob
         return self
 
     def scaled(self, s: float) -> "ParamVec":
@@ -180,14 +202,17 @@ def forward_batch(model: Model, features: np.ndarray):
     """Forward pass for a (B, d) batch. Returns (logits (B, N), embeddings (B, L))."""
     act, _ = ACTIVATIONS[model.activation]
     h = np.asarray(features, dtype=np.float64)
-    # two activation-sized arrays alive per layer, not three: every attack
-    # runs this over the whole auxiliary set, and a smaller transient lets
-    # the allocator reuse its memory instead of returning it to the OS
+    # each layer's bias and activation are applied in place on its fresh
+    # product, so at most two activations are alive at once, a layer's input
+    # and its output: every attack runs this over the whole auxiliary set,
+    # and a smaller transient lets the allocator reuse its memory instead of
+    # returning it to the OS and faulting it in again
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = h @ w.T
         h += b
-        h = act(h)
-    logits = h @ model.weights[-1].T + model.biases[-1]
+        act(h, out=h)
+    logits = h @ model.weights[-1].T
+    logits += model.biases[-1]
     return logits, h
 
 
@@ -197,10 +222,16 @@ def softmax(q: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(q: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of each row of a (B, N) logit matrix."""
-    shifted = q - q.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Numerically stable softmax of each row of a (B, N) logit matrix.
+
+    q is never written. For float logits the result is the one new (B, N)
+    array: the shifted logits are exponentiated and normalized in place.
+    Integer logits give float probabilities, as np.exp does.
+    """
+    e = q - q.max(axis=1, keepdims=True)
+    e = np.exp(e, out=e if e.dtype.kind == "f" else None)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def output_layer_gradient(q: np.ndarray, y: int) -> np.ndarray:

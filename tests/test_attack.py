@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -728,6 +729,89 @@ def test_plugin_confusion_matches_per_block_reference(seed):
         se = probs.std(axis=0, ddof=1 if len(rows) > 1 else 0) / np.sqrt(len(rows))
         se[n] = 0.0
         assert confusion.se[n] == pytest.approx(se, rel=1e-12, abs=0.0)
+
+
+def slice_path_confusion(logits, bounds):
+    """plugin_confusion's s and se from one mean per class slice and a repeated-mean centring."""
+    probs = softmax_rows(logits)
+    s = np.array([probs[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    counts = np.diff(bounds)
+    centered = probs - np.repeat(s, counts, axis=0)
+    sq_sums = np.add.reduceat(centered * centered, bounds[:-1], axis=0)
+    se = np.sqrt(sq_sums / np.maximum(counts - 1, 1)[:, None]) / np.sqrt(counts)[:, None]
+    np.fill_diagonal(s, 0.0)
+    np.fill_diagonal(se, 0.0)
+    return s, se
+
+
+def test_plugin_confusion_equal_counts_match_the_slice_path_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for case in range(120):
+        n = int(rng.integers(2, 40))
+        count = 1 if case % 10 == 0 else int(rng.integers(1, 300))
+        logits = rng.standard_normal((n * count, n)) * rng.choice([0.5, 3.0, 8.0])
+        bounds = np.arange(n + 1) * count
+        with np.errstate(all="raise"):
+            confusion = plugin_confusion(logits, bounds)
+            s, se = slice_path_confusion(logits, bounds)
+        assert confusion.s.tobytes() == s.tobytes(), (n, count)
+        assert confusion.se.tobytes() == se.tobytes(), (n, count)
+        if count == 1:
+            assert not confusion.se.any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plugin_confusion_unequal_counts_match_the_slice_path_bit_for_bit(seed):
+    logits = uneven_logits(6, seed)
+    bounds = np.cumsum([0, *map(len, logits)])
+    with np.errstate(all="raise"):
+        confusion = plugin_confusion(logits)
+    s, se = slice_path_confusion(np.concatenate(logits), bounds)
+    assert confusion.s.tobytes() == s.tobytes()
+    assert confusion.se.tobytes() == se.tobytes()
+
+
+def test_plugin_confusion_rejects_a_class_without_rows():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
+    with pytest.raises(ValueError, match="class 1 has no logit rows"):
+        plugin_confusion((a, np.zeros((0, 3)), b))
+    with pytest.raises(ValueError, match="class 1 has no logit rows"):
+        plugin_confusion(rng.standard_normal((6, 3)), [0, 3, 3, 6])
+    with pytest.raises(ValueError, match="class 0 has no logit rows"):
+        plugin_confusion((np.zeros((0, 2)), a[:, :2]))
+
+
+@pytest.mark.parametrize("bounds", [[0, 3, 5], [1, 3, 6], [0, 3, 7]], ids=["short", "late_start", "long"])
+def test_plugin_confusion_bounds_must_cover_the_rows(bounds):
+    with pytest.raises(ValueError, match="bounds must run from 0 to the 6 logit rows"):
+        plugin_confusion(np.zeros((6, 2)), bounds)
+
+
+def test_multi_epoch_attack_peaks_at_two_activations():
+    """One m > 1 attack holds at most the local model's two widest activations, plus 16 KiB.
+
+    The 1000 auxiliary rows go through a 16-32-16-10 model: 1000 x 32 and
+    1000 x 16 float64 activations. A third 1000 x 32 array, as from an
+    activation that is not applied in place, goes over.
+    """
+    data, aux, partition, model = blob_world(0)
+    assert len(aux.labels) == 1000 and model.layer_sizes == [16, 32, 16, 10]
+    cfg = fedavg_cfg(eta=0.05, epochs=3, batch_size=16)
+    _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=0)
+    context = prepare_round(model, aux, AttackParams())
+    k = next(k for k, update in enumerate(updates) if update.delta.max_abs() > 0)
+    rlu_attack(context, updates[k], cfg, histories[k])
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        report = rlu_attack(context, updates[k], cfg, histories[k])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.method == "crude_multi_epoch"
+    rows = len(aux.labels)
+    assert peak - start <= rows * (32 + 16) * 8 + 16 * 1024
 
 
 # ---------------------------------------------------------------- pipeline

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -109,6 +110,26 @@ def test_softmax_overflow_safe():
     assert np.isfinite(p).all() and abs(p.sum() - 1.0) <= 1e-12
 
 
+def test_softmax_rows_leaves_read_only_logits_untouched():
+    rng = np.random.default_rng(4)
+    q = rng.normal(size=(30, 7)) * 5
+    kept = q.copy()
+    q.flags.writeable = False
+    p = softmax_rows(q)
+    assert q.tobytes() == kept.tobytes()
+    assert p.flags.writeable and not np.shares_memory(p, q)
+    shifted = kept - kept.max(axis=1, keepdims=True)
+    assert p.tobytes() == (np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)).tobytes()
+
+
+def test_softmax_rows_of_integer_logits_is_float():
+    q = np.array([[3, 1, 0], [-2, 5, 5]])
+    p = softmax_rows(q)
+    assert p.dtype == np.float64
+    assert q.tolist() == [[3, 1, 0], [-2, 5, 5]]
+    assert p.tobytes() == softmax_rows(q.astype(np.float64)).tobytes()
+
+
 # ---------------------------------------------------------------- forward
 
 def test_forward_zero_weights_bias_passthrough():
@@ -156,6 +177,29 @@ def test_forward_dimension_mismatch():
     model = init_model([4, 6, 3], "relu", seed=1)
     with pytest.raises(ValueError):
         forward(model, np.zeros(5))
+
+
+def out_of_place_forward(model, features):
+    """forward_batch with a new array for every bias add and activation."""
+    act = ACTIVATIONS[model.activation][0]
+    h = features
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = act(h @ w.T + b)
+    return h @ model.weights[-1].T + model.biases[-1], h
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("sizes", [[5, 4], [5, 9, 4], [6, 33, 17, 10]], ids=["linear", "one_hidden", "two_hidden"])
+def test_forward_batch_leaves_read_only_features_untouched(activation, sizes):
+    model = init_model(sizes, activation, seed=8)
+    features = np.random.default_rng(8).normal(size=(257, sizes[0])) * 3
+    kept = features.copy()
+    features.flags.writeable = False
+    logits, embeds = forward_batch(model, features)
+    assert features.tobytes() == kept.tobytes()
+    q_ref, h_ref = out_of_place_forward(model, kept)
+    assert logits.tobytes() == q_ref.tobytes()
+    assert embeds.tobytes() == h_ref.tobytes()
 
 
 # --------------------------------------------------- output layer gradient
@@ -307,6 +351,34 @@ def test_activation_gradients_match_fd():
         npt.assert_allclose(grad(z), fd, atol=1e-6, err_msg=name)
 
 
+# each activation as one new array per operation, with np.where for the pieces
+OUT_OF_PLACE_ACTIVATIONS = {
+    "relu": lambda z: np.maximum(z, 0.0),
+    "tanh": np.tanh,
+    "elu": lambda z: np.where(z > 0.0, z, np.expm1(z)),
+    "selu": lambda z: SELU_LAMBDA * np.where(z > 0.0, z, SELU_ALPHA * np.expm1(z)),
+    "silu": lambda z: z * (1.0 / (1.0 + np.exp(-z))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_activation_in_place_is_out_of_place_bit_for_bit(name):
+    rng = np.random.default_rng(23)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 800.0, -800.0]
+    z = np.concatenate([rng.normal(size=1000) * 4, special]).reshape(-1, 10)
+    fn = ACTIVATIONS[name][0]
+    with np.errstate(all="ignore"):
+        expected = OUT_OF_PLACE_ACTIVATIONS[name](z).tobytes()
+        kept = z.copy()
+        assert fn(z).tobytes() == expected
+        assert z.tobytes() == kept.tobytes()
+        other = np.full_like(z, 7.0)
+        assert fn(z, out=other) is other
+        assert other.tobytes() == expected and z.tobytes() == kept.tobytes()
+        assert fn(z, out=z) is z
+        assert z.tobytes() == expected
+
+
 # -------------------------------------------------------------- checkpoint
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -375,6 +447,30 @@ def test_init_model_bounds_and_determinism():
         bound = 1.0 / math.sqrt(w.shape[1])
         assert np.abs(w).max() <= bound
         assert np.abs(a.biases[layer]).max() <= bound
+
+
+def test_param_vec_add_at_scale_one_adds_other_as_is():
+    special = np.array([1.5, -0.0, 0.0, np.inf, -np.inf, np.nan, -2.0, 5e-324])
+    mine = ParamVec([np.array([[0.0, -0.0, 1.0, 2.0], [-0.0, 3.0, 4.0, -1e300]])], [np.full(8, -0.0)])
+    other = ParamVec([special.reshape(2, 4)], [special])
+    expected = [(mine.weights[0] + special.reshape(2, 4)).tobytes(), (mine.biases[0] + special).tobytes()]
+    with np.errstate(all="ignore"):
+        assert mine.add_(other, 1.0) is mine
+        assert [mine.weights[0].tobytes(), mine.biases[0].tobytes()] == expected
+        # other scales still go through scale * other
+        mine.add_(other, -2.0)
+    assert mine.biases[0][0] == -0.0 + 1.5 - 3.0
+    # and at scale 1.0 no scaled copy of other is built
+    params = ParamVec([np.zeros((100, 40))], [np.zeros(40)])
+    grad = ParamVec([np.ones((100, 40))], [np.ones(40)])
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        params.add_(grad, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < grad.weights[0].nbytes // 2
 
 
 def test_param_vec_max_abs_propagates_nan():
