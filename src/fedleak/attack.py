@@ -55,12 +55,12 @@ METHOD_SEARCH = "posterior_search"
 
 _JITTER_SCALE = 1e-6
 
-# Rows in each half of a split auxiliary pass (_aux_logits), at least. The
-# halves should give the one-pass logits bit for bit, which is up to the
-# BLAS. With OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU, a block of 120 rows
-# or fewer through the train_heavy model (75 through the default 16-32-16-10
-# model) took a small-matrix kernel with other last bits, and blocks of 121
-# rows or more matched.
+# Rows in each half of a split auxiliary pass (_aux_logits), at least.
+# Whether the halves give the one-pass logits bit for bit is up to the BLAS
+# and the layer shapes. With OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU,
+# blocks of up to 120 rows through the train_heavy model took a
+# small-matrix kernel with other last bits; halves of 1000 rows matched one
+# pass through 64-256-256-10 and 16-256-10, but not 16-299-10 or 16-300-10.
 _SPLIT_MIN_ROWS = 256
 
 
@@ -192,17 +192,18 @@ def class_order(aux: Dataset, n_classes: int) -> tuple:
     Returns (features, bounds): class n's rows are
     features[bounds[n]:bounds[n + 1]], in their order in aux. features is a
     read-only view of aux.features when aux is already sorted by label, as
-    make_auxiliary builds it, and a grouped copy otherwise. Rows labelled
-    n_classes or above are left out.
+    make_auxiliary builds it, and a grouped copy otherwise. Raises
+    ValueError unless aux has n_classes classes, each with a sample.
     """
+    if aux.n_classes != n_classes:
+        raise ValueError(f"auxiliary set has {aux.n_classes} classes, the model {n_classes}")
     labels = aux.labels
-    counts = np.bincount(labels, minlength=n_classes)[:n_classes]
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise ValueError(f"dataset has no samples for class {missing[0]}")
+    counts = np.bincount(labels, minlength=n_classes)
+    if not counts.all():
+        raise ValueError(f"dataset has no samples for class {np.argmin(counts)}")
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    features = aux.features if (labels[1:] >= labels[:-1]).all() else aux.features[np.argsort(labels, kind="stable")]
-    features = features[: bounds[-1]]
+    # a view, so that making it read-only leaves aux.features writable
+    features = aux.features[:] if (labels[1:] >= labels[:-1]).all() else aux.features[np.argsort(labels, kind="stable")]
     features.flags.writeable = False
     bounds.flags.writeable = False
     return features, bounds

@@ -254,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
                         "iacc": repr(sc.iacc),
                         "l1_err": sc.l1_error,
                         "residual": repr(report.residual),
-                        "status": "ok",
+                        "status": "ok" if report.diagnostics["solver_converged"] else "unconverged",
                     }
                 )
                 if report_dir:

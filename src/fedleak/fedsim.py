@@ -19,14 +19,14 @@ train_stack trains a stack of K clients from one global model: every
 parameter, gradient, velocity and drift array carries a leading client
 axis, so an epoch costs one gather, one backward (nn.backward_stack) and
 one update for the whole stack, and slice k is bit for bit what client k
-gives alone. local_train is its one-client case. run_round makes two
-decisions. While one local step stays below _PARALLEL_MIN_STEP_MACS
-multiply-adds, the round trains as one stack in the calling thread, so
-each epoch's Python dispatch is paid once for the round. From the gate
-up, where BLAS (which releases the GIL) dominates, or when the one stack
-raises, the round trains one-client stacks through _map. train_stack is
-pure and every stack works on its own arrays, so both give bit-identical
-results.
+gives alone; a stack raises the error of its first failing client.
+local_train is its one-client case. run_round trains each round once.
+While one local step stays below _PARALLEL_MIN_STEP_MACS multiply-adds,
+the round trains as one stack in the calling thread, so each epoch's
+Python dispatch is paid once for the round. From the gate up, where BLAS
+(which releases the GIL) dominates, it trains one-client stacks through
+_map. train_stack is pure and every stack works on its own arrays, so
+both give bit-identical results and errors.
 
 _map is the package's one way onto a second CPU: list(map(...)) on a
 kept pool of one worker thread per usable CPU, or inline with one CPU.
@@ -234,11 +234,13 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
     Every step adds round_correction's drift and then its proximal pull to
     the cross-entropy gradient; sgdm and nag then fold it into a velocity.
     Each client's numbers are bit for bit those of training it alone.
-    Pure: neither `model` nor any history is modified. Raises on history/
-    round mismatches (first client first), on a non-finite loss (at its
-    first epoch, first client of the stack at that epoch) and on
-    non-finite final parameters (first client), so a one-client stack
-    raises what that client's training does.
+    Pure: neither `model` nor any history is modified. Raises on a
+    history/round mismatch before training (first client first). After
+    training, the first client in stack order that failed raises, at its
+    first epoch with a non-finite loss or else on its non-finite final
+    parameters: what training the clients one by one would raise. Under
+    an np.errstate that raises, the first FloatingPointError met is
+    raised; its message may differ from client-order training's.
     """
     for history in histories:
         check_history(history, round_idx)
@@ -262,14 +264,13 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
         [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases]
     )
     ce_bias_grads = np.zeros((stack, m, model.n_classes))
+    bad_epoch = np.zeros(stack, dtype=int)  # first non-finite-loss epoch, 0 for none
 
     for tau in range(m):
         idx = batches[:, tau]
         losses, grad = backward_stack(params, model.activation, data.features[idx], data.labels[idx])
-        finite = np.isfinite(losses)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise RuntimeError(f"non-finite loss at round {round_idx} epoch {tau + 1} client {client_ids[k]}")
+        if not np.isfinite(losses).all():
+            bad_epoch[(bad_epoch == 0) & ~np.isfinite(losses)] = tau + 1
         if tau == 0:
             first_losses = losses
         ce_bias_grads[:, tau] = grad.biases[-1]
@@ -290,11 +291,13 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
         params.add_(grad, -eta)
 
     delta = params.sub(theta0)
-    finite = np.ones(stack, dtype=bool)
+    failed = bad_epoch > 0
     for arr in delta.weights + delta.biases:
-        finite &= np.isfinite(arr.reshape(stack, -1)).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
+        failed |= ~np.isfinite(arr.reshape(stack, -1)).all(axis=1)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if bad_epoch[k]:
+            raise RuntimeError(f"non-finite loss at round {round_idx} epoch {bad_epoch[k]} client {client_ids[k]}")
         raise RuntimeError(f"non-finite parameters after local training at round {round_idx} client {client_ids[k]}")
 
     out = []
@@ -422,18 +425,20 @@ def run_round(
     they share arrays with the updates and with each other, and the input
     records stay at round-start state.
 
-    Each training client's (m, B) plan is drawn once, in the calling
-    thread, before either path runs. Below _PARALLEL_MIN_STEP_MACS the
-    clients train as one stack in the calling thread. From the gate up, or
-    when that stack raises, they train as one-client stacks in client
-    order through _map, on the same plans; the results, and the first
-    client-order error raised, are the same either way. plan_batches,
-    train_stack, backward_stack and accuracy are looked up in this module
-    at call time.
+    Every record, idle clients' included, is checked before a plan is
+    drawn. Each trainer's (m, B) plan is drawn once, in the calling
+    thread, and the round trains once: below _PARALLEL_MIN_STEP_MACS as
+    one stack in the calling thread, from the gate up as one-client stacks
+    in client order through _map. Results, and the error of the first
+    failing client in client order, are the same either way (but see
+    train_stack on FloatingPointError). plan_batches, train_stack,
+    backward_stack and accuracy are looked up in this module at call time.
     """
     shards = partition.assignments
     if len(histories) != len(shards):
         raise ValueError("one history per client required")
+    for history in histories:
+        check_history(history, round_idx)
     largest = max(map(len, shards), default=0)
     if largest < cfg.batch_size:
         raise ValueError(
@@ -458,15 +463,9 @@ def run_round(
             results.append((update, {"loss": update.first_loss, "train_acc": train_acc}))
         return results
 
-    results = None
     if cfg.batch_size * sum(w.size for w in global_model.weights) < _PARALLEL_MIN_STEP_MACS:
-        try:
-            results = train(list(plans))
-        except (RuntimeError, FloatingPointError):
-            # a client diverged or holds a wrong record: the one-client
-            # stacks below raise the error client-order training raises
-            pass
-    if results is None:
+        results = train(list(plans))
+    else:
         results = [result for [result] in _map(train, [[k] for k in plans])]
 
     results = dict(zip(plans, results))

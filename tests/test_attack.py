@@ -30,7 +30,7 @@ from fedleak.attack import (
 )
 from fedleak import _kernels
 from fedleak._kernels import _KKT_COND_LIMIT, _kkt_solve, mean_softmax, pgd_simplex_ls
-from fedleak.data import Dataset, largest_remainder, make_synthetic
+from fedleak.data import Dataset, largest_remainder, make_auxiliary, make_synthetic
 from fedleak.fedsim import (
     LocalUpdate,
     SchemeConfig,
@@ -1198,6 +1198,21 @@ def test_shuffled_auxiliary_set_gives_the_class_ordered_counts(epochs):
     logits = forward_batch(model, shuffled.features)[0]
     for n, block in enumerate(class_logits(model, shuffled)):
         npt.assert_allclose(block, logits[shuffled.labels == n], rtol=1e-13, atol=0.0)
+
+
+def test_auxiliary_set_must_have_the_models_classes():
+    # a 12-class set under a 10-class model used to lose its last two
+    # classes' rows without a word
+    _, _, _, model = blob_world(6)
+    wide = make_auxiliary(12, 16, 50, 4.0, seed=6)
+    for build in (lambda: prepare_round(model, wide, AttackParams()), lambda: class_logits(model, wide)):
+        with pytest.raises(ValueError, match=r"^auxiliary set has 12 classes, the model 10$"):
+            build()
+    # the class-ordered features are a read-only view; the caller's array stays writable
+    _, aux, _, _ = blob_world(6)
+    context = prepare_round(model, aux, AttackParams())
+    assert np.shares_memory(context.aux_features, aux.features)
+    assert not context.aux_features.flags.writeable and aux.features.flags.writeable
 
 
 def assert_same_solve(report, standalone, total):

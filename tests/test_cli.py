@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedleak import attack, cli, fedsim
+from fedleak import _kernels, attack, cli, fedsim
 from fedleak.cli import (
     _GAUSS_SAMPLES,
     RESULT_COLUMNS,
@@ -181,6 +181,33 @@ def test_run_writes_reports_and_round_log(tmp_path):
     payload = json.loads(reports[0].read_text())
     assert set(payload) == {"method", "counts", "z_star", "residual", "diagnostics"}
     assert rlog.exists() and rlog.read_text().strip()
+
+
+def test_run_scores_an_unconverged_solve_unconverged(tmp_path, monkeypatch):
+    # at seed 1 one attack's warm start is not positive, so its solve takes
+    # a second KKT solve; capped at one, its row keeps its count columns
+    # but is not scored ok, and report leaves it out
+    args = ["run", "--seed", "1", *small_args(tmp_path)]
+    rdir = tmp_path / "reports"
+    assert main([*args, "--output", str(tmp_path / "full.csv"), "--report-dir", str(rdir)]) == 0
+    solves = {
+        int(path.stem.rsplit("_c", 1)[1]): json.loads(path.read_text())["diagnostics"]["solver_iterations"]
+        for path in rdir.glob("report_r1_c*.json")
+    }
+    assert sorted(solves.values()) == [1, 2]
+    monkeypatch.setattr(_kernels, "MAX_KKT_SOLVES", 1)
+    capped = tmp_path / "capped.csv"
+    assert main([*args, "--output", str(capped)]) == 0
+    for row in read_rows(capped):
+        k = int(row["client"])
+        if k not in solves:
+            assert row["status"] == "degenerate"
+            continue
+        assert row["status"] == ("ok" if solves[k] == 1 else "unconverged")
+        assert all(row[col] for col in ("cacc", "iacc", "l1_err", "residual"))
+    summary = tmp_path / "summary.csv"
+    assert main(["report", str(capped), "--output", str(summary)]) == 0
+    assert [r["n"] for r in read_rows(summary)] == ["1"]
 
 
 def test_round_log_holds_one_run(tmp_path):

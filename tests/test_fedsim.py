@@ -578,24 +578,47 @@ def test_run_round_first_error_is_the_client_order_one_in_both_paths(monkeypatch
             assert str(err.value) == messages[0]
 
 
-def test_run_round_falls_back_on_the_plans_it_drew(monkeypatch):
-    # when the one stack raises, the one-client stacks train on the plans
-    # already drawn for the round: plan_batches runs once per trainer
+def test_run_round_trains_a_failing_round_once_on_the_plans_it_drew(monkeypatch):
+    # a below-gate round whose stack fails raises client 1's error from that
+    # one stack: nothing is trained again, and plan_batches runs once per trainer
     data, partition, model, cfg = _diverging_world()
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
-    drawn = []
-    original = fedsim.plan_batches
+    drawn, stacks = [], []
+    original_plan, original_train = fedsim.plan_batches, fedsim.train_stack
 
     def counting(n_samples, batch_size, epochs, seed):
         drawn.append(n_samples)
-        return original(n_samples, batch_size, epochs, seed)
+        return original_plan(n_samples, batch_size, epochs, seed)
+
+    def recording(model, data, batches, cfg, histories, round_idx, client_ids, sizes):
+        stacks.append(list(client_ids))
+        return original_train(model, data, batches, cfg, histories, round_idx, client_ids, sizes)
 
     monkeypatch.setattr(fedsim, "plan_batches", counting)
+    monkeypatch.setattr(fedsim, "train_stack", recording)
     mapped = _record_maps(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="client 1$"):
         run_round(model, data, partition, cfg, histories, 1, seed=21)
-    assert mapped == [3]
+    assert mapped == []
+    assert stacks == [[1, 2, 3]]
     assert drawn == [len(partition.assignments[k]) for k in (1, 2, 3)]
+
+
+def test_run_round_rejects_a_stale_record_of_an_idle_client_before_training(monkeypatch):
+    # client 0's shard is below the batch, so it never trains, but its
+    # record is advanced with the others and must be checked like them
+    data, partition, model = _threaded_world()
+    cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    histories[0] = replace(histories[0], completed_rounds=7)
+
+    def untouched(*args):
+        raise AssertionError("run_round drew a plan or trained")
+
+    monkeypatch.setattr(fedsim, "plan_batches", untouched)
+    monkeypatch.setattr(fedsim, "train_stack", untouched)
+    with pytest.raises(RuntimeError, match=r"^history covers 7 rounds; round 1 expects 0$"):
+        run_round(model, data, partition, cfg, histories, 1, seed=21)
 
 
 @pytest.mark.parametrize("path", ["one_stack", "pool"])
@@ -639,6 +662,23 @@ def test_train_stack_names_the_first_client_with_a_non_finite_loss():
     expected = r"^non-finite loss at round 1 epoch 1 client 3$"
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match=expected):
         fedsim.train_stack(model, data, batches, cfg, histories, 1, clients, sizes)
+
+
+def test_train_stack_raises_for_the_first_failing_client_in_stack_order():
+    # stack index 1's loss is non-finite at epoch 1 and index 0's at epoch 2;
+    # training index 0 alone fails first, so its error is the one raised
+    data, partition, _ = _threaded_world()
+    features = data.features.copy()
+    features[partition.assignments[3]] = np.inf
+    data = Dataset(features, data.labels, data.n_classes)
+    model = init_model([6, 10, 4], "relu", seed=21)
+    cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
+    finite, infinite = partition.assignments[1], partition.assignments[3]
+    batches = np.stack([[finite[:16], infinite[:16]], [infinite[16:32], finite[16:32]]])
+    histories = [UpdateHistory.fresh(model)] * 2
+    expected = r"^non-finite loss at round 1 epoch 2 client 1$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match=expected):
+        fedsim.train_stack(model, data, batches, cfg, histories, 1, [1, 2], [75, 75])
 
 
 def test_run_round_nonfinite_loss_names_the_client_in_both_paths(monkeypatch):
