@@ -123,8 +123,7 @@ class SimplexSystem:
     gram: np.ndarray
     kkt: np.ndarray
     warm: np.ndarray
-    gram_scale: float  # max |G|
-    kkt_scale: float  # max |kkt|
+    gram_scale: float  # max |G|; max |kkt| is max(gram_scale, 1.0)
 
 
 def simplex_system(a) -> SimplexSystem:
@@ -143,13 +142,14 @@ def simplex_system(a) -> SimplexSystem:
     kkt = np.ones((n + 1, n + 1))
     kkt[:n, :n] = gram
     kkt[n, n] = 0.0
-    kkt_scale = float(abs(kkt).max())
+    gram_scale = float(abs(gram).max())
     # the limit _kkt_solve applies to a right-hand side of largest entry 1
-    warm = _kkt_solve(kkt, np.eye(n + 1), np.arange(n + 1), _KKT_COND_LIMIT / kkt_scale) if gram.any() else None
+    limit = _KKT_COND_LIMIT / max(gram_scale, 1.0)
+    warm = _kkt_solve(kkt, np.eye(n + 1), np.arange(n + 1), limit) if gram.any() else None
     for arr in (a, gram, kkt, warm):
         if arr is not None:
             arr.flags.writeable = False
-    return SimplexSystem(a, gram, kkt, warm, float(abs(gram).max()), kkt_scale)
+    return SimplexSystem(a, gram, kkt, warm, gram_scale)
 
 
 def active_set_simplex_ls(system, b):
@@ -173,7 +173,7 @@ def active_set_simplex_ls(system, b):
         return np.full(n, 1.0 / n), 0, True
     kkt, gram = system.kkt, system.gram
     rhs = np.append(b, 1.0)
-    limit = _KKT_COND_LIMIT * abs(rhs).max() / system.kkt_scale
+    limit = _KKT_COND_LIMIT * abs(rhs).max() / max(system.gram_scale, 1.0)
     tol = _KKT_RTOL * (system.gram_scale + abs(b).max())
     x = system.warm @ rhs
     solves = 1

@@ -17,9 +17,10 @@ matrix with its warm-start inverse), and rlu_attack takes the context
 with each update. A single-epoch update then costs its target and the
 KKT solves on its own supports; a multi-epoch one also forwards the
 class-ordered auxiliary features through its local model and builds its
-own system. Nothing on the attack path draws random numbers.
-mc_confusion, the Gaussian Monte Carlo model of the same matrix, stays as
-a diagnostic of how far the logits are from Gaussian.
+own system. Class-grouped logits travel as (logits, bounds), class n's
+rows at bounds[n]:bounds[n + 1]. Nothing on the attack path draws random
+numbers. mc_confusion, the Gaussian Monte Carlo model of the same matrix,
+stays as a diagnostic of how far the logits are from Gaussian.
 
 Every forward pass of the auxiliary set goes through _aux_logits. A pass
 large enough for BLAS to dominate (each half at least
@@ -231,16 +232,16 @@ def _aux_logits(model: Model, features: np.ndarray) -> np.ndarray:
 
 
 def class_logits(model: Model, aux: Dataset) -> tuple:
-    """The model's logits on the auxiliary set, one read-only block per class.
+    """The model's logits on the auxiliary set in class order, and the class bounds.
 
-    Block n is the (count, N) array of logits of aux's class-n rows, in
-    their order in aux. The rows go through one forward pass in class
-    order (_aux_logits), and each block is a slice of its logits.
+    Returns (logits, bounds), as class_order's features forwarded in one
+    pass (_aux_logits): class n's rows are logits[bounds[n]:bounds[n + 1]],
+    in their order in aux. logits is read-only.
     """
     features, bounds = class_order(aux, model.n_classes)
     logits = _aux_logits(model, features)
     logits.flags.writeable = False
-    return tuple(logits[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return logits, bounds
 
 
 def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
@@ -250,15 +251,16 @@ def estimate_moments(model: Model, aux: Dataset) -> LogitMoments:
     mean(diagonal) added on the diagonal, which keeps later factorizations
     stable without moving zero-variance cases off exact zero.
     """
-    return _logit_moments(class_logits(model, aux))
+    return _logit_moments(*class_logits(model, aux))
 
 
-def _logit_moments(logits) -> LogitMoments:
-    """estimate_moments of per-class logit blocks, as from class_logits."""
-    n = len(logits)
+def _logit_moments(logits, bounds) -> LogitMoments:
+    """estimate_moments of class-grouped logits, as from class_logits."""
+    n = len(bounds) - 1
     mu = np.zeros((n, n))
     sigma = np.zeros((n, n, n))
-    for cls, rows in enumerate(logits):
+    for cls, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rows = logits[lo:hi]
         mu[cls] = rows.mean(axis=0)
         centered = rows - mu[cls]
         cov = centered.T @ centered / max(len(rows) - 1, 1)
@@ -268,30 +270,24 @@ def _logit_moments(logits) -> LogitMoments:
     return LogitMoments(mu, sigma)
 
 
-def plugin_confusion(logits, bounds=None) -> ConfusionMatrix:
-    """Confusion matrix of per-class logits.
+def plugin_confusion(logits, bounds) -> ConfusionMatrix:
+    """Confusion matrix of (rows, N) logits grouped by class, as class_logits gives them.
 
-    logits is either one block per class, as from class_logits, or, with
-    bounds, one (rows, N) array grouped by class, class n's rows at
-    bounds[n]:bounds[n + 1], as from the forward pass of a RoundContext's
-    aux_features; blocks are stacked into such an array first. bounds must
-    run from 0 to the row count, and a class with no rows is a ValueError
-    that names it. Row n is the mean softmax over class n's rows: the
-    plug-in estimate of the expected erroneous confidences. se holds each
-    entry's standard error over those rows, the sample standard deviation
-    over sqrt(count) (0 for a single row).
+    Class n's rows are logits[bounds[n]:bounds[n + 1]]; bounds must run
+    from 0 to the row count, and a class with no rows is a ValueError that
+    names it. Row n is the mean softmax over class n's rows: the plug-in
+    estimate of the expected erroneous confidences. se holds each entry's
+    standard error over those rows, the sample standard deviation over
+    sqrt(count) (0 for a single row).
 
     All rows go through one softmax together, and the probabilities are
     then centred and squared in place. When every class has the same row
     count, as make_auxiliary builds it, the means and the centring come
-    from one (classes, count, N) view of the probabilities, and the pass
-    allocates no other (rows, N) array; other counts take one mean per
-    class slice. Both give the bits of mean_softmax on each class's block
-    alone.
+    from one (classes, count, N) view of C-ordered probabilities, and the
+    pass allocates no other (rows, N) array; other counts and other
+    layouts take one mean per class slice. Both give the bits of
+    mean_softmax on each class's rows alone.
     """
-    if bounds is None:
-        bounds = np.cumsum([0, *map(len, logits)])
-        logits = np.concatenate(logits)
     bounds = np.asarray(bounds)
     if bounds[0] != 0 or bounds[-1] != len(logits):
         raise ValueError(f"bounds must run from 0 to the {len(logits)} logit rows, got {bounds[0]} to {bounds[-1]}")
@@ -496,12 +492,8 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     matrices = [context.s_first]
     system = context.system
     if m > 1:
-        start = context.global_model
-        local_model = Model(
-            [w + d for w, d in zip(start.weights, update.delta.weights)],
-            [b + d for b, d in zip(start.biases, update.delta.biases)],
-            start.activation,
-        )
+        local = context.global_model.params().map(np.add, update.delta)
+        local_model = Model(local.weights, local.biases, context.global_model.activation)
         matrices.append(plugin_confusion(_aux_logits(local_model, context.aux_features), context.aux_bounds))
         system = build_system(ConfusionMatrix((matrices[0].s + matrices[1].s) / 2))
     diagnostics = {"confusion_se": float(max(c.se.max() for c in matrices))}

@@ -265,6 +265,16 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
     return rows
 
 
+def _check_writable(*paths) -> None:
+    """Raise OSError unless each given path (None: not given) can be written; called before any work."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"cannot write {path}: no directory {folder}")
+        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise PermissionError(f"cannot write {path}: it is a directory or not writable")
+
+
 def _write_results(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
@@ -274,6 +284,7 @@ def _write_results(path, rows) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _config_from_args(args)
+    _check_writable(args.out_data, args.out_partition)
     dataset, _, partition, _ = _build_world(cfg)
     dat.save_dataset_csv(args.out_data, dataset)
     dat.save_partition_csv(args.out_partition, partition)
@@ -283,6 +294,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
+    _check_writable(cfg.output, args.round_log)
     if args.report_dir:
         os.makedirs(args.report_dir, exist_ok=True)
     rows = run_experiment(cfg, report_dir=args.report_dir, round_log=args.round_log)
@@ -317,6 +329,7 @@ def cmd_sweep(args) -> int:
         for m in epoch_grid
         for seed in seeds
     ]
+    _check_writable(base.output)
     rows = [row for cfg in configs for row in run_experiment(cfg)]
     _write_results(base.output, rows)
     print(f"wrote {len(rows)} rows to {base.output}")
@@ -339,19 +352,19 @@ def cmd_diagnose_moments(args) -> int:
     width, inputs = dataset.features.shape[1], model.layer_sizes[0]
     if width != inputs:
         raise ValueError(f"{args.data} has {width} features per row, but the model in {args.model} takes {inputs}")
-    logits = atk.class_logits(model, dataset)
+    logits, bounds = atk.class_logits(model, dataset)
     n = model.n_classes
     # the Gaussian fit is the step that can reject the logits, so it runs
     # before the output file is opened: a failed run writes nothing
     normals = np.random.default_rng(_GAUSS_SEED).standard_normal((_GAUSS_SAMPLES, n))
-    s_gauss = atk.mc_confusion(atk._logit_moments(logits), normals).s
-    gap = np.abs(s_gauss - atk.plugin_confusion(logits).s).max(axis=1)
+    s_gauss = atk.mc_confusion(atk._logit_moments(logits, bounds), normals).s
+    gap = np.abs(s_gauss - atk.plugin_confusion(logits, bounds).s).max(axis=1)
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "bin_left", "bin_right", "count"])
-        for cls, rows in enumerate(logits):
+        for cls, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             for j in range(n):
-                counts, edges = np.histogram(rows[:, j], bins=args.bins)
+                counts, edges = np.histogram(logits[lo:hi, j], bins=args.bins)
                 for b in range(args.bins):
                     writer.writerow([cls, j, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])])
     print(f"wrote {n * n * args.bins} histogram rows to {args.output}")

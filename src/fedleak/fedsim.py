@@ -15,10 +15,10 @@ the same pair. Histories are immutable round-start records
 (UpdateHistory): run_round builds the next round's records and never
 writes into the ones it was given.
 
-train_stack trains a stack of K clients from one global model: every
-parameter, gradient, velocity and drift array carries a leading client
+train_stack trains a stack of K clients from one global model: its
+ParamVecs (parameters, gradients, velocity, drift) carry a leading client
 axis, so an epoch costs one gather, one backward (nn.backward_stack) and
-one update for the whole stack, and slice k is bit for bit what client k
+one update for the whole stack, and vec[k] is bit for bit what client k
 gives alone; a stack raises the error of its first failing client.
 local_train is its one-client case. run_round trains each round once.
 While one local step stays below _PARALLEL_MIN_STEP_MACS multiply-adds,
@@ -195,14 +195,6 @@ def round_correction(cfg: SchemeConfig, history: UpdateHistory):
     return prox, drift
 
 
-def _stacked(vecs) -> ParamVec:
-    """One ParamVec whose arrays stack those of vecs along a new leading axis."""
-    return ParamVec(
-        [np.stack(layer) for layer in zip(*(v.weights for v in vecs))],
-        [np.stack(layer) for layer in zip(*(v.biases for v in vecs))],
-    )
-
-
 def local_train(
     model: Model,
     data: Dataset,
@@ -249,20 +241,18 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
         raise ValueError("plan epochs do not match cfg.epochs")
 
     theta0 = model.params()  # read-only reference to the round-start params
-    params = _stacked([theta0] * stack)
+    params = theta0.map(lambda arr: np.stack([arr] * stack))
     eta, gamma = cfg.eta, cfg.gamma
     # every history has completed round_idx - 1 rounds, so the drift is
     # None for all of them or for none
     corrections = [round_correction(cfg, h) for h in histories]
     prox, drift = corrections[0]
     if drift is not None:
-        drift = _stacked([d for _, d in corrections])
+        drift = drift.map(lambda *layer: np.stack(layer), *(d for _, d in corrections[1:]))
 
     # sgdm: v <- gamma v + g; nag: v <- gamma v + (1 + gamma) g - gamma g_prev
     lead = gamma if cfg.optimizer == "nag" else 0.0
-    velocity = prev_grad = None if cfg.optimizer == "sgd" else ParamVec(
-        [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases]
-    )
+    velocity = prev_grad = None if cfg.optimizer == "sgd" else params.map(np.zeros_like)
     ce_bias_grads = np.zeros((stack, m, model.n_classes))
     bad_epoch = np.zeros(stack, dtype=int)  # first non-finite-loss epoch, 0 for none
 
@@ -302,16 +292,9 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
 
     out = []
     for k, (client_id, size) in enumerate(zip(client_ids, sizes)):
-        update = LocalUpdate(
-            ParamVec([w[k] for w in delta.weights], [b[k] for b in delta.biases]),
-            round_idx,
-            client_id,
-            size,
-            ce_bias_grads[k],
-            float(first_losses[k]),
-        )
-        local = Model([w[k] for w in params.weights], [b[k] for b in params.biases], model.activation)
-        out.append((update, local))
+        update = LocalUpdate(delta[k], round_idx, client_id, size, ce_bias_grads[k], float(first_losses[k]))
+        local = params[k]
+        out.append((update, Model(local.weights, local.biases, model.activation)))
     return out
 
 

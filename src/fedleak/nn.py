@@ -5,6 +5,10 @@ The output layer acts on the activated output of the last hidden layer
 itself. Forward and backward are pure functions of their arguments, so a
 model instance can be shared freely across threads for reads.
 
+ParamVec owns the layout of a parameter vector (a weights list and a
+biases list, with or without a leading stack axis): ParamVec.map is the
+one place that zips those lists into a new vector.
+
 Checkpoint format (save_model/load_model): one UTF-8 JSON header line
 {"layer_sizes": [...], "activation": "<name>"} terminated by "\\n",
 followed by the raw row-major little-endian float64 bytes of W then b
@@ -104,8 +108,20 @@ class ParamVec:
     weights: list
     biases: list
 
+    def map(self, fn, *others) -> "ParamVec":
+        """A new ParamVec of fn over each array and the same-layer arrays of others."""
+        return ParamVec(
+            [fn(*layer) for layer in zip(self.weights, *(o.weights for o in others))],
+            [fn(*layer) for layer in zip(self.biases, *(o.biases for o in others))],
+        )
+
+    def __getitem__(self, idx) -> "ParamVec":
+        """Every array indexed on its leading axis: vec[k] is slice k of a stack."""
+        return self.map(lambda arr: arr[idx])
+
     def copy(self) -> "ParamVec":
-        return ParamVec([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        # ndarray.copy, not np.copy: C order whatever the source's layout
+        return self.map(np.ndarray.copy)
 
     def add_(self, other: "ParamVec", scale: float = 1.0) -> "ParamVec":
         """In-place self += scale * other; at scale 1.0, other is added as is."""
@@ -116,13 +132,10 @@ class ParamVec:
         return self
 
     def scaled(self, s: float) -> "ParamVec":
-        return ParamVec([s * w for w in self.weights], [s * b for b in self.biases])
+        return self.map(lambda arr: s * arr)
 
     def sub(self, other: "ParamVec") -> "ParamVec":
-        return ParamVec(
-            [w - ow for w, ow in zip(self.weights, other.weights)],
-            [b - ob for b, ob in zip(self.biases, other.biases)],
-        )
+        return self.map(np.subtract, other)
 
     def max_abs(self) -> float:
         """Largest absolute entry; NaN if any entry is NaN."""
@@ -171,10 +184,7 @@ class Model:
 
 
 def zeros_like_params(model: Model) -> ParamVec:
-    return ParamVec(
-        [np.zeros_like(w) for w in model.weights],
-        [np.zeros_like(b) for b in model.biases],
-    )
+    return model.params().map(np.zeros_like)
 
 
 def init_model(layer_sizes, activation: str = "relu", seed: int = 0) -> Model:
@@ -262,11 +272,10 @@ def backward(model: Model, features: np.ndarray, labels: np.ndarray):
     batch, so duplicating a sample leaves them unchanged. This is the
     one-model case of backward_stack.
     """
-    params = ParamVec([w[None] for w in model.weights], [b[None] for b in model.biases])
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    losses, grad = backward_stack(params, model.activation, x[None], y[None])
-    return float(losses[0]), ParamVec([g[0] for g in grad.weights], [g[0] for g in grad.biases])
+    losses, grad = backward_stack(model.params()[None], model.activation, x[None], y[None])
+    return float(losses[0]), grad[0]
 
 
 def backward_stack(params: ParamVec, activation: str, features: np.ndarray, labels: np.ndarray):

@@ -646,7 +646,7 @@ def test_round_counts_validation():
 # --------------------------------------------------------- posterior search
 
 def noisy_logits(n, rows, seed=0):
-    """Per-class logit blocks scattered around zero, as class_logits returns."""
+    """Per-class logit blocks scattered around zero."""
     rng = np.random.default_rng(seed)
     return tuple(0.3 * rng.standard_normal((rows, n)) for _ in range(n))
 
@@ -709,6 +709,11 @@ def test_posterior_search_matches_plain_rounding_reference(seed):
     assert (np.abs(counts - crude) < m).all()
 
 
+def grouped(blocks):
+    """Per-class logit blocks as one class-grouped array and its bounds, the form class_logits returns."""
+    return np.concatenate(blocks), np.cumsum([0, *map(len, blocks)])
+
+
 def uneven_logits(n, seed):
     """Per-class logit blocks of uneven sizes; class 1 has a single row."""
     rng = np.random.default_rng(seed)
@@ -719,12 +724,12 @@ def uneven_logits(n, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_plugin_confusion_matches_per_block_reference(seed):
-    logits = uneven_logits(6, seed)
-    confusion = plugin_confusion(logits)
-    expected_s = np.array([mean_softmax(rows) for rows in logits])
+    blocks = uneven_logits(6, seed)
+    confusion = plugin_confusion(*grouped(blocks))
+    expected_s = np.array([mean_softmax(rows) for rows in blocks])
     np.fill_diagonal(expected_s, 0.0)
     assert np.array_equal(confusion.s, expected_s)
-    for n, rows in enumerate(logits):
+    for n, rows in enumerate(blocks):
         probs = softmax_rows(rows)
         se = probs.std(axis=0, ddof=1 if len(rows) > 1 else 0) / np.sqrt(len(rows))
         se[n] = 0.0
@@ -762,11 +767,10 @@ def test_plugin_confusion_equal_counts_match_the_slice_path_bit_for_bit():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_plugin_confusion_unequal_counts_match_the_slice_path_bit_for_bit(seed):
-    logits = uneven_logits(6, seed)
-    bounds = np.cumsum([0, *map(len, logits)])
+    logits, bounds = grouped(uneven_logits(6, seed))
     with np.errstate(all="raise"):
-        confusion = plugin_confusion(logits)
-    s, se = slice_path_confusion(np.concatenate(logits), bounds)
+        confusion = plugin_confusion(logits, bounds)
+    s, se = slice_path_confusion(logits, bounds)
     assert confusion.s.tobytes() == s.tobytes()
     assert confusion.se.tobytes() == se.tobytes()
 
@@ -775,11 +779,34 @@ def test_plugin_confusion_rejects_a_class_without_rows():
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
     with pytest.raises(ValueError, match="class 1 has no logit rows"):
-        plugin_confusion((a, np.zeros((0, 3)), b))
+        plugin_confusion(*grouped((a, np.zeros((0, 3)), b)))
     with pytest.raises(ValueError, match="class 1 has no logit rows"):
         plugin_confusion(rng.standard_normal((6, 3)), [0, 3, 3, 6])
     with pytest.raises(ValueError, match="class 0 has no logit rows"):
-        plugin_confusion((np.zeros((0, 2)), a[:, :2]))
+        plugin_confusion(*grouped((np.zeros((0, 2)), a[:, :2])))
+
+
+@pytest.mark.parametrize("n, count", [(5, 3), (10, 100), (20, 50)])
+def test_plugin_confusion_f_ordered_logits_take_the_slice_path(n, count):
+    # F-ordered logits give F-ordered probabilities. Only C-ordered ones
+    # take the (classes, count, N) view; these take one mean per class
+    # slice, so they give that path's bits. Where numpy sums both layouts
+    # in one order (few classes, few rows) the bits are the C-ordered
+    # logits' own; elsewhere only the rounding differs.
+    logits = np.random.default_rng(8).standard_normal((n * count, n)) * 3.0
+    bounds = np.arange(n + 1) * count
+    fortran = np.asfortranarray(logits)
+    assert not softmax_rows(fortran).flags.c_contiguous
+    with np.errstate(all="raise"):
+        c_ordered, f_ordered = plugin_confusion(logits, bounds), plugin_confusion(fortran, bounds)
+        s, se = slice_path_confusion(fortran, bounds)
+    assert f_ordered.s.tobytes() == s.tobytes()
+    assert f_ordered.se.tobytes() == se.tobytes()
+    if n * count <= 15:
+        assert f_ordered.s.tobytes() == c_ordered.s.tobytes()
+        assert f_ordered.se.tobytes() == c_ordered.se.tobytes()
+    npt.assert_allclose(f_ordered.s, c_ordered.s, rtol=1e-13, atol=1e-17)
+    npt.assert_allclose(f_ordered.se, c_ordered.se, rtol=1e-12, atol=1e-17)
 
 
 @pytest.mark.parametrize("bounds", [[0, 3, 5], [1, 3, 6], [0, 3, 7]], ids=["short", "late_start", "long"])
@@ -1103,6 +1130,8 @@ def test_round_context_first_matrix_is_mean_aux_softmax():
     _, aux, _, model = blob_world(4, n_classes=5, aux_per_class=30)
     context = prepare_round(model, aux, AttackParams())
     logits, _ = forward_batch(model, aux.features)
+    aux_logits, bounds = class_logits(model, aux)
+    assert not aux_logits.flags.writeable
     for n in range(5):
         rows = logits[aux.labels == n]
         probs = np.exp(rows - rows.max(axis=1, keepdims=True))
@@ -1110,7 +1139,7 @@ def test_round_context_first_matrix_is_mean_aux_softmax():
         for j in range(5):
             expected = 0.0 if j == n else probs[:, j].mean()
             assert context.s_first.s[n, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
-        npt.assert_array_equal(class_logits(model, aux)[n], rows)
+        npt.assert_array_equal(aux_logits[bounds[n]:bounds[n + 1]], rows)
     # the context keeps the matrix, the class-ordered aux rows and the
     # matrix's prebuilt solve, not the logits they came from
     assert [f.name for f in fields(RoundContext)] == [
@@ -1167,7 +1196,7 @@ def test_round_context_unchanged_by_single_epoch_attacks():
 def test_round_context_unchanged_by_multi_epoch_attacks():
     model, aux, context = check_round_context_unchanged_by_attacks(3, "posterior_search")
     # the global-model matrix is the one plugin_confusion gives on the logits
-    again = plugin_confusion(class_logits(model, aux))
+    again = plugin_confusion(*class_logits(model, aux))
     assert np.array_equal(again.s, context.s_first.s)
     assert np.array_equal(again.se, context.s_first.se)
 
@@ -1194,10 +1223,12 @@ def test_shuffled_auxiliary_set_gives_the_class_ordered_counts(epochs):
         npt.assert_array_equal(rlu_attack(mixed, update, cfg, histories[k]).counts, expected.counts)
         attacked += 1
     assert attacked >= 3
-    # each class's block keeps that class's rows in their order in the set
+    # each class's rows keep their order in the set
     logits = forward_batch(model, shuffled.features)[0]
-    for n, block in enumerate(class_logits(model, shuffled)):
-        npt.assert_allclose(block, logits[shuffled.labels == n], rtol=1e-13, atol=0.0)
+    grouped_logits, bounds = class_logits(model, shuffled)
+    npt.assert_array_equal(bounds, mixed.aux_bounds)
+    for n, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        npt.assert_allclose(grouped_logits[lo:hi], logits[shuffled.labels == n], rtol=1e-13, atol=0.0)
 
 
 def test_auxiliary_set_must_have_the_models_classes():
@@ -1345,18 +1376,18 @@ def hand_confusion_se(blocks):
 
 
 def test_plugin_confusion_single_row_has_zero_se():
-    logits = (np.array([[1.0, 0.0, -1.0]]), np.array([[0.0, 2.0, 0.5]]), np.array([[0.3, 0.1, 1.0]]))
+    blocks = (np.array([[1.0, 0.0, -1.0]]), np.array([[0.0, 2.0, 0.5]]), np.array([[0.3, 0.1, 1.0]]))
     with np.errstate(all="raise"):
-        confusion = plugin_confusion(logits)
+        confusion = plugin_confusion(*grouped(blocks))
     npt.assert_array_equal(confusion.se, np.zeros((3, 3)))
-    probs = np.exp(logits[0][0]) / np.exp(logits[0][0]).sum()
+    probs = np.exp(blocks[0][0]) / np.exp(blocks[0][0]).sum()
     npt.assert_allclose(confusion.s[0], [0.0, probs[1], probs[2]], rtol=1e-14)
 
 
 def test_plugin_confusion_rows_are_mean_softmax():
-    logits = noisy_logits(5, 40, seed=2)
-    confusion = plugin_confusion(logits)
-    for n, rows in enumerate(logits):
+    blocks = noisy_logits(5, 40, seed=2)
+    confusion = plugin_confusion(*grouped(blocks))
+    for n, rows in enumerate(blocks):
         expected = mean_softmax(rows)
         for j in range(5):
             assert confusion.s[n, j] == (0.0 if j == n else expected[j])

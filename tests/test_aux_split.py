@@ -107,9 +107,10 @@ def test_class_logits_splits_its_pass(monkeypatch):
     threads = _count_forwards(monkeypatch)
     model = init_model([64, 256, 256, 10], "relu", seed=3000)
     aux = make_auxiliary(10, 64, 100, 4.0, seed=5000)
-    blocks = attack.class_logits(model, aux)
+    logits, bounds = attack.class_logits(model, aux)
     assert len(threads) == 2
-    assert np.array_equal(np.concatenate(blocks), forward_batch(model, aux.features)[0])
+    assert np.array_equal(logits, forward_batch(model, aux.features)[0])
+    assert np.array_equal(bounds, np.arange(11) * 100)
 
 
 @pytest.mark.parametrize(

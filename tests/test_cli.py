@@ -452,8 +452,8 @@ def test_diagnose_moments_prints_gaussian_gap_per_class(tmp_path, capsys):
 
 
 def test_diagnose_moments_forwards_once_with_the_two_pass_output(tmp_path, capsys, monkeypatch):
-    # the Gaussian moments come from the logit blocks the histograms use; the
-    # output is what estimate_moments' own second pass gave
+    # the Gaussian moments come from the class-grouped logits the histograms
+    # use; the output is what estimate_moments' own second pass gave
     from fedleak.data import make_synthetic
 
     data = make_synthetic(4, 8, 50, 3.0, seed=6)
@@ -461,13 +461,14 @@ def test_diagnose_moments_forwards_once_with_the_two_pass_output(tmp_path, capsy
     mpath, dpath = write_world(tmp_path, model, data)
     normals = np.random.default_rng(0).standard_normal((_GAUSS_SAMPLES, 4))
     s_gauss = attack.mc_confusion(attack.estimate_moments(model, data), normals).s
-    blocks = attack.class_logits(model, data)
-    gap = np.abs(s_gauss - attack.plugin_confusion(blocks).s).max(axis=1)
+    logits, bounds = attack.class_logits(model, data)
+    gap = np.abs(s_gauss - attack.plugin_confusion(logits, bounds).s).max(axis=1)
     expected_csv = tmp_path / "expected.csv"
     with open(expected_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "bin_left", "bin_right", "count"])
-        for n, rows in enumerate(blocks):
+        for n, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            rows = logits[lo:hi]
             for j in range(4):
                 counts, edges = np.histogram(rows[:, j], bins=7)
                 writer.writerows([n, j, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b])] for b in range(7))
@@ -745,11 +746,43 @@ def test_missing_config_file_exit_two(tmp_path):
     assert rc == 2
 
 
-def test_unwritable_output_exit_two(tmp_path):
-    rc = main(["run", "--seed", "0", "--epochs", "1",
-               "--output", str(tmp_path / "no" / "dir" / "r.csv"),
-               *small_args(tmp_path)])
-    assert rc == 2
+def check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv):
+    """main(argv) exits 2 naming the path it cannot write, before it trains or writes anything."""
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_output_exit_two(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "no" / "dir" / "r.csv"
+    argv = ["run", "--seed", "0", "--epochs", "1", "--output", str(missing), *small_args(tmp_path)]
+    check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv)
+    # a directory where the file should go fails the same way
+    argv = ["run", "--seed", "0", "--output", str(tmp_path), *small_args(tmp_path)]
+    check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv)
+
+
+def test_unwritable_round_log_exit_two(tmp_path, capsys, monkeypatch):
+    # the round log used to fail only after round 1 had trained
+    argv = ["run", "--seed", "0", "--output", str(tmp_path / "r.csv"),
+            "--round-log", str(tmp_path / "no" / "log.csv"), *small_args(tmp_path)]
+    check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv)
+
+
+def test_unwritable_sweep_output_exit_two(tmp_path, capsys, monkeypatch):
+    # a sweep used to run every grid point before it found this out
+    argv = ["sweep", "--seeds", "0,1", "--output", str(tmp_path / "no" / "r.csv"), *small_args(tmp_path)]
+    check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv)
+
+
+def test_unwritable_gen_data_partition_exit_two(tmp_path, capsys, monkeypatch):
+    # the dataset CSV, whose directory exists, is not written either
+    argv = ["gen-data", "--out-data", str(tmp_path / "d.csv"),
+            "--out-partition", str(tmp_path / "no" / "p.csv"), *small_args(tmp_path)]
+    check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv)
 
 
 def test_invalid_scheme_params_exit_one(tmp_path):

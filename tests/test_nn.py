@@ -484,3 +484,91 @@ def test_param_vec_max_abs_propagates_nan():
     for arr in vec.weights + vec.biases:
         arr[...] = np.nan
     assert math.isnan(vec.max_abs())
+
+
+# ParamVec's operations against the per-list comprehensions they replaced
+
+def random_vec(rng, stack=None, order="C"):
+    """A two-layer ParamVec of random arrays, with an optional leading stack axis, in memory order `order`."""
+    lead = () if stack is None else (stack,)
+    weights = [np.asarray(rng.standard_normal(lead + shape), order=order) for shape in ((4, 3), (2, 4))]
+    biases = [np.asarray(rng.standard_normal(lead + (n,)), order=order) for n in (4, 2)]
+    return ParamVec(weights, biases)
+
+
+def assert_same_vec(got, expected):
+    """Same layer count, and each array the same bits, shape and strides."""
+    assert len(got.weights) == len(expected.weights) and len(got.biases) == len(expected.biases)
+    for g, e in zip(got.weights + got.biases, expected.weights + expected.biases):
+        assert (g.shape, g.dtype, g.strides) == (e.shape, e.dtype, e.strides)
+        assert g.tobytes(order="A") == e.tobytes(order="A")
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("stack", [None, 3])
+def test_param_vec_copy_scaled_sub_match_per_list_comprehensions(stack, order):
+    rng = np.random.default_rng(11)
+    vec, other = random_vec(rng, stack, order), random_vec(rng, stack, order)
+    if order == "F":
+        assert not vec.weights[0].flags.c_contiguous
+    copied = vec.copy()
+    assert_same_vec(copied, ParamVec([w.copy() for w in vec.weights], [b.copy() for b in vec.biases]))
+    for arr, src in zip(copied.weights + copied.biases, vec.weights + vec.biases):
+        # ndarray.copy's C order, whatever the source's layout
+        assert arr.flags.c_contiguous and not np.shares_memory(arr, src)
+    for s in (0.5, -3.0, 1.0):
+        assert_same_vec(vec.scaled(s), ParamVec([s * w for w in vec.weights], [s * b for b in vec.biases]))
+    assert_same_vec(
+        vec.sub(other),
+        ParamVec(
+            [w - ow for w, ow in zip(vec.weights, other.weights)],
+            [b - ob for b, ob in zip(vec.biases, other.biases)],
+        ),
+    )
+
+
+def test_param_vec_map_zips_the_layers_of_every_vector():
+    rng = np.random.default_rng(12)
+    a, b, c = (random_vec(rng) for _ in range(3))
+    assert_same_vec(a.map(np.negative), ParamVec([-w for w in a.weights], [-x for x in a.biases]))
+    assert_same_vec(
+        a.map(lambda x, y, z: x * y - z, b, c),
+        ParamVec(
+            [x * y - z for x, y, z in zip(a.weights, b.weights, c.weights)],
+            [x * y - z for x, y, z in zip(a.biases, b.biases, c.biases)],
+        ),
+    )
+    # stacking layer by layer, as a round stacks its clients' drifts
+    stacked = a.map(lambda *layer: np.stack(layer), b, c)
+    assert_same_vec(
+        stacked,
+        ParamVec(
+            [np.stack(layer) for layer in zip(a.weights, b.weights, c.weights)],
+            [np.stack(layer) for layer in zip(a.biases, b.biases, c.biases)],
+        ),
+    )
+    assert_same_vec(stacked[1], b)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_param_vec_index_slices_every_leading_axis(order):
+    vec = random_vec(np.random.default_rng(13), stack=4, order=order)
+    for k in range(4):
+        part = vec[k]
+        assert_same_vec(part, ParamVec([w[k] for w in vec.weights], [b[k] for b in vec.biases]))
+        # views into the stack, not copies
+        for arr, src in zip(part.weights + part.biases, vec.weights + vec.biases):
+            assert np.shares_memory(arr, src)
+    one = vec[0]
+    assert_same_vec(one[None], ParamVec([w[None] for w in one.weights], [b[None] for b in one.biases]))
+    assert_same_vec(vec[1:3], ParamVec([w[1:3] for w in vec.weights], [b[1:3] for b in vec.biases]))
+
+
+def test_zeros_like_params_matches_per_layer_zeros():
+    model = init_model([3, 5, 2], "relu", seed=4)
+    fortran = Model([np.asfortranarray(w) for w in model.weights], list(model.biases))
+    for m in (model, fortran):
+        zero = zeros_like_params(m)
+        assert_same_vec(zero, ParamVec([np.zeros_like(w) for w in m.weights], [np.zeros_like(b) for b in m.biases]))
+        for arr, src in zip(zero.weights + zero.biases, m.weights + m.biases):
+            assert not np.shares_memory(arr, src)
