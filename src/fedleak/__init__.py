@@ -1,92 +1,1 @@
 """fedleak: federated-learning simulator and label-count recovery toolkit."""
-
-from .attack import (
-    AttackParams,
-    AttackReport,
-    ConfusionMatrix,
-    DegenerateUpdateError,
-    LogitMoments,
-    RoundContext,
-    SchemeCoefficients,
-    build_system,
-    class_logits,
-    estimate_moments,
-    make_target,
-    mc_confusion,
-    plugin_confusion,
-    posterior_search,
-    prepare_round,
-    rlu_attack,
-    round_counts,
-    scheme_coefficients,
-    solve_simplex_ls,
-)
-from .data import (
-    Dataset,
-    Partition,
-    dirichlet_partition,
-    make_auxiliary,
-    make_synthetic,
-    plan_batches,
-)
-from .fedsim import (
-    LocalUpdate,
-    SchemeConfig,
-    UpdateHistory,
-    local_train,
-    run_round,
-    scaffold_update_control,
-    server_aggregate,
-)
-from .metrics import RecoveryScore, cacc, iacc, score, summarize
-from .nn import Model, ParamVec, backward, forward, init_model, load_model, save_model
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AttackParams",
-    "AttackReport",
-    "ConfusionMatrix",
-    "DegenerateUpdateError",
-    "LogitMoments",
-    "RoundContext",
-    "SchemeCoefficients",
-    "build_system",
-    "class_logits",
-    "estimate_moments",
-    "make_target",
-    "mc_confusion",
-    "plugin_confusion",
-    "posterior_search",
-    "prepare_round",
-    "rlu_attack",
-    "round_counts",
-    "scheme_coefficients",
-    "solve_simplex_ls",
-    "Dataset",
-    "Partition",
-    "dirichlet_partition",
-    "make_auxiliary",
-    "make_synthetic",
-    "plan_batches",
-    "LocalUpdate",
-    "SchemeConfig",
-    "UpdateHistory",
-    "local_train",
-    "run_round",
-    "scaffold_update_control",
-    "server_aggregate",
-    "RecoveryScore",
-    "cacc",
-    "iacc",
-    "score",
-    "summarize",
-    "Model",
-    "ParamVec",
-    "backward",
-    "forward",
-    "init_model",
-    "load_model",
-    "save_model",
-    "__version__",
-]

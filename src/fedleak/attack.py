@@ -283,10 +283,10 @@ def plugin_confusion(logits, bounds) -> ConfusionMatrix:
     All rows go through one softmax together, and the probabilities are
     then centred and squared in place. When every class has the same row
     count, as make_auxiliary builds it, the means and the centring come
-    from one (classes, count, N) view of C-ordered probabilities, and the
-    pass allocates no other (rows, N) array; other counts and other
-    layouts take one mean per class slice. Both give the bits of
-    mean_softmax on each class's rows alone.
+    from one (classes, count, N) view of the probabilities, and the pass
+    allocates no other (rows, N) array; other counts take one mean per
+    class slice. Both give the bits of mean_softmax on each class's rows
+    alone.
     """
     bounds = np.asarray(bounds)
     if bounds[0] != 0 or bounds[-1] != len(logits):
@@ -296,7 +296,7 @@ def plugin_confusion(logits, bounds) -> ConfusionMatrix:
     if empty.size:
         raise ValueError(f"class {empty[0]} has no logit rows")
     probs = softmax_rows(logits)
-    if probs.flags.c_contiguous and (counts == counts[0]).all():
+    if (counts == counts[0]).all():
         blocks = probs.reshape(len(counts), counts[0], -1)
         s = blocks.mean(axis=1)
         blocks -= s[:, None, :]
@@ -363,22 +363,21 @@ def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistor
     Both follow from fedsim.round_correction, the scheme's (prox, drift)
     for the round. A proximal pull decays epoch tau's gradient by q^(m -
     tau), q = 1 - prox * eta; without one the optimizer sets the weights.
-    The drift enters every step like a gradient term, so its share of the
-    output-bias delta is -h with h = eta * sum(rho) * drift. history must
-    be the client's record at the start of round_idx.
+    SchemeConfig runs sgdm and nag only under fedavg, so no pull and no
+    drift meet momentum. The drift enters every step like a gradient term,
+    so its share of the output-bias delta is -h with h = eta * sum(rho) *
+    drift. history must be the client's record at the start of round_idx.
     """
     m, eta, gamma = cfg.epochs, cfg.eta, cfg.gamma
     check_history(history, round_idx)
     prox, drift = round_correction(cfg, history)
     if prox:
         rho = (1.0 - prox * eta) ** (m - np.arange(1, m + 1))
-    elif cfg.optimizer == "sgdm":
-        rho = _geometric_rho(gamma, m)
-    elif cfg.optimizer == "nag":
-        # one extra power of gamma in every tail sum
-        rho = _geometric_rho(gamma, m + 1)[:m]
-    else:
+    elif cfg.optimizer == "sgd":
         rho = np.ones(m)
+    else:
+        # nag has one extra power of gamma in every tail sum
+        rho = _geometric_rho(gamma, m + (cfg.optimizer == "nag"))[:m]
     h = None if drift is None else eta * rho.sum() * drift.biases[-1]
     return SchemeCoefficients(rho, h)
 

@@ -267,7 +267,9 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
 
 def _check_writable(*paths) -> None:
     """Raise OSError unless each given path (None: not given) can be written; called before any work."""
-    for path in filter(None, paths):
+    for path in (p for p in paths if p is not None):
+        if not path:
+            raise FileNotFoundError("cannot write an empty path")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"cannot write {path}: no directory {folder}")

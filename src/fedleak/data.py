@@ -65,8 +65,6 @@ class Partition:
     """Disjoint covering assignment of sample indices to clients."""
 
     assignments: list  # list of int64 arrays, one per client
-    alpha: float
-    seed: int
 
     @property
     def n_clients(self) -> int:
@@ -170,7 +168,7 @@ def dirichlet_partition(dataset: Dataset, n_clients: int, alpha: float, seed: in
             buckets[k].append(idx[lo : lo + counts[k]])
             lo += counts[k]
     assignments = [np.concatenate(b).astype(np.int64) if b else np.empty(0, np.int64) for b in buckets]
-    return Partition(assignments, alpha, seed)
+    return Partition(assignments)
 
 
 def plan_batches(n_samples: int, batch_size: int, epochs: int, seed: int) -> np.ndarray:

@@ -70,7 +70,11 @@ _PARALLEL_MIN_STEP_MACS = 1 << 21
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Local-training recipe shared by all clients in a run; every scheme needs 0 < eta < inf."""
+    """Local-training recipe shared by all clients in a run; every scheme needs 0 < eta < inf.
+
+    The one place that decides which schemes take lambda (it is 0 under
+    fedavg and scaffold) and that sgdm and nag run only under fedavg.
+    """
 
     scheme: str = "fedavg"
     optimizer: str = "sgd"
@@ -87,8 +91,6 @@ class SchemeConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.optimizer in ("sgdm", "nag") and self.scheme != "fedavg":
             raise ValueError(f"{self.optimizer} is only defined under fedavg")
-        if self.scheme in ("scaffold", "feddyn", "feddc") and self.optimizer != "sgd":
-            raise ValueError(f"{self.scheme} requires the sgd optimizer")
         if not 0.0 < self.eta < np.inf:
             raise ValueError(f"eta must be finite and above 0, got {self.eta!r}")
         if not 0.0 <= self.gamma < 1.0:
@@ -104,7 +106,7 @@ class SchemeConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.scheme in ("fedprox", "feddyn", "feddc") and self.lam * self.eta >= 1.0:
+        if self.lam * self.eta >= 1.0:
             # the proximal pull must contract: q = 1 - lambda * eta in [0, 1)
             raise ValueError(f"{self.scheme} needs lambda * eta below 1, got {self.lam!r} * {self.eta!r}")
 
@@ -177,14 +179,14 @@ def round_correction(cfg: SchemeConfig, history: UpdateHistory):
     """What cfg's scheme adds to every local gradient of a round: (prox, drift).
 
     Each local step uses grad + drift + prox * (theta - theta0). prox is
-    lambda for the proximal schemes and 0 otherwise. drift is fixed for
-    the round and read from the client's round-start record: scaffold's
-    c - c_k (Karimireddy et al. 2020, Alg. 1), feddyn's lambda *
-    cum_local_delta (Acar et al. 2021), and for feddc that term plus
-    (prev_local_delta - prev_global_delta) / (eta m). It is None for
+    lambda, which SchemeConfig holds at 0 outside the proximal schemes.
+    drift is fixed for the round and read from the client's round-start
+    record: scaffold's c - c_k (Karimireddy et al. 2020, Alg. 1), feddyn's
+    lambda * cum_local_delta (Acar et al. 2021), and for feddc that term
+    plus (prev_local_delta - prev_global_delta) / (eta m). It is None for
     fedavg and fedprox, and for every scheme before the first round.
     """
-    prox = cfg.lam if cfg.scheme in ("fedprox", "feddyn", "feddc") else 0.0
+    prox = cfg.lam
     if cfg.scheme in ("fedavg", "fedprox") or history.completed_rounds == 0:
         return prox, None
     if cfg.scheme == "scaffold":

@@ -30,7 +30,7 @@ def full_batch_world(seed, n_classes=10, dim=16, separation=4.0, shard_size=32, 
     rng = np.random.default_rng(2000 + seed)
     order = rng.permutation(len(dataset.labels))
     shards = [np.sort(order[k * shard_size:(k + 1) * shard_size]) for k in range(clients)]
-    partition = Partition(shards, alpha=0.0, seed=0)
+    partition = Partition(shards)
     model = init_model([dim, 32, 16, n_classes], "relu", seed=3000 + seed)
     return dataset, aux, partition, model
 

@@ -224,6 +224,17 @@ def test_coefficients_momentum_at_gamma_zero_are_ones(optimizer, m):
     npt.assert_array_equal(scheme_coefficients(cfg, 1, history).rho, np.ones(m))
 
 
+@pytest.mark.parametrize("optimizer, extra", [("sgdm", 1), ("nag", 2)])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("m", [1, 2, 5, 20])
+def test_coefficients_momentum_closed_form_bits(optimizer, extra, gamma, m):
+    # rho_tau = (1 - gamma^(m+1-tau)) / (1 - gamma) for sgdm; nag has m+2
+    history, _ = fresh_history()
+    cfg = SchemeConfig(scheme="fedavg", optimizer=optimizer, eta=0.1, gamma=gamma, epochs=m, batch_size=8)
+    expected = np.array([(1.0 - gamma ** (m + extra - tau)) / (1.0 - gamma) for tau in range(1, m + 1)])
+    assert scheme_coefficients(cfg, 1, history).rho.tobytes() == expected.tobytes()
+
+
 def test_coefficients_fedprox():
     history, _ = fresh_history()
     cfg = SchemeConfig(scheme="fedprox", optimizer="sgd", eta=0.1, lam=1.0,
@@ -787,12 +798,13 @@ def test_plugin_confusion_rejects_a_class_without_rows():
 
 
 @pytest.mark.parametrize("n, count", [(5, 3), (10, 100), (20, 50)])
-def test_plugin_confusion_f_ordered_logits_take_the_slice_path(n, count):
-    # F-ordered logits give F-ordered probabilities. Only C-ordered ones
-    # take the (classes, count, N) view; these take one mean per class
-    # slice, so they give that path's bits. Where numpy sums both layouts
-    # in one order (few classes, few rows) the bits are the C-ordered
-    # logits' own; elsewhere only the rounding differs.
+def test_plugin_confusion_f_ordered_logits_give_the_slice_path_bits(n, count):
+    # F-ordered logits give F-ordered probabilities. Splitting their row
+    # axis is a view as well, so they take the (classes, count, N) view
+    # like C-ordered ones, and still give the bits of one mean per class
+    # slice. Where numpy sums both layouts in one order (few classes, few
+    # rows) the bits are the C-ordered logits' own; elsewhere only the
+    # rounding differs.
     logits = np.random.default_rng(8).standard_normal((n * count, n)) * 3.0
     bounds = np.arange(n + 1) * count
     fortran = np.asfortranarray(logits)
@@ -869,7 +881,7 @@ def test_rlu_single_class_batch_sign_structure():
     data = Dataset(feats, labels, 10)
     from fedleak.data import Partition
 
-    partition = Partition([np.arange(64)], alpha=0.0, seed=0)
+    partition = Partition([np.arange(64)])
     aux = make_synthetic(10, 16, 100, 4.0, seed=123)
     model = init_model([16, 32, 16, 10], "relu", seed=9)
     cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)

@@ -785,6 +785,23 @@ def test_unwritable_gen_data_partition_exit_two(tmp_path, capsys, monkeypatch):
     check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "0", "--output", ""],
+        ["run", "--seed", "0", "--output", "{tmp}/r.csv", "--round-log", ""],
+        ["sweep", "--seeds", "0,1", "--output", ""],
+        ["gen-data", "--out-data", "", "--out-partition", "{tmp}/p.csv"],
+    ],
+    ids=["run_output", "run_round_log", "sweep_output", "gen_data_out_data"],
+)
+def test_empty_output_path_exit_two(tmp_path, capsys, monkeypatch, argv):
+    # an empty path used to count as not given: run and sweep trained every
+    # round before the write failed, and an empty round log wrote nothing
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + small_args(tmp_path)
+    check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv)
+
+
 def test_invalid_scheme_params_exit_one(tmp_path):
     rc = main(["run", "--scheme", "fedprox", "--lambda", "200.0", "--eta", "0.01",
                "--output", str(tmp_path / "r.csv"), *small_args(tmp_path)])

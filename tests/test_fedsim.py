@@ -250,7 +250,7 @@ def test_run_round_two_equal_clients_mean():
     order = rng.permutation(200)
     from fedleak.data import Partition
 
-    partition = Partition([np.sort(order[:100]), np.sort(order[100:])], alpha=0.0, seed=0)
+    partition = Partition([np.sort(order[:100]), np.sort(order[100:])])
     model = init_model([6, 10, 4], "relu", seed=20)
     cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
     histories = [UpdateHistory.fresh(model) for _ in range(2)]
@@ -283,9 +283,7 @@ def test_run_round_under_provisioned_client_zero_update():
     data = make_synthetic(3, 4, 30, 2.0, seed=30)
     from fedleak.data import Partition
 
-    partition = Partition(
-        [np.arange(5), np.arange(5, 90)], alpha=0.0, seed=0
-    )
+    partition = Partition([np.arange(5), np.arange(5, 90)])
     model = init_model([4, 8, 3], "relu", seed=30)
     cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
     histories = [UpdateHistory.fresh(model) for _ in range(2)]
@@ -308,7 +306,7 @@ def test_run_round_without_a_full_batch_raises_before_training(monkeypatch, shar
     # partition is the same case
     data = make_synthetic(3, 4, 30, 2.0, seed=31)
     bounds = np.cumsum([0, *shards])
-    partition = Partition([np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])], alpha=0.0, seed=0)
+    partition = Partition([np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
     model = init_model([4, 8, 3], "relu", seed=31)
     calls = []
     monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
@@ -394,7 +392,7 @@ def _threaded_world():
     data, _, model = small_world(seed=21)
     order = np.random.default_rng(21).permutation(len(data.labels))
     shards = [np.sort(order[a:b]) for a, b in ((0, 5), (5, 80), (80, 160), (160, 240))]
-    return data, Partition(shards, alpha=0.0, seed=0), model
+    return data, Partition(shards), model
 
 
 def _record_maps(monkeypatch):
@@ -732,7 +730,7 @@ def test_run_round_above_the_gate_stays_sequential_without_two_workers(monkeypat
     monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 0)
     if case == "one_trainer":
         big = np.concatenate(partition.assignments[1:])
-        partition = Partition([partition.assignments[0], big], alpha=0.0, seed=0)
+        partition = Partition([partition.assignments[0], big])
     stacks = []
     original = fedsim.train_stack
 
@@ -949,6 +947,15 @@ def test_scaffold_closed_form_three_rounds():
 def test_scheme_config_rejects_eta_zero_for_every_scheme(scheme):
     with pytest.raises(ValueError, match=r"\beta\b"):
         SchemeConfig(scheme=scheme, optimizer="sgd", eta=0.0, epochs=1, batch_size=8)
+
+
+@pytest.mark.parametrize("optimizer", ["sgdm", "nag"])
+@pytest.mark.parametrize("scheme", [s for s in fedsim.SCHEMES if s != "fedavg"])
+def test_scheme_config_momentum_only_under_fedavg(scheme, optimizer):
+    # lambda stays valid for the scheme, so only the optimizer can be at fault
+    lam = 0.0 if scheme == "scaffold" else 1.0
+    with pytest.raises(ValueError, match=rf"^{optimizer} is only defined under fedavg$"):
+        SchemeConfig(scheme=scheme, optimizer=optimizer, eta=0.1, lam=lam, gamma=0.5, epochs=1, batch_size=8)
 
 
 def test_scheme_config_validation():
