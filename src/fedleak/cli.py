@@ -212,57 +212,74 @@ def _build_world(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
     """Simulate cfg.rounds rounds, attack every update, return result rows.
 
-    Raises ValueError before any training when no client's shard fills a
-    batch (fed.run_round's check), because then every update is degenerate.
+    report_dir (None: no reports) must be an existing directory. Raises
+    before any training when it is not, and ValueError when no client's
+    shard fills a batch (fed.run_round's check), because then every update
+    is degenerate.
     """
+    if report_dir is not None and not os.path.isdir(report_dir):
+        raise FileNotFoundError(f"cannot write reports to {report_dir!r}: no such directory")
     dataset, aux, partition, model = _build_world(cfg)
     histories = [fed.UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     rows = []
     current = model
     for t in range(1, cfg.rounds + 1):
-        new_global, updates, truths, stats, new_histories = fed.run_round(
-            current, dataset, partition, cfg.scheme, histories, t, cfg.seed
+        round_rows, current, histories = _attack_round(
+            cfg, t, current, histories, dataset, aux, partition, report_dir, round_log
         )
-        if round_log:
-            fed.append_round_log(round_log, t, cfg.scheme, stats)
-        context = atk.prepare_round(current, aux, cfg.attack)
-        for k in range(partition.n_clients):
-            start = time.perf_counter()
-            row = {
-                "seed": cfg.seed,
-                "round": t,
-                "client": k,
-                "scheme": cfg.scheme.scheme,
-                "optimizer": cfg.scheme.optimizer,
-                "alpha": repr(cfg.partition.alpha),
-                "m": cfg.scheme.epochs,
-                "batch": cfg.scheme.batch_size,
-                "train_acc": repr(stats[k]["train_acc"]) if stats[k] else "",
-            }
-            try:
-                report = atk.rlu_attack(context, updates[k], cfg.scheme, histories[k])
-            except atk.DegenerateUpdateError:
-                report = None
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            if report is None:
-                row.update({"cacc": "", "iacc": "", "l1_err": "", "residual": "", "status": "degenerate"})
-            else:
-                sc = met.score(report.counts, truths[k], cfg.scheme.epochs, cfg.scheme.batch_size)
-                row.update(
-                    {
-                        "cacc": repr(sc.cacc),
-                        "iacc": repr(sc.iacc),
-                        "l1_err": sc.l1_error,
-                        "residual": repr(report.residual),
-                        "status": "ok" if report.diagnostics["solver_converged"] else "unconverged",
-                    }
-                )
-                if report_dir:
-                    atk.save_report(os.path.join(report_dir, f"report_r{t}_c{k}.json"), report)
-            row["wall_ms"] = repr(wall_ms)
-            rows.append(row)
-        current, histories = new_global, new_histories
+        rows.extend(round_rows)
     return rows
+
+
+def _attack_round(cfg: ExperimentConfig, t, current, histories, dataset, aux, partition, report_dir, round_log):
+    """Train round t from `current`, attack every update; returns (rows, new_global, new_histories).
+
+    The round's updates and attack context are this call's locals, so
+    nothing holds them once it returns, before the next round trains.
+    """
+    new_global, updates, truths, stats, new_histories = fed.run_round(
+        current, dataset, partition, cfg.scheme, histories, t, cfg.seed
+    )
+    if round_log:
+        fed.append_round_log(round_log, t, cfg.scheme, stats)
+    context = atk.prepare_round(current, aux, cfg.attack)
+    rows = []
+    for k in range(partition.n_clients):
+        start = time.perf_counter()
+        row = {
+            "seed": cfg.seed,
+            "round": t,
+            "client": k,
+            "scheme": cfg.scheme.scheme,
+            "optimizer": cfg.scheme.optimizer,
+            "alpha": repr(cfg.partition.alpha),
+            "m": cfg.scheme.epochs,
+            "batch": cfg.scheme.batch_size,
+            "train_acc": repr(stats[k]["train_acc"]) if stats[k] else "",
+        }
+        try:
+            report = atk.rlu_attack(context, updates[k], cfg.scheme, histories[k])
+        except atk.DegenerateUpdateError:
+            report = None
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        if report is None:
+            row.update({"cacc": "", "iacc": "", "l1_err": "", "residual": "", "status": "degenerate"})
+        else:
+            sc = met.score(report.counts, truths[k], cfg.scheme.epochs, cfg.scheme.batch_size)
+            row.update(
+                {
+                    "cacc": repr(sc.cacc),
+                    "iacc": repr(sc.iacc),
+                    "l1_err": sc.l1_error,
+                    "residual": repr(report.residual),
+                    "status": "ok" if report.diagnostics["solver_converged"] else "unconverged",
+                }
+            )
+            if report_dir is not None:
+                atk.save_report(os.path.join(report_dir, f"report_r{t}_c{k}.json"), report)
+        row["wall_ms"] = repr(wall_ms)
+        rows.append(row)
+    return rows, new_global, new_histories
 
 
 def _check_writable(*paths) -> None:
@@ -297,7 +314,9 @@ def cmd_gen_data(args) -> int:
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     _check_writable(cfg.output, args.round_log)
-    if args.report_dir:
+    if args.report_dir is not None:
+        if not args.report_dir:
+            raise FileNotFoundError("cannot write reports to an empty directory path")
         os.makedirs(args.report_dir, exist_ok=True)
     rows = run_experiment(cfg, report_dir=args.report_dir, round_log=args.round_log)
     _write_results(cfg.output, rows)

@@ -13,7 +13,10 @@ c - c_k, feddyn's and feddc's linear terms). Both apply to all
 parameters, not only the output layer; the attack reads its offset from
 the same pair. Histories are immutable round-start records
 (UpdateHistory): run_round builds the next round's records and never
-writes into the ones it was given.
+writes into the ones it was given. HISTORY_READS, next to
+round_correction, names the record fields each scheme reads; from round 2
+on a record holds only those (the others are None), so a round keeps no
+full-parameter state that nothing reads.
 
 train_stack trains a stack of K clients from one global model: its
 ParamVecs (parameters, gradients, velocity, drift) carry a leading client
@@ -144,12 +147,21 @@ class UpdateHistory:
 
     A record's ParamVecs are never written in place, so one array may back
     several fields or records; run_round builds the next round's record
-    instead of copying this one. Everything here is known to a curious
-    server: the scaffold client variate c_k is the sum of the control
-    deltas the client transmits (here they follow from its deltas and c),
-    the server variate c is the mean of the c_k, cum_local_delta and
-    prev_local_delta are sums of the client's transmitted deltas, and
-    prev_global_delta is the server's own aggregate.
+    instead of copying this one. fresh(model) is the record before round 1
+    under every scheme: zero variates and a zero cum_local_delta, and no
+    previous deltas. The records run_round builds keep only the fields
+    HISTORY_READS names for the scheme and set the others to None:
+    scaffold keeps the variates, feddyn cum_local_delta, feddc
+    cum_local_delta, prev_local_delta and prev_global_delta, and fedavg
+    and fedprox none. Each is a full-parameter vector per client, so a
+    field nothing reads would only hold memory, and a None never passes
+    for a value (a zero standing in for a sum, say). Everything here is
+    known to a curious server: the scaffold client variate c_k is the sum
+    of the control deltas the client transmits (here they follow from its
+    deltas and c), the server variate c is the mean of the c_k,
+    cum_local_delta and prev_local_delta are sums of the client's
+    transmitted deltas, and prev_global_delta is the server's own
+    aggregate.
     """
 
     completed_rounds: int = 0
@@ -175,6 +187,17 @@ def check_history(history: UpdateHistory, round_idx: int) -> None:
         )
 
 
+# The UpdateHistory fields round_correction reads under each scheme. The
+# records run_round builds hold these and set every other field to None.
+HISTORY_READS = {
+    "fedavg": (),
+    "fedprox": (),
+    "scaffold": ("client_variate", "server_variate"),
+    "feddyn": ("cum_local_delta",),
+    "feddc": ("cum_local_delta", "prev_local_delta", "prev_global_delta"),
+}
+
+
 def round_correction(cfg: SchemeConfig, history: UpdateHistory):
     """What cfg's scheme adds to every local gradient of a round: (prox, drift).
 
@@ -185,10 +208,15 @@ def round_correction(cfg: SchemeConfig, history: UpdateHistory):
     lambda * cum_local_delta (Acar et al. 2021), and for feddc that term
     plus (prev_local_delta - prev_global_delta) / (eta m). It is None for
     fedavg and fedprox, and for every scheme before the first round.
+    Raises ValueError when the record lacks a field the scheme reads (a
+    record run_round built under another scheme).
     """
     prox = cfg.lam
     if cfg.scheme in ("fedavg", "fedprox") or history.completed_rounds == 0:
         return prox, None
+    for name in HISTORY_READS[cfg.scheme]:
+        if getattr(history, name) is None:
+            raise ValueError(f"{cfg.scheme} reads {name}, which this client record does not keep")
     if cfg.scheme == "scaffold":
         return prox, history.server_variate.sub(history.client_variate)
     drift = history.cum_local_delta.scaled(cfg.lam)
@@ -332,14 +360,21 @@ def scaffold_update_control(histories, deltas, cfg: SchemeConfig) -> list:
     return [replace(h, client_variate=ck, server_variate=mean) for h, ck in zip(histories, variates)]
 
 
-def _record_round(history: UpdateHistory, local_delta: ParamVec, global_delta: ParamVec) -> UpdateHistory:
-    return replace(
-        history,
-        completed_rounds=history.completed_rounds + 1,
-        cum_local_delta=history.cum_local_delta.copy().add_(local_delta, 1.0),
-        prev_local_delta=local_delta,
-        prev_global_delta=global_delta,
-    )
+def _record_round(scheme: str, history: UpdateHistory, local_delta: ParamVec, global_delta) -> UpdateHistory:
+    """history one round on, holding the fields HISTORY_READS[scheme] names and None for the rest.
+
+    The variates pass through unchanged; scaffold_update_control moves them.
+    """
+    reads = HISTORY_READS[scheme]
+    cum = history.cum_local_delta.copy().add_(local_delta, 1.0) if "cum_local_delta" in reads else None
+    values = {
+        "client_variate": history.client_variate,
+        "server_variate": history.server_variate,
+        "cum_local_delta": cum,
+        "prev_local_delta": local_delta,
+        "prev_global_delta": global_delta,
+    }
+    return UpdateHistory(history.completed_rounds + 1, **{name: values[name] for name in reads})
 
 
 def _usable_cpus() -> int:
@@ -406,9 +441,11 @@ def run_round(
     carries its shard size as n_samples, and the aggregate weights are
     those sizes over their sum. truth_counts[k] counts the labels of the
     batches client k trained on, ground truth for evaluation only.
-    new_histories are new records for the start of round round_idx + 1;
-    they share arrays with the updates and with each other, and the input
-    records stay at round-start state.
+    new_histories are new records for the start of round round_idx + 1,
+    holding only the fields HISTORY_READS names for cfg.scheme. Scaffold's
+    share one server variate; feddc's share the aggregate delta and hold
+    the updates' deltas themselves. The input records stay at round-start
+    state.
 
     Every record, idle clients' included, is checked before a plan is
     drawn. Each trainer's (m, B) plan is drawn once, in the calling
@@ -468,8 +505,10 @@ def run_round(
 
     sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
     new_global = server_aggregate(updates, sizes / sizes.sum(), global_model)
-    global_delta = new_global.params().sub(global_model.params())
-    new_histories = [_record_round(h, u.delta, global_delta) for h, u in zip(histories, updates)]
+    global_delta = None
+    if "prev_global_delta" in HISTORY_READS[cfg.scheme]:
+        global_delta = new_global.params().sub(global_model.params())
+    new_histories = [_record_round(cfg.scheme, h, u.delta, global_delta) for h, u in zip(histories, updates)]
     if cfg.scheme == "scaffold":
         new_histories = scaffold_update_control(new_histories, [u.delta for u in updates], cfg)
     return new_global, updates, truths, stats, new_histories

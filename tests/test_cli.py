@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 
 from dataclasses import replace
 from pathlib import Path
@@ -802,6 +804,23 @@ def test_empty_output_path_exit_two(tmp_path, capsys, monkeypatch, argv):
     check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv)
 
 
+def test_empty_report_dir_exit_two(tmp_path, capsys, monkeypatch):
+    # an empty --report-dir used to count as not given: the run trained,
+    # wrote its CSV and no report, and exited 0
+    argv = ["run", "--seed", "0", "--rounds", "1", "--output", str(tmp_path / "r.csv"), "--report-dir", ""]
+    check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv + small_args(tmp_path))
+
+
+@pytest.mark.parametrize("report_dir", ["", "missing"])
+def test_run_experiment_rejects_a_report_dir_that_is_no_directory(tmp_path, monkeypatch, report_dir):
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    path = str(tmp_path / report_dir) if report_dir else ""
+    with pytest.raises(FileNotFoundError, match="cannot write reports to"):
+        run_experiment(small_experiment(), report_dir=path)
+    assert calls == []
+
+
 def test_invalid_scheme_params_exit_one(tmp_path):
     rc = main(["run", "--scheme", "fedprox", "--lambda", "200.0", "--eta", "0.01",
                "--output", str(tmp_path / "r.csv"), *small_args(tmp_path)])
@@ -938,6 +957,36 @@ def test_run_experiment_unattackable_rounds_build_no_context(monkeypatch, scheme
         run_experiment(small_experiment(**scheme))
     assert calls == []
     assert trained == []
+
+
+@pytest.mark.parametrize("path", ["stack", "pool"])
+@pytest.mark.parametrize(
+    "scheme, lam, released",
+    [("fedavg", 0.0, True), ("fedprox", 1.0, True), ("scaffold", 0.0, True), ("feddyn", 1.0, True),
+     ("feddc", 1.0, False)],
+)
+def test_run_experiment_releases_a_rounds_updates_before_the_next_trains(monkeypatch, scheme, lam, released, path):
+    # run_experiment used to keep round t's updates and attack context bound
+    # while round t + 1 trained. Only feddc's records still hold round t's
+    # deltas then, as prev_local_delta.
+    if path == "pool":
+        monkeypatch.setattr(fedsim, "_PARALLEL_MIN_STEP_MACS", 0)
+        monkeypatch.setattr(fedsim, "_usable_cpus", lambda: 2)
+    refs, alive = [], []
+    original = fedsim.run_round
+
+    def recording(*args):
+        if refs:
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs[-1]))
+        result = original(*args)
+        refs.append([weakref.ref(arr) for update in result[1] for arr in update.delta.weights + update.delta.biases])
+        return result
+
+    monkeypatch.setattr(fedsim, "run_round", recording)
+    run_experiment(replace(small_experiment(scheme=scheme, lam=lam), rounds=3))
+    assert len(alive) == 2
+    assert alive == ([0, 0] if released else [len(refs[0]), len(refs[1])])
 
 
 @pytest.mark.parametrize(

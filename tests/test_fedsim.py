@@ -102,6 +102,60 @@ def test_round_correction_per_scheme():
         assert fedsim.round_correction(cfg, fresh) == (want_prox, None), scheme
 
 
+# The record fields each scheme keeps once a round has run, written out here
+# rather than read from fedsim.HISTORY_READS.
+KEPT_FIELDS = {
+    "fedavg": set(),
+    "fedprox": set(),
+    "scaffold": {"client_variate", "server_variate"},
+    "feddyn": {"cum_local_delta"},
+    "feddc": {"cum_local_delta", "prev_local_delta", "prev_global_delta"},
+}
+RECORD_FIELDS = ("client_variate", "server_variate", "cum_local_delta", "prev_local_delta", "prev_global_delta")
+
+
+def _same_vec(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+@pytest.mark.parametrize("scheme", fedsim.SCHEMES)
+def test_records_hold_only_the_fields_their_scheme_reads(scheme):
+    assert set(KEPT_FIELDS) == set(fedsim.SCHEMES)
+    assert {f.name for f in fields(UpdateHistory)} == {"completed_rounds", *RECORD_FIELDS}
+    data, partition, model = small_world(seed=21, clients=3)
+    lam = 1.0 if scheme in ("fedprox", "feddyn", "feddc") else 0.0
+    cfg = SchemeConfig(scheme=scheme, optimizer="sgd", eta=0.05, lam=lam, epochs=2, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    current, deltas = model, []
+    for t in (1, 2):
+        previous = current
+        current, updates, _, _, histories = run_round(current, data, partition, cfg, histories, t, seed=21)
+        deltas.append([u.delta for u in updates])
+    for k, h in enumerate(histories):
+        assert h.completed_rounds == 2
+        assert {name for name in RECORD_FIELDS if getattr(h, name) is not None} == KEPT_FIELDS[scheme]
+        # what is kept is this round's value, never a stale one
+        if h.cum_local_delta is not None:
+            assert _same_vec(h.cum_local_delta, deltas[0][k].copy().add_(deltas[1][k]))
+        if h.prev_local_delta is not None:
+            assert h.prev_local_delta is deltas[1][k]
+        if h.prev_global_delta is not None:
+            assert _same_vec(h.prev_global_delta, current.params().sub(previous.params()))
+    if scheme == "scaffold":
+        assert len({id(h.server_variate) for h in histories}) == 1
+
+
+def test_round_correction_rejects_a_record_without_its_fields():
+    # a fedavg record keeps no cumulative delta, so feddyn cannot read one
+    data, partition, model = small_world(seed=22)
+    cfg = fedavg_cfg(eta=0.05, epochs=2, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    histories = run_round(model, data, partition, cfg, histories, 1, seed=22)[4]
+    feddyn = SchemeConfig(scheme="feddyn", eta=0.05, lam=1.0, epochs=2, batch_size=16)
+    with pytest.raises(ValueError, match="feddyn reads cum_local_delta, which this client record does not keep"):
+        fedsim.round_correction(feddyn, histories[0])
+
+
 def test_fedprox_lambda_zero_matches_fedavg():
     data, partition, model = small_world(seed=5)
     client = data.subset(partition.assignments[0])
