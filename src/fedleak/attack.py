@@ -350,35 +350,20 @@ def prepare_round(global_model: Model, aux: Dataset, params: AttackParams) -> Ro
     return RoundContext(global_model, params, s_first, features, bounds, simplex_system(build_system(s_first)))
 
 
-def _geometric_rho(decay: float, m: int) -> np.ndarray:
-    # rho_tau = (1 - decay^(m + 1 - tau)) / (1 - decay), the tail-sum of a
-    # geometric momentum series; at decay = 0 every entry is exactly 1.
-    taus = np.arange(1, m + 1)
-    return (1.0 - decay ** (m + 1 - taus)) / (1.0 - decay)
-
-
 def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistory) -> SchemeCoefficients:
     """Per-epoch weights and history offset for attacking round `round_idx`.
 
-    Both follow from fedsim.round_correction, the scheme's (prox, drift)
-    for the round. A proximal pull decays epoch tau's gradient by q^(m -
-    tau), q = 1 - prox * eta; without one the optimizer sets the weights.
-    SchemeConfig runs sgdm and nag only under fedavg, so no pull and no
-    drift meet momentum. The drift enters every step like a gradient term,
-    so its share of the output-bias delta is -h with h = eta * sum(rho) *
-    drift. history must be the client's record at the start of round_idx.
+    rho is fedsim.step_weights(cfg), the simulator's own local step run on
+    unit gradients, so it holds for every optimizer and proximal pull the
+    simulator runs. The drift (fedsim.round_correction) enters every step
+    like a gradient term, so its share of the output-bias delta is -h with
+    h = eta * sum(rho) * drift. history must be the client's record at the
+    start of round_idx.
     """
-    m, eta, gamma = cfg.epochs, cfg.eta, cfg.gamma
     check_history(history, round_idx)
-    prox, drift = round_correction(cfg, history)
-    if prox:
-        rho = (1.0 - prox * eta) ** (m - np.arange(1, m + 1))
-    elif cfg.optimizer == "sgd":
-        rho = np.ones(m)
-    else:
-        # nag has one extra power of gamma in every tail sum
-        rho = _geometric_rho(gamma, m + (cfg.optimizer == "nag"))[:m]
-    h = None if drift is None else eta * rho.sum() * drift.biases[-1]
+    rho = fedsim.step_weights(cfg)
+    drift = round_correction(cfg, history)
+    h = None if drift is None else cfg.eta * rho.sum() * drift.biases[-1]
     return SchemeCoefficients(rho, h)
 
 

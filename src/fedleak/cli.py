@@ -212,13 +212,16 @@ def _build_world(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
     """Simulate cfg.rounds rounds, attack every update, return result rows.
 
-    report_dir (None: no reports) must be an existing directory. Raises
-    before any training when it is not, and ValueError when no client's
-    shard fills a batch (fed.run_round's check), because then every update
-    is degenerate.
+    report_dir (None: no reports) must be an existing directory, and
+    round_log (None: no log) a non-empty path. Raises before any training
+    when either is not, and ValueError when no client's shard fills a
+    batch (fed.run_round's check), because then every update is
+    degenerate.
     """
     if report_dir is not None and not os.path.isdir(report_dir):
         raise FileNotFoundError(f"cannot write reports to {report_dir!r}: no such directory")
+    if round_log is not None and not os.fspath(round_log):
+        raise FileNotFoundError("cannot write a round log to an empty path")
     dataset, aux, partition, model = _build_world(cfg)
     histories = [fed.UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     rows = []
@@ -240,7 +243,7 @@ def _attack_round(cfg: ExperimentConfig, t, current, histories, dataset, aux, pa
     new_global, updates, truths, stats, new_histories = fed.run_round(
         current, dataset, partition, cfg.scheme, histories, t, cfg.seed
     )
-    if round_log:
+    if round_log is not None:
         fed.append_round_log(round_log, t, cfg.scheme, stats)
     context = atk.prepare_round(current, aux, cfg.attack)
     rows = []
@@ -282,8 +285,14 @@ def _attack_round(cfg: ExperimentConfig, t, current, histories, dataset, aux, pa
     return rows, new_global, new_histories
 
 
-def _check_writable(*paths) -> None:
-    """Raise OSError unless each given path (None: not given) can be written; called before any work."""
+def _check_writable(*paths, inputs=()) -> None:
+    """Raise OSError unless each given path (None: not given) can be written; called before any work.
+
+    No two paths, and no path and one of the command's inputs (None: not
+    given), may resolve to one file: one write would silently replace the
+    other file.
+    """
+    claimed = {os.path.realpath(p): p for p in inputs if p is not None}
     for path in (p for p in paths if p is not None):
         if not path:
             raise FileNotFoundError("cannot write an empty path")
@@ -292,6 +301,10 @@ def _check_writable(*paths) -> None:
             raise FileNotFoundError(f"cannot write {path}: no directory {folder}")
         if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
             raise PermissionError(f"cannot write {path}: it is a directory or not writable")
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise FileExistsError(f"cannot write {path}: it is the same file as {claimed[real]}")
+        claimed[real] = path
 
 
 def _write_results(path, rows) -> None:
@@ -303,7 +316,7 @@ def _write_results(path, rows) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _config_from_args(args)
-    _check_writable(args.out_data, args.out_partition)
+    _check_writable(args.out_data, args.out_partition, inputs=[args.config])
     dataset, _, partition, _ = _build_world(cfg)
     dat.save_dataset_csv(args.out_data, dataset)
     dat.save_partition_csv(args.out_partition, partition)
@@ -313,7 +326,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    _check_writable(cfg.output, args.round_log)
+    _check_writable(cfg.output, args.round_log, inputs=[args.config])
     if args.report_dir is not None:
         if not args.report_dir:
             raise FileNotFoundError("cannot write reports to an empty directory path")
@@ -350,7 +363,7 @@ def cmd_sweep(args) -> int:
         for m in epoch_grid
         for seed in seeds
     ]
-    _check_writable(base.output)
+    _check_writable(base.output, inputs=[args.config])
     rows = [row for cfg in configs for row in run_experiment(cfg)]
     _write_results(base.output, rows)
     print(f"wrote {len(rows)} rows to {base.output}")
@@ -368,6 +381,7 @@ def cmd_diagnose_moments(args) -> int:
     plug-in matrix of the logits themselves, as max_j |s_gauss - s_plugin|."""
     if args.bins < 1:
         raise ValueError(f"--bins must be at least 1, got {args.bins}")
+    _check_writable(args.output, inputs=[args.model, args.data])
     model = nn.load_model(args.model)
     dataset = dat.load_dataset_csv(args.data, n_classes=model.n_classes)
     width, inputs = dataset.features.shape[1], model.layer_sizes[0]
@@ -395,6 +409,7 @@ def cmd_diagnose_moments(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_writable(args.output, inputs=args.inputs)
     rows = []
     for path in args.inputs:
         with open(path, newline="") as fh:

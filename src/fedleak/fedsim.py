@@ -6,17 +6,21 @@ of the LocalUpdate so tests can recombine the transmitted bias delta
 exactly. Attack code never reads that channel. run_round draws each
 client's (m, B) batch plan once per round and counts the truth from it.
 
-Schemes differ only in what they add to every local gradient of a round,
-and round_correction is the one place that says it: a proximal pull
-prox * (theta - theta0) and a drift term fixed for the round (scaffold's
-c - c_k, feddyn's and feddc's linear terms). Both apply to all
-parameters, not only the output layer; the attack reads its offset from
-the same pair. Histories are immutable round-start records
-(UpdateHistory): run_round builds the next round's records and never
-writes into the ones it was given. HISTORY_READS, next to
-round_correction, names the record fields each scheme reads; from round 2
-on a record holds only those (the others are None), so a round keeps no
-full-parameter state that nothing reads.
+local_steps is the one definition of a local step: the drift, the
+proximal pull lambda * (theta - theta0), the sgdm/nag velocity and the
+move by -eta. train_stack runs it on the clients' parameters, and
+step_weights runs it on unit gradients to give the attack its per-step
+weights rho, so the attack weights each step as the simulator takes it.
+Schemes differ only in what they add to every local gradient of a round:
+the pull, which the step reads from cfg.lam, and a drift fixed for the
+round (scaffold's c - c_k, feddyn's and feddc's linear terms), which
+round_correction alone computes. Both apply to all parameters, not only
+the output layer; the attack reads its offset from the same drift.
+Histories are immutable round-start records (UpdateHistory): run_round
+builds the next round's records and never writes into the ones it was
+given. HISTORY_READS, next to round_correction, names the record fields
+each scheme reads; from round 2 on a record holds only those (the others
+are None), so a round keeps no full-parameter state that nothing reads.
 
 train_stack trains a stack of K clients from one global model: its
 ParamVecs (parameters, gradients, velocity, drift) carry a leading client
@@ -42,6 +46,7 @@ round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
 
 import contextvars
 import csv
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -199,30 +204,84 @@ HISTORY_READS = {
 
 
 def round_correction(cfg: SchemeConfig, history: UpdateHistory):
-    """What cfg's scheme adds to every local gradient of a round: (prox, drift).
+    """The drift cfg's scheme adds to every local gradient of a round, or None.
 
-    Each local step uses grad + drift + prox * (theta - theta0). prox is
-    lambda, which SchemeConfig holds at 0 outside the proximal schemes.
-    drift is fixed for the round and read from the client's round-start
-    record: scaffold's c - c_k (Karimireddy et al. 2020, Alg. 1), feddyn's
-    lambda * cum_local_delta (Acar et al. 2021), and for feddc that term
-    plus (prev_local_delta - prev_global_delta) / (eta m). It is None for
-    fedavg and fedprox, and for every scheme before the first round.
+    The drift is fixed for the round and read from the client's
+    round-start record: scaffold's c - c_k (Karimireddy et al. 2020, Alg.
+    1), feddyn's lambda * cum_local_delta (Acar et al. 2021), and for feddc
+    that term plus (prev_local_delta - prev_global_delta) / (eta m). It is
+    None for fedavg and fedprox, and for every scheme before the first
+    round. The proximal pull is the step's own (local_steps reads cfg.lam).
     Raises ValueError when the record lacks a field the scheme reads (a
     record run_round built under another scheme).
     """
-    prox = cfg.lam
     if cfg.scheme in ("fedavg", "fedprox") or history.completed_rounds == 0:
-        return prox, None
+        return None
     for name in HISTORY_READS[cfg.scheme]:
         if getattr(history, name) is None:
             raise ValueError(f"{cfg.scheme} reads {name}, which this client record does not keep")
     if cfg.scheme == "scaffold":
-        return prox, history.server_variate.sub(history.client_variate)
+        return history.server_variate.sub(history.client_variate)
     drift = history.cum_local_delta.scaled(cfg.lam)
     if cfg.scheme == "feddc":
         drift.add_(history.prev_local_delta.sub(history.prev_global_delta), 1.0 / (cfg.eta * cfg.epochs))
-    return prox, drift
+    return drift
+
+
+def local_steps(cfg: SchemeConfig, params: ParamVec, theta0: ParamVec, drift, gradient) -> ParamVec:
+    """Run cfg's m local steps on params in place and return it: the one definition of a local step.
+
+    gradient(tau, params) returns the raw gradient of step tau (0-based) at
+    params as a new ParamVec, which the step then writes into. Every step
+    adds the round's drift (None: none) and then the proximal pull
+    cfg.lam * (params - theta0); sgdm folds the sum into a velocity
+    v <- gamma v + g, nag into v <- gamma v + (1 + gamma) g - gamma g_prev,
+    which is g plus gamma times the heavy-ball velocity (Sutskever et al.
+    2013); then params moves by -eta times the result. train_stack runs it on stacked parameters and
+    step_weights on unit impulses.
+    """
+    eta, gamma = cfg.eta, cfg.gamma
+    lead = gamma if cfg.optimizer == "nag" else 0.0
+    velocity = prev_grad = None if cfg.optimizer == "sgd" else params.map(np.zeros_like)
+    for tau in range(cfg.epochs):
+        grad = gradient(tau, params)
+        if drift is not None:
+            grad.add_(drift, 1.0)
+        if cfg.lam:
+            grad.add_(params.sub(theta0), cfg.lam)
+        if cfg.optimizer != "sgd":
+            velocity = velocity.scaled(gamma)
+            velocity.add_(grad, 1.0 + lead)
+            if lead:
+                velocity.add_(prev_grad, -lead)
+            prev_grad = grad
+            grad = velocity
+        params.add_(grad, -eta)
+    return params
+
+
+@functools.cache
+def step_weights(cfg: SchemeConfig) -> np.ndarray:
+    """rho: the read-only (m,) weights of each step's gradient in the round's displacement.
+
+    The displacement of a round whose step tau sees gradient g_tau (and no
+    drift) is -eta * sum_tau rho_tau g_tau. local_steps is linear in the
+    gradients, so running it from theta0 = 0 on m coordinates, with a unit
+    gradient on coordinate tau at step tau, leaves -eta * rho_tau on
+    coordinate tau. Plain sgd, and momentum at gamma = 0, give exactly
+    ones. Memoized per config: a repeated call returns the same array.
+    """
+    m = cfg.epochs
+
+    def impulse(tau, params):
+        unit = np.zeros(m)
+        unit[tau] = 1.0
+        return ParamVec([], [unit])
+
+    theta0 = ParamVec([], [np.zeros(m)])
+    rho = local_steps(cfg, theta0.copy(), theta0, None, impulse).biases[0] / -cfg.eta
+    rho.flags.writeable = False
+    return rho
 
 
 def local_train(
@@ -253,9 +312,11 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
     carries a leading client axis while training, and the pairs hold views
     into those arrays.
 
-    Every step adds round_correction's drift and then its proximal pull to
-    the cross-entropy gradient; sgdm and nag then fold it into a velocity.
-    Each client's numbers are bit for bit those of training it alone.
+    The epochs are local_steps on the stacked parameters, with each
+    client's round_correction drift and a gradient that runs
+    backward_stack on the epoch's batches and records the first loss and
+    the cross-entropy bias gradients. Each client's numbers are bit for
+    bit those of training it alone.
     Pure: neither `model` nor any history is modified. Raises on a
     history/round mismatch before training (first client first). After
     training, the first client in stack order that failed raises, at its
@@ -272,43 +333,28 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
 
     theta0 = model.params()  # read-only reference to the round-start params
     params = theta0.map(lambda arr: np.stack([arr] * stack))
-    eta, gamma = cfg.eta, cfg.gamma
     # every history has completed round_idx - 1 rounds, so the drift is
     # None for all of them or for none
-    corrections = [round_correction(cfg, h) for h in histories]
-    prox, drift = corrections[0]
+    drifts = [round_correction(cfg, h) for h in histories]
+    drift = drifts[0]
     if drift is not None:
-        drift = drift.map(lambda *layer: np.stack(layer), *(d for _, d in corrections[1:]))
+        drift = drift.map(lambda *layer: np.stack(layer), *drifts[1:])
 
-    # sgdm: v <- gamma v + g; nag: v <- gamma v + (1 + gamma) g - gamma g_prev
-    lead = gamma if cfg.optimizer == "nag" else 0.0
-    velocity = prev_grad = None if cfg.optimizer == "sgd" else params.map(np.zeros_like)
     ce_bias_grads = np.zeros((stack, m, model.n_classes))
     bad_epoch = np.zeros(stack, dtype=int)  # first non-finite-loss epoch, 0 for none
+    first_losses = np.zeros(stack)
 
-    for tau in range(m):
+    def gradient(tau, params):
         idx = batches[:, tau]
         losses, grad = backward_stack(params, model.activation, data.features[idx], data.labels[idx])
         if not np.isfinite(losses).all():
             bad_epoch[(bad_epoch == 0) & ~np.isfinite(losses)] = tau + 1
         if tau == 0:
-            first_losses = losses
+            first_losses[:] = losses
         ce_bias_grads[:, tau] = grad.biases[-1]
+        return grad
 
-        if drift is not None:
-            grad.add_(drift, 1.0)
-        if prox:
-            grad.add_(params.sub(theta0), prox)
-
-        if cfg.optimizer != "sgd":
-            velocity = velocity.scaled(gamma)
-            velocity.add_(grad, 1.0 + lead)
-            if lead:
-                velocity.add_(prev_grad, -lead)
-            prev_grad = grad
-            grad = velocity
-
-        params.add_(grad, -eta)
+    local_steps(cfg, params, theta0, drift, gradient)
 
     delta = params.sub(theta0)
     failed = bad_epoch > 0

@@ -39,6 +39,7 @@ from fedleak.fedsim import (
 )
 from fedleak.metrics import iacc
 from fedleak import attack as attack_module
+from fedleak import fedsim
 from fedleak.nn import Model, forward_batch, init_model, softmax_rows, zeros_like_params
 
 from _helpers import blob_world, fedavg_cfg, full_batch_world, one_round
@@ -224,15 +225,45 @@ def test_coefficients_momentum_at_gamma_zero_are_ones(optimizer, m):
     npt.assert_array_equal(scheme_coefficients(cfg, 1, history).rho, np.ones(m))
 
 
-@pytest.mark.parametrize("optimizer, extra", [("sgdm", 1), ("nag", 2)])
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
-@pytest.mark.parametrize("m", [1, 2, 5, 20])
-def test_coefficients_momentum_closed_form_bits(optimizer, extra, gamma, m):
-    # rho_tau = (1 - gamma^(m+1-tau)) / (1 - gamma) for sgdm; nag has m+2
-    history, _ = fresh_history()
-    cfg = SchemeConfig(scheme="fedavg", optimizer=optimizer, eta=0.1, gamma=gamma, epochs=m, batch_size=8)
-    expected = np.array([(1.0 - gamma ** (m + extra - tau)) / (1.0 - gamma) for tau in range(1, m + 1)])
-    assert scheme_coefficients(cfg, 1, history).rho.tobytes() == expected.tobytes()
+def _closed_form_rho(cfg):
+    """The step weights as closed forms, an independent reference for fedsim.step_weights."""
+    m = cfg.epochs
+    taus = np.arange(1, m + 1)
+    if cfg.lam:
+        # a proximal pull shrinks step tau's displacement by q = 1 - lambda eta
+        # at each later step (Li et al. 2020)
+        return (1.0 - cfg.lam * cfg.eta) ** (m - taus)
+    # momentum's geometric tail sums (Sutskever et al. 2013):
+    # (1 - gamma^(m + 1 - tau)) / (1 - gamma) for sgdm, one more power for nag
+    extra = 2 if cfg.optimizer == "nag" else 1
+    return (1.0 - cfg.gamma ** (m + extra - taus)) / (1.0 - cfg.gamma)
+
+
+STEP_RECIPES = (
+    [("fedavg", "sgd", 0.0, 0.0), ("scaffold", "sgd", 0.0, 0.0)]
+    + [("fedavg", optimizer, 0.0, gamma) for optimizer in ("sgdm", "nag") for gamma in (0.0, 0.5, 0.9)]
+    + [(scheme, "sgd", lam, 0.0) for scheme in ("fedprox", "feddyn", "feddc") for lam in (1.0, 25.0)]
+)
+STEP_CASES = [
+    pytest.param(scheme, optimizer, lam, gamma, eta, m,
+                 id=f"{scheme}-{optimizer}-{'lam' if lam else 'gamma'}{lam or gamma}-eta{eta}-m{m}")
+    for scheme, optimizer, lam, gamma in STEP_RECIPES
+    for eta in (0.01, 0.05, 0.1)
+    for m in (1, 2, 5, 10, 20)
+    if lam * eta < 1.0
+]
+
+
+@pytest.mark.parametrize("scheme, optimizer, lam, gamma, eta, m", STEP_CASES)
+def test_step_weights_match_closed_forms(scheme, optimizer, lam, gamma, eta, m):
+    cfg = SchemeConfig(scheme=scheme, optimizer=optimizer, eta=eta, lam=lam, gamma=gamma, epochs=m, batch_size=8)
+    rho = fedsim.step_weights(cfg)
+    if not lam and not gamma:
+        assert rho.tobytes() == np.ones(m).tobytes()
+    npt.assert_allclose(rho, _closed_form_rho(cfg), rtol=1e-14, atol=0)
+    assert not rho.flags.writeable
+    assert fedsim.step_weights(cfg) is rho
+    assert scheme_coefficients(cfg, 1, fresh_history()[0]).rho is rho
 
 
 def test_coefficients_fedprox():

@@ -811,6 +811,57 @@ def test_empty_report_dir_exit_two(tmp_path, capsys, monkeypatch):
     check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv + small_args(tmp_path))
 
 
+def write_inputs(tmp_path):
+    """One input file of each kind the commands read: a config, a model, a dataset and a result CSV."""
+    from fedleak.data import make_synthetic
+
+    (tmp_path / "c.json").write_text("{}")
+    write_world(tmp_path, init_model([8, 6, 4], "relu", seed=0), make_synthetic(4, 8, 10, 3.0, seed=0))
+    write_result_csv(tmp_path / "r.csv", [result_row()])
+    (tmp_path / "link.csv").symlink_to(tmp_path / "r.csv")
+
+
+@pytest.mark.parametrize(
+    "argv, config_flags",
+    [
+        (["gen-data", "--out-data", "{tmp}/x.csv", "--out-partition", "{tmp}/./x.csv"], True),
+        (["run", "--seed", "0", "--output", "{tmp}/out.csv", "--round-log", "{tmp}/./out.csv"], True),
+        (["run", "--seed", "0", "--config", "{tmp}/c.json", "--output", "{tmp}/c.json"], True),
+        (["sweep", "--seeds", "0,1", "--config", "{tmp}/c.json", "--output", "{tmp}/c.json"], True),
+        (["diagnose-moments", "--model", "{tmp}/model.npz", "--data", "{tmp}/data.csv", "--output", "{tmp}/data.csv"],
+         False),
+        (["report", "{tmp}/r.csv", "--output", "{tmp}/link.csv"], False),
+    ],
+    ids=["gen_data_outputs", "run_round_log_output", "run_config", "sweep_config", "diagnose_moments_data",
+         "report_input_through_a_symlink"],
+)
+def test_output_that_is_another_output_or_an_input_exit_two(tmp_path, capsys, monkeypatch, argv, config_flags):
+    # each of these used to exit 0 and leave one file lost: the last write
+    # won, or an input was overwritten by the command's own output
+    write_inputs(tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + (small_args(tmp_path) if config_flags else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "is the same file as" in err
+    assert calls == []
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_run_experiment_rejects_an_empty_round_log(tmp_path, monkeypatch):
+    # an empty round log used to count as not given: every round trained
+    # and no log was written
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    with pytest.raises(FileNotFoundError, match="cannot write a round log to an empty path"):
+        run_experiment(small_experiment(), round_log="")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("report_dir", ["", "missing"])
 def test_run_experiment_rejects_a_report_dir_that_is_no_directory(tmp_path, monkeypatch, report_dir):
     calls = []
