@@ -9,13 +9,15 @@ the zero class whose multiplier is most negative. Everything it needs that
 depends on A alone (G = A^T A, the bordered KKT matrix and the linear map
 of its warm start) is a SimplexSystem that simplex_system builds once, so
 each u solved against a prebuilt system pays only for A^T u, one matvec
-and the KKT solves on its own supports.
+and the KKT solves on its own supports. A system solved for one u only
+(one_use_system) skips the warm start's inverse and solves that u's warm
+start directly.
 pgd_simplex_ls solves the same problem by projected gradient, with
 project_simplex as its projection; the attack no longer calls it, and
 tests keep it as an independent reference.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,12 +113,14 @@ def _kkt_solve(kkt, rhs, rows, limit):
 class SimplexSystem:
     """The part of min ||A z - u||^2 over the simplex that does not depend on u.
 
-    kkt is the bordered matrix [G 1; 1^T 0] of G = A^T A, and warm is the
-    linear map of the warm start: warm @ [A^T u; 1] is the KKT solution on
-    every class. It is kkt's inverse, or, when _kkt_solve finds kkt
-    singular, its least-squares inverse, so a singular system starts from
-    _kkt_solve's least-squares point. warm is None when A is all zero.
-    The arrays are read-only.
+    kkt is the bordered matrix [G 1; 1^T 0] of G = A^T A. warm, when
+    simplex_system built the system for many u, is the linear map of the
+    warm start: warm @ [A^T u; 1] is the KKT solution on every class. It
+    is kkt's inverse, or, when _kkt_solve finds kkt singular, its
+    least-squares inverse, so a singular system starts from _kkt_solve's
+    least-squares point. warm is None when A is all zero, and in a
+    one-use system (one_use_system), whose single u solves its warm start
+    directly. The arrays are read-only.
     """
 
     a: np.ndarray
@@ -126,11 +130,12 @@ class SimplexSystem:
     gram_scale: float  # max |G|; max |kkt| is max(gram_scale, 1.0)
 
 
-def simplex_system(a) -> SimplexSystem:
-    """The SimplexSystem of a square, finite matrix A.
+def one_use_system(a) -> SimplexSystem:
+    """The SimplexSystem of a square, finite matrix A, without the warm-start inverse.
 
-    Costs one Gram product and one inversion of the (n + 1)-square KKT
-    matrix, the warm-start solve of every u against A at once.
+    Costs one Gram product. For a matrix that one u is solved against:
+    active_set_simplex_ls then makes the warm start one KKT solve on every
+    class, which is cheaper than forming the (n + 1)-square inverse.
     """
     a = np.ascontiguousarray(a, dtype=np.float64).view()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -142,14 +147,26 @@ def simplex_system(a) -> SimplexSystem:
     kkt = np.ones((n + 1, n + 1))
     kkt[:n, :n] = gram
     kkt[n, n] = 0.0
-    gram_scale = float(abs(gram).max())
+    for arr in (a, gram, kkt):
+        arr.flags.writeable = False
+    return SimplexSystem(a, gram, kkt, None, float(abs(gram).max()))
+
+
+def simplex_system(a) -> SimplexSystem:
+    """The SimplexSystem of a square, finite matrix A, for solving many u against it.
+
+    Costs one_use_system plus one inversion of the (n + 1)-square KKT
+    matrix, the warm-start solve of every u against A at once.
+    """
+    system = one_use_system(a)
+    if not system.gram_scale:
+        return system
+    n = system.gram.shape[0]
     # the limit _kkt_solve applies to a right-hand side of largest entry 1
-    limit = _KKT_COND_LIMIT / max(gram_scale, 1.0)
-    warm = _kkt_solve(kkt, np.eye(n + 1), np.arange(n + 1), limit) if gram.any() else None
-    for arr in (a, gram, kkt, warm):
-        if arr is not None:
-            arr.flags.writeable = False
-    return SimplexSystem(a, gram, kkt, warm, gram_scale)
+    limit = _KKT_COND_LIMIT / max(system.gram_scale, 1.0)
+    warm = _kkt_solve(system.kkt, np.eye(n + 1), np.arange(n + 1), limit)
+    warm.flags.writeable = False
+    return replace(system, warm=warm)
 
 
 def active_set_simplex_ls(system, b):
@@ -157,8 +174,9 @@ def active_set_simplex_ls(system, b):
 
     Returns (z, kkt_solves, converged). An all-zero A returns the uniform
     point after no solve. Otherwise the warm start is the KKT solution on
-    every class, system.warm @ [b; 1], and counts as one solve; if that
-    point is positive it is the answer, otherwise its simplex projection
+    every class: system.warm @ [b; 1], or, in a one-use system, one
+    _kkt_solve on every class. It counts as one solve. If that point is
+    positive it is the answer, otherwise its simplex projection
     starts the primal active-set iteration. A KKT solve on the support
     that leaves a coordinate at or below zero steps to the boundary and
     drops the first coordinate to reach it; one that does not moves there
@@ -169,13 +187,13 @@ def active_set_simplex_ls(system, b):
     converged False.
     """
     n = b.size
-    if system.warm is None:
+    if not system.gram_scale:
         return np.full(n, 1.0 / n), 0, True
     kkt, gram = system.kkt, system.gram
     rhs = np.append(b, 1.0)
     limit = _KKT_COND_LIMIT * abs(rhs).max() / max(system.gram_scale, 1.0)
     tol = _KKT_RTOL * (system.gram_scale + abs(b).max())
-    x = system.warm @ rhs
+    x = _kkt_solve(kkt, rhs, np.arange(n + 1), limit) if system.warm is None else system.warm @ rhs
     solves = 1
     if x[:n].min() > 0.0:
         return x[:n], solves, True

@@ -17,10 +17,14 @@ matrix with its warm-start inverse), and rlu_attack takes the context
 with each update. A single-epoch update then costs its target and the
 KKT solves on its own supports; a multi-epoch one also forwards the
 class-ordered auxiliary features through its local model and builds its
-own system. Class-grouped logits travel as (logits, bounds), class n's
-rows at bounds[n]:bounds[n + 1]. Nothing on the attack path draws random
-numbers. mc_confusion, the Gaussian Monte Carlo model of the same matrix,
-stays as a diagnostic of how far the logits are from Gaussian.
+own system, which it solves once: a one-use system, with no KKT inverse.
+Class-grouped logits travel as (logits, bounds), class n's rows at
+bounds[n]:bounds[n + 1], and are stored class-major (F-ordered), as
+forward_batch returns them, so the softmax and the per-class reductions
+of plugin_confusion run over contiguous class vectors. Nothing on the
+attack path draws random numbers. mc_confusion, the Gaussian Monte Carlo
+model of the same matrix, stays as a diagnostic of how far the logits
+are from Gaussian.
 
 Every forward pass of the auxiliary set goes through _aux_logits. A pass
 large enough for BLAS to dominate (each half at least
@@ -42,13 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fedsim
-from ._kernels import SimplexSystem, active_set_simplex_ls, mean_softmax, simplex_system
+from ._kernels import SimplexSystem, active_set_simplex_ls, mean_softmax, one_use_system, simplex_system
 # Kept only for perfbench/tracing.py, which looks the name up here; the attack
 # no longer calls it.
 from ._kernels import pgd_simplex_ls  # noqa: F401
 from .data import Dataset, largest_remainder
 from .fedsim import LocalUpdate, SchemeConfig, UpdateHistory, check_history, round_correction
-from .nn import Model, forward_batch, softmax_rows
+from .nn import Model, ParamVec, forward_batch, softmax_rows
 
 METHOD_SINGLE = "single_epoch"
 METHOD_CRUDE = "crude_multi_epoch"
@@ -221,9 +225,10 @@ def _aux_logits(model: Model, features: np.ndarray) -> np.ndarray:
     and one after the other in the calling thread with one. The cut
     depends only on the row and weight counts, so the logits never depend
     on the CPU count. Whether they equal one pass bit for bit is up to the
-    BLAS; on the benchmark's models they do. An error in the first half
-    is raised before one in the second, as in one pass. forward_batch is
-    looked up in this module at call time.
+    BLAS; on the benchmark's models they do. They are class-major either
+    way: np.concatenate gives its result the memory order of its inputs.
+    An error in the first half is raised before one in the second, as in
+    one pass. forward_batch is looked up in this module at call time.
     """
     half = len(features) // 2
     if half < _SPLIT_MIN_ROWS or half * sum(w.size for w in model.weights) < fedsim._PARALLEL_MIN_STEP_MACS:
@@ -286,7 +291,10 @@ def plugin_confusion(logits, bounds) -> ConfusionMatrix:
     from one (classes, count, N) view of the probabilities, and the pass
     allocates no other (rows, N) array; other counts take one mean per
     class slice. Both give the bits of mean_softmax on each class's rows
-    alone.
+    alone. The probabilities keep the logits' memory order, so on
+    class-major logits, as forward_batch returns them, every class's
+    probabilities of one logit are contiguous and each reduction runs
+    over contiguous vectors.
     """
     bounds = np.asarray(bounds)
     if bounds[0] != 0 or bounds[-1] != len(logits):
@@ -357,14 +365,24 @@ def scheme_coefficients(cfg: SchemeConfig, round_idx: int, history: UpdateHistor
     unit gradients, so it holds for every optimizer and proximal pull the
     simulator runs. The drift (fedsim.round_correction) enters every step
     like a gradient term, so its share of the output-bias delta is -h with
-    h = eta * sum(rho) * drift. history must be the client's record at the
-    start of round_idx.
+    h = eta * sum(rho) * drift. Only the drift's output bias is formed:
+    round_correction reads a record whose fields are history's cut to
+    their output-bias arrays, which gives the bits of the full drift's.
+    history must be the client's record at the start of round_idx.
     """
     check_history(history, round_idx)
     rho = fedsim.step_weights(cfg)
+    reads = fedsim.HISTORY_READS[cfg.scheme]
+    if reads:
+        history = UpdateHistory(history.completed_rounds, **{name: _output_bias(getattr(history, name)) for name in reads})
     drift = round_correction(cfg, history)
     h = None if drift is None else cfg.eta * rho.sum() * drift.biases[-1]
     return SchemeCoefficients(rho, h)
+
+
+def _output_bias(vec: ParamVec):
+    """vec cut to its output-layer bias, as a one-array ParamVec; None stays None."""
+    return None if vec is None else ParamVec([], [vec.biases[-1]])
 
 
 def build_system(confusion: ConfusionMatrix) -> np.ndarray:
@@ -391,20 +409,21 @@ def make_target(update: LocalUpdate, coeffs: SchemeCoefficients, cfg: SchemeConf
 def solve_simplex_ls(a, u: np.ndarray):
     """min ||A z - u||^2 over the probability simplex, solved exactly.
 
-    a is the system matrix A, or the SimplexSystem that
-    _kernels.simplex_system built from it, which holds G = A^T A and the
-    warm start's KKT inverse; a matrix is turned into one here. Only
-    b = A^T u is formed per call. The primal active-set method of
-    _kernels.active_set_simplex_ls then warm-starts from the KKT solution
-    on every class and makes one small KKT solve per support change until
-    the KKT conditions hold. Returns (z, info) where info carries
+    a is the SimplexSystem that _kernels.simplex_system built from the
+    system matrix A, which holds G = A^T A and the warm start's KKT
+    inverse, or A itself. A matrix is solved once, so it is turned into a
+    _kernels.one_use_system, which forms no inverse: its warm start is one
+    KKT solve. Only b = A^T u is formed per call. The primal active-set
+    method of _kernels.active_set_simplex_ls then warm-starts from the KKT
+    solution on every class and makes one small KKT solve per support
+    change until the KKT conditions hold. Returns (z, info) where info carries
     iterations (the number of KKT solves, the warm start included),
     converged, and the objective at z. If the solve stops at
     _kernels.MAX_KKT_SOLVES first, z is the last point reached, still on
     the simplex, and converged is False. An all-zero A returns the uniform
     point after no solve.
     """
-    system = a if isinstance(a, SimplexSystem) else simplex_system(a)
+    system = a if isinstance(a, SimplexSystem) else one_use_system(a)
     u = np.ascontiguousarray(u, dtype=np.float64)
     if system.a.shape[0] != u.size:
         raise ValueError("u must match A")
@@ -450,8 +469,9 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     the context's alone for a single epoch, whose prebuilt system the
     update is solved against, and for m > 1 also the local model's, from
     its logits on the context's class-ordered auxiliary features, which
-    gives the update its own system. Its solution is rounded to the
-    m * batch_size labels of the round. A multi-epoch update whose shard is
+    gives the update its own system, solved once as a one-use system (no
+    KKT inverse). Its solution is rounded to the m * batch_size labels of
+    the round. A multi-epoch update whose shard is
     exactly one batch (update.n_samples == batch_size, the server-known
     shard size) then has its counts rounded to m times a per-epoch vector
     by posterior_search, unless search_iters is 0: only then does every

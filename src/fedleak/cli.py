@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -49,6 +50,10 @@ RESULT_COLUMNS = [
 
 # Seed-stream tags for deriving independent sub-seeds from the master seed.
 _S_DATA, _S_AUX, _S_PART, _S_MODEL = 11, 12, 13, 14
+
+# The names of the per-attack reports, report_r{round}_c{client}.json, that
+# run_experiment writes into its report directory.
+_REPORT_NAME = re.compile(r"report_r[0-9]+_c[0-9]+\.json")
 
 
 @dataclass(frozen=True)
@@ -324,12 +329,22 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _check_outside_reports(report_dir, *paths) -> None:
+    """Raise FileExistsError if a path (None: not given) is a name the run's reports take in report_dir."""
+    folder = os.path.realpath(report_dir)
+    for path in (p for p in paths if p is not None):
+        real = os.path.realpath(path)
+        if os.path.dirname(real) == folder and _REPORT_NAME.fullmatch(os.path.basename(real)):
+            raise FileExistsError(f"cannot write {path}: a report in {report_dir} takes that name")
+
+
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     _check_writable(cfg.output, args.round_log, inputs=[args.config])
     if args.report_dir is not None:
         if not args.report_dir:
             raise FileNotFoundError("cannot write reports to an empty directory path")
+        _check_outside_reports(args.report_dir, cfg.output, args.round_log)
         os.makedirs(args.report_dir, exist_ok=True)
     rows = run_experiment(cfg, report_dir=args.report_dir, round_log=args.round_log)
     _write_results(cfg.output, rows)

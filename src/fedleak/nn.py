@@ -209,7 +209,15 @@ def forward(model: Model, x: np.ndarray):
 
 
 def forward_batch(model: Model, features: np.ndarray):
-    """Forward pass for a (B, d) batch. Returns (logits (B, N), embeddings (B, L))."""
+    """Forward pass for a (B, d) batch. Returns (logits (B, N), embeddings (B, L)).
+
+    The embeddings are row-major (C-contiguous). The logits are stored
+    class-major (F-contiguous): the output layer is computed as
+    W @ h.T + b[:, None] and returned transposed. The tests check that
+    this gives the bits of the row-major h @ W.T + b. Per-row and
+    per-class reductions over the logits (softmax_rows,
+    attack.plugin_confusion) then run over contiguous class vectors.
+    """
     act, _ = ACTIVATIONS[model.activation]
     h = np.asarray(features, dtype=np.float64)
     # each layer's bias and activation are applied in place on its fresh
@@ -221,9 +229,9 @@ def forward_batch(model: Model, features: np.ndarray):
         h = h @ w.T
         h += b
         act(h, out=h)
-    logits = h @ model.weights[-1].T
-    logits += model.biases[-1]
-    return logits, h
+    logits = model.weights[-1] @ h.T
+    logits += model.biases[-1][:, None]
+    return logits.T, h
 
 
 def softmax(q: np.ndarray) -> np.ndarray:
@@ -235,8 +243,9 @@ def softmax_rows(q: np.ndarray) -> np.ndarray:
     """Numerically stable softmax of each row of a (B, N) logit matrix.
 
     q is never written. For float logits the result is the one new (B, N)
-    array: the shifted logits are exponentiated and normalized in place.
-    Integer logits give float probabilities, as np.exp does.
+    array, in q's memory order: the shifted logits are exponentiated and
+    normalized in place. Integer logits give float probabilities, as
+    np.exp does.
     """
     e = q - q.max(axis=1, keepdims=True)
     e = np.exp(e, out=e if e.dtype.kind == "f" else None)

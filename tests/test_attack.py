@@ -29,7 +29,7 @@ from fedleak.attack import (
     solve_simplex_ls,
 )
 from fedleak import _kernels
-from fedleak._kernels import _KKT_COND_LIMIT, _kkt_solve, mean_softmax, pgd_simplex_ls
+from fedleak._kernels import _KKT_COND_LIMIT, _kkt_solve, mean_softmax, pgd_simplex_ls, simplex_system
 from fedleak.data import Dataset, largest_remainder, make_auxiliary, make_synthetic
 from fedleak.fedsim import (
     LocalUpdate,
@@ -342,6 +342,41 @@ def test_coefficients_scaffold_offset():
     coeffs = scheme_coefficients(cfg, 2, history)
     npt.assert_array_equal(coeffs.rho, np.ones(4))
     npt.assert_allclose(coeffs.h, 0.1 * 4 * c2 + d1, atol=1e-12)
+
+
+SCHEME_RECIPES = {
+    "scaffold": SchemeConfig(scheme="scaffold", eta=0.05, epochs=3, batch_size=16),
+    "feddyn": SchemeConfig(scheme="feddyn", eta=0.05, lam=1.0, epochs=3, batch_size=16),
+    "feddc": SchemeConfig(scheme="feddc", eta=0.05, lam=1.0, epochs=3, batch_size=16),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_RECIPES))
+def test_coefficients_offset_is_the_full_drifts_output_bias_bit_for_bit(scheme):
+    # h reads only the output bias of round_correction's drift, formed from
+    # the output biases of the record alone
+    cfg = SCHEME_RECIPES[scheme]
+    data, aux, partition, model = blob_world(6, clients=4)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    for t in (1, 2, 3):
+        for history in histories:
+            h = scheme_coefficients(cfg, t, history).h
+            drift = fedsim.round_correction(cfg, history)
+            if drift is None:
+                assert t == 1 and h is None
+                continue
+            expected = cfg.eta * fedsim.step_weights(cfg).sum() * drift.biases[-1]
+            assert h.tobytes() == expected.tobytes()
+        model, _, _, _, histories = run_round(model, data, partition, cfg, histories, t, seed=6)
+
+
+def test_coefficients_reject_a_record_without_the_fields_they_read():
+    data, aux, partition, model = blob_world(6, clients=4)
+    fedavg = fedavg_cfg(eta=0.05, epochs=3, batch_size=16)
+    histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
+    histories = run_round(model, data, partition, fedavg, histories, 1, seed=6)[4]
+    with pytest.raises(ValueError, match="scaffold reads client_variate, which this client record does not keep"):
+        scheme_coefficients(SCHEME_RECIPES["scaffold"], 2, histories[0])
 
 
 def test_coefficients_reject_contraction_violation():
@@ -657,6 +692,55 @@ def test_solver_rank_deficient_systems(kind):
         assert z.min() >= 0.0 and abs(z.sum() - 1.0) <= 1e-12
         grid_best = float(((grid @ a.T - u) ** 2).sum(axis=1).min())
         assert info["objective"] <= grid_best + 1e-12
+
+
+def one_use_case(kind, n, rng):
+    """A confusion system A and target u, with A's columns 1 and 2 zeroed, column 0 copied to 1, or A zeroed."""
+    a, u = random_confusion_system(rng, n)
+    if kind == "zero_columns":
+        a[:, 1:3] = 0.0
+    elif kind == "duplicate_columns":
+        a[:, 1] = a[:, 0]
+    elif kind == "zero":
+        a = np.zeros((n, n))
+    return a, u
+
+
+@pytest.mark.parametrize("n", [3, 10, 100])
+@pytest.mark.parametrize("kind", ["confusion", "zero_columns", "zero"])
+def test_one_use_solve_matches_the_prebuilt_system_solve(kind, n):
+    # a matrix is solved without the KKT inverse that a prebuilt system
+    # keeps for its warm start; both take the same steps to the same point,
+    # also where zero columns (saturated classes) make the KKT matrix singular
+    rng = np.random.default_rng(80 + n)
+    for _ in range(20 if n < 100 else 5):
+        a, u = one_use_case(kind, n, rng)
+        z, info = solve_simplex_ls(a, u)
+        z_shared, info_shared = solve_simplex_ls(simplex_system(a), u)
+        npt.assert_array_equal(z > 0.0, z_shared > 0.0)
+        assert info["iterations"] == info_shared["iterations"]
+        assert info["converged"] and info_shared["converged"]
+        npt.assert_allclose(z, z_shared, rtol=0.0, atol=1e-12)
+        if kind == "zero":
+            npt.assert_array_equal(z, np.full(n, 1.0 / n))
+            assert info["iterations"] == 0
+
+
+@pytest.mark.parametrize("n", [3, 10, 100])
+def test_one_use_solve_on_duplicate_columns_reaches_the_same_optimum(n):
+    # with two equal nonzero columns every split of z_0 + z_1 is optimal.
+    # The prebuilt system's inverse sees the singular KKT matrix and starts
+    # from the least-squares point; one LU solve of a right-hand side in its
+    # range does not see it, so the two may return other splits
+    rng = np.random.default_rng(80 + n)
+    for _ in range(20 if n < 100 else 5):
+        a, u = one_use_case("duplicate_columns", n, rng)
+        z, info = solve_simplex_ls(a, u)
+        z_shared, info_shared = solve_simplex_ls(simplex_system(a), u)
+        assert info["converged"] and info_shared["converged"]
+        merged, merged_shared = np.r_[z[0] + z[1], z[2:]], np.r_[z_shared[0] + z_shared[1], z_shared[2:]]
+        npt.assert_allclose(merged, merged_shared, rtol=0.0, atol=1e-12)
+        npt.assert_allclose(info["objective"], info_shared["objective"], rtol=1e-9, atol=1e-20)
 
 
 # ---------------------------------------------------------------- rounding
@@ -1367,6 +1451,33 @@ def test_round_shared_solve_on_a_singular_system(saturated):
         rhs = np.append(system.a.T @ u, 1.0)
         limit = _KKT_COND_LIMIT * abs(rhs).max() / abs(system.kkt).max()
         npt.assert_allclose(system.warm @ rhs, _kkt_solve(system.kkt, rhs, np.arange(5), limit), rtol=1e-9, atol=1e-12)
+
+
+def test_multi_epoch_attack_forms_no_kkt_inverse(monkeypatch):
+    # the round's shared system keeps its inverse for the single-epoch
+    # updates; a multi-epoch update's own system is solved once, so its
+    # warm start is a vector solve
+    data, aux, partition, model = full_batch_world(3, shard_size=16, clients=4)
+    cfg = fedavg_cfg(eta=0.01, epochs=3, batch_size=16)
+    _, updates, truths, _, histories, _ = one_round(data, partition, model, cfg, seed=3)
+    context = prepare_round(model, aux, AttackParams())
+    assert context.system.warm is not None
+    shapes = []
+    real = _kernels._kkt_solve
+
+    def recording(kkt, rhs, rows, limit):
+        shapes.append(rhs.shape)
+        return real(kkt, rhs, rows, limit)
+
+    monkeypatch.setattr(_kernels, "_kkt_solve", recording)
+    attacked = 0
+    for k, update in enumerate(updates):
+        if truths[k] is None:
+            continue
+        rlu_attack(context, update, cfg, histories[k])
+        attacked += 1
+    assert attacked >= 2
+    assert len(shapes) >= attacked and all(shape == (11,) for shape in shapes)
 
 
 def test_rlu_attack_draws_no_random_numbers(monkeypatch):

@@ -73,6 +73,26 @@ def test_split_logits_equal_one_pass_bit_for_bit(monkeypatch, world, cpus):
     assert split.dtype == one_pass.dtype and np.array_equal(split.view(np.int64), one_pass.view(np.int64))
 
 
+@pytest.mark.parametrize("world", sorted(SPLIT_WORLDS))
+def test_one_pass_logits_are_class_major_with_the_row_major_bits(world):
+    model, features = _world(*SPLIT_WORLDS[world])
+    logits, embeds = forward_batch(model, features)
+    assert logits.flags.f_contiguous and embeds.flags.c_contiguous
+    reference = embeds @ model.weights[-1].T + model.biases[-1]
+    assert np.array_equal(logits.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("world", sorted(SPLIT_WORLDS))
+def test_split_logits_stay_class_major(monkeypatch, world, cpus):
+    model, features = _world(*SPLIT_WORLDS[world])
+    _cpus(monkeypatch, cpus)
+    threads = _count_forwards(monkeypatch)
+    split = attack._aux_logits(model, features)
+    assert len(threads) == 2
+    assert split.shape == (len(features), model.n_classes) and split.flags.f_contiguous
+
+
 def test_helper_keeps_the_callers_errstate(monkeypatch):
     # np.errstate is context-local; the pool's threads forward each half in a
     # copy of the caller's context

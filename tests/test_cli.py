@@ -872,6 +872,40 @@ def test_run_experiment_rejects_a_report_dir_that_is_no_directory(tmp_path, monk
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--output", "d/report_r1_c0.json"],
+        ["--round-log", "d/report_r1_c1.json", "--output", "r.csv"],
+        ["--output", "d/./sub/../report_r1_c0.json"],
+    ],
+    ids=["output", "round_log", "output_through_dots"],
+)
+def test_output_named_like_a_report_in_the_report_dir_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # each of these used to exit 0: the result CSV was written over a
+    # report, or a report over the round log
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d" / "sub").mkdir(parents=True)
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    assert main(["run", "--rounds", "1", "--report-dir", "d", *argv, *small_args(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "a report in d takes that name" in err
+    assert calls == []
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["d", "d/sub"]
+
+
+def test_other_names_in_the_report_dir_are_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    argv = ["run", "--rounds", "1", "--report-dir", "d", "--output", "d/report_r1_c0.csv",
+            "--round-log", "d/report_1.json", *small_args(tmp_path)]
+    assert main(argv) == 0
+    names = {p.name for p in (tmp_path / "d").iterdir()}
+    assert {"report_r1_c0.csv", "report_1.json", "report_r1_c0.json"} <= names
+    assert (tmp_path / "d" / "report_r1_c0.csv").read_text().startswith("seed,")
+
+
 def test_invalid_scheme_params_exit_one(tmp_path):
     rc = main(["run", "--scheme", "fedprox", "--lambda", "200.0", "--eta", "0.01",
                "--output", str(tmp_path / "r.csv"), *small_args(tmp_path)])

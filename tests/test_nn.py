@@ -202,6 +202,19 @@ def test_forward_batch_leaves_read_only_features_untouched(activation, sizes):
     assert embeds.tobytes() == h_ref.tobytes()
 
 
+@pytest.mark.parametrize("sizes", [[16, 32, 16, 10], [64, 256, 256, 10]], ids=["default", "train_heavy"])
+def test_forward_batch_logits_are_class_major_with_the_row_major_bits(sizes):
+    model = init_model(sizes, "relu", seed=4)
+    features = np.random.default_rng(4).normal(size=(1000, sizes[0])) * 3
+    logits, embeds = forward_batch(model, features)
+    assert logits.flags.f_contiguous and not logits.flags.c_contiguous
+    assert embeds.flags.c_contiguous
+    q_ref, h_ref = out_of_place_forward(model, features)
+    assert q_ref.flags.c_contiguous
+    assert np.array_equal(logits.view(np.int64), q_ref.view(np.int64))
+    assert np.array_equal(embeds.view(np.int64), h_ref.view(np.int64))
+
+
 # --------------------------------------------------- output layer gradient
 
 def test_output_gradient_uniform_logits():
