@@ -51,9 +51,10 @@ RESULT_COLUMNS = [
 # Seed-stream tags for deriving independent sub-seeds from the master seed.
 _S_DATA, _S_AUX, _S_PART, _S_MODEL = 11, 12, 13, 14
 
-# The names of the per-attack reports, report_r{round}_c{client}.json, that
-# run_experiment writes into its report directory.
-_REPORT_NAME = re.compile(r"report_r[0-9]+_c[0-9]+\.json")
+# The name of the report on round t's attack of client k, _REPORT_NAME.format(t, k),
+# in run_experiment's report directory, and the pattern every such name matches.
+_REPORT_NAME = "report_r{}_c{}.json"
+_REPORT_PATTERN = re.compile("[0-9]+".join(map(re.escape, _REPORT_NAME.split("{}"))))
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,24 @@ def _checked(value, ftype, key):
     return tuple(value) if ftype is tuple else value
 
 
-def _section_values(cls, payload, name) -> dict:
+def _values(cls, payload, where, prefix="") -> dict:
+    """payload's type-checked values for the fields of cls, each section's as a dict of its own.
+
+    where names payload in errors, and prefix ('' at the top, 'scheme.' in
+    the scheme section) starts each key an error names.
+    """
     if not isinstance(payload, dict):
-        raise ValueError(f"config section {name!r} must be an object")
+        raise ValueError(f"{where} must be a JSON object")
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(payload) - set(types)
     if unknown:
-        raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return {key: _checked(value, types[key], f"{name}.{key}") for key, value in payload.items()}
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    return {
+        key: _values(types[key], value, f"config section {prefix + key!r}", f"{prefix}{key}.")
+        if is_dataclass(types[key])
+        else _checked(value, types[key], prefix + key)
+        for key, value in payload.items()
+    }
 
 
 def _file_values(path) -> dict:
@@ -155,16 +166,7 @@ def _file_values(path) -> dict:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    unknown = set(raw) - set(types)
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    return {
-        key: _section_values(types[key], value, key) if is_dataclass(types[key]) else _checked(value, types[key], key)
-        for key, value in raw.items()
-    }
+    return _values(ExperimentConfig, raw, f"config file {path}")
 
 
 def _build_config(values: dict) -> ExperimentConfig:
@@ -217,16 +219,15 @@ def _build_world(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
     """Simulate cfg.rounds rounds, attack every update, return result rows.
 
-    report_dir (None: no reports) must be an existing directory, and
-    round_log (None: no log) a non-empty path. Raises before any training
-    when either is not, and ValueError when no client's shard fills a
-    batch (fed.run_round's check), because then every update is
-    degenerate.
+    round_log (None: no log) and report_dir (None: no reports) must pass
+    _check_writable, the file rule of every command, and report_dir must
+    already exist. Raises OSError before any training when they do not,
+    and ValueError when no client's shard fills a batch (fed.run_round's
+    check), because then every update is degenerate.
     """
+    _check_writable(round_log, report_dir=report_dir)
     if report_dir is not None and not os.path.isdir(report_dir):
         raise FileNotFoundError(f"cannot write reports to {report_dir!r}: no such directory")
-    if round_log is not None and not os.fspath(round_log):
-        raise FileNotFoundError("cannot write a round log to an empty path")
     dataset, aux, partition, model = _build_world(cfg)
     histories = [fed.UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     rows = []
@@ -284,18 +285,22 @@ def _attack_round(cfg: ExperimentConfig, t, current, histories, dataset, aux, pa
                 }
             )
             if report_dir is not None:
-                atk.save_report(os.path.join(report_dir, f"report_r{t}_c{k}.json"), report)
+                atk.save_report(os.path.join(report_dir, _REPORT_NAME.format(t, k)), report)
         row["wall_ms"] = repr(wall_ms)
         rows.append(row)
     return rows, new_global, new_histories
 
 
-def _check_writable(*paths, inputs=()) -> None:
-    """Raise OSError unless each given path (None: not given) can be written; called before any work.
+def _check_writable(*paths, inputs=(), report_dir=None) -> None:
+    """Raise OSError unless a command can write each given path (None: not given); called before any work.
 
-    No two paths, and no path and one of the command's inputs (None: not
-    given), may resolve to one file: one write would silently replace the
-    other file.
+    Each path must be non-empty, lie in an existing directory, be no
+    directory itself, and be writable. No two paths, and no path and one
+    of the command's inputs (None: not given), may resolve to one file:
+    one write would silently replace the other file. report_dir (None: no
+    reports), where a run writes its reports under _REPORT_NAME, must be
+    non-empty, may neither be nor lie inside a path or an input, and may
+    hold no path or input under a report's name.
     """
     claimed = {os.path.realpath(p): p for p in inputs if p is not None}
     for path in (p for p in paths if p is not None):
@@ -310,6 +315,16 @@ def _check_writable(*paths, inputs=()) -> None:
         if real in claimed:
             raise FileExistsError(f"cannot write {path}: it is the same file as {claimed[real]}")
         claimed[real] = path
+    if report_dir is None:
+        return
+    if not report_dir:
+        raise FileNotFoundError("cannot write reports to an empty path")
+    folder = os.path.realpath(report_dir)
+    for real, path in claimed.items():
+        if folder == real or folder.startswith(real + os.sep):
+            raise FileExistsError(f"cannot write reports to {report_dir}: it is or lies inside {path}")
+        if os.path.dirname(real) == folder and _REPORT_PATTERN.fullmatch(os.path.basename(real)):
+            raise FileExistsError(f"cannot write {path}: a report in {report_dir} takes that name")
 
 
 def _write_results(path, rows) -> None:
@@ -329,22 +344,10 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _check_outside_reports(report_dir, *paths) -> None:
-    """Raise FileExistsError if a path (None: not given) is a name the run's reports take in report_dir."""
-    folder = os.path.realpath(report_dir)
-    for path in (p for p in paths if p is not None):
-        real = os.path.realpath(path)
-        if os.path.dirname(real) == folder and _REPORT_NAME.fullmatch(os.path.basename(real)):
-            raise FileExistsError(f"cannot write {path}: a report in {report_dir} takes that name")
-
-
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    _check_writable(cfg.output, args.round_log, inputs=[args.config])
+    _check_writable(cfg.output, args.round_log, inputs=[args.config], report_dir=args.report_dir)
     if args.report_dir is not None:
-        if not args.report_dir:
-            raise FileNotFoundError("cannot write reports to an empty directory path")
-        _check_outside_reports(args.report_dir, cfg.output, args.round_log)
         os.makedirs(args.report_dir, exist_ok=True)
     rows = run_experiment(cfg, report_dir=args.report_dir, round_log=args.round_log)
     _write_results(cfg.output, rows)

@@ -55,19 +55,3 @@ def score(est_counts, true_counts, epochs: int, batch_size: int) -> RecoveryScor
         l1_error=int(np.abs(est - true).sum()),
     )
 
-
-def summarize(scores) -> dict:
-    """Mean/std/min/max per field over RecoveryScores (std unbiased, 0 for n=1)."""
-    scores = list(scores)
-    if not scores:
-        raise ValueError("no scores to summarize")
-    out = {"n": len(scores)}
-    for name in ("cacc", "iacc", "l1_error"):
-        vals = np.array([getattr(s, name) for s in scores], dtype=np.float64)
-        out[name] = {
-            "mean": float(vals.mean()),
-            "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-            "min": float(vals.min()),
-            "max": float(vals.max()),
-        }
-    return out

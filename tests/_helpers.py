@@ -1,4 +1,7 @@
 """Shared world-building helpers for the test suite."""
+import os
+from pathlib import Path
+
 import numpy as np
 
 from fedleak.data import Partition, dirichlet_partition, make_auxiliary, make_synthetic
@@ -62,3 +65,12 @@ def sgd_train(model, dataset, epochs, eta, batch_size, seed):
 def fedavg_cfg(eta=0.01, epochs=1, batch_size=32, optimizer="sgd", gamma=0.0):
     return SchemeConfig(scheme="fedavg", optimizer=optimizer, eta=eta,
                         gamma=gamma, epochs=epochs, batch_size=batch_size)
+
+
+def file_tree(root) -> dict:
+    """Everything under root: {relative path: a file's bytes, a symlink's target, or None for a directory}."""
+    tree = {}
+    for path in Path(root).rglob("*"):
+        key = path.relative_to(root).as_posix()
+        tree[key] = ("link", os.readlink(path)) if path.is_symlink() else None if path.is_dir() else path.read_bytes()
+    return tree

@@ -22,6 +22,7 @@ from fedleak.attack import (
     posterior_search,
     prepare_round,
     RoundContext,
+    SchemeCoefficients,
     rlu_attack,
     round_counts,
     save_report,
@@ -461,6 +462,14 @@ def test_make_target_zero_update():
     npt.assert_allclose(u, np.zeros(4), atol=1e-15)
 
 
+@pytest.mark.parametrize("rho", [[0.0], [0.5, -0.5], [-1.0]])
+def test_make_target_rejects_a_rho_sum_of_zero_or_less(rho):
+    _, model = fresh_history()
+    coeffs = SchemeCoefficients(np.array(rho))
+    with pytest.raises(ValueError, match="sum of rho must be positive"):
+        make_target(snap_update(model, np.zeros(4)), coeffs, fedavg_cfg(epochs=len(rho)))
+
+
 def test_make_target_recombination_all_schemes():
     # the inverted target must equal the rho-weighted mean of the recorded
     # per-epoch gradients, negated: this ties the attack's normalization to
@@ -503,6 +512,16 @@ def test_solver_identity_feasible_target():
     z, info = solve_simplex_ls(np.eye(3), np.array([0.2, 0.3, 0.5]))
     npt.assert_allclose(z, [0.2, 0.3, 0.5], atol=1e-8)
     assert info["objective"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "u, message",
+    [([0.5, 0.5], "u must match A"), ([0.5, np.nan, 0.5], "non-finite target"), ([np.inf, 0.0, 0.0], "non-finite target")],
+    ids=["wrong_length", "nan", "inf"],
+)
+def test_solver_rejects_a_bad_target(u, message):
+    with pytest.raises(ValueError, match=message):
+        solve_simplex_ls(np.eye(3), np.array(u))
 
 
 def test_solver_identity_projection():

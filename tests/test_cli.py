@@ -29,7 +29,7 @@ from fedleak.cli import (
 from fedleak.data import load_dataset_csv
 from fedleak.nn import forward_batch, init_model, save_model
 
-from _helpers import sgd_train
+from _helpers import file_tree, sgd_train
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -331,6 +331,19 @@ def test_diagnose_moments_rejects_a_zero_width_checkpoint(tmp_path, capsys):
     rc = main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath), "--output", str(out)])
     assert rc == 1
     assert "zero.ckpt has layer_sizes [4, 0, 3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_moments_rejects_a_non_finite_checkpoint(tmp_path, capsys):
+    from fedleak.data import make_synthetic
+
+    mpath, dpath = write_world(tmp_path, init_model([8, 6, 4], "relu", seed=0), make_synthetic(4, 8, 10, 3.0, seed=0))
+    # the checkpoint ends with the output layer's last bias
+    mpath.write_bytes(mpath.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    out = tmp_path / "moments.csv"
+    rc = main(["diagnose-moments", "--model", str(mpath), "--data", str(dpath), "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: layer 1: non-finite parameters\n"
     assert not out.exists()
 
 
@@ -665,6 +678,20 @@ def test_config_unknown_keys_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "payload, where",
+    [([1, 2], "config file {path}"), ({"scheme": [1]}, "config section 'scheme'"), ({"data": 4}, "config section 'data'")],
+    ids=["file", "scheme_section", "data_section"],
+)
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys, payload, where):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(cfg_path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {where.format(path=cfg_path)} must be a JSON object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "payload, key",
     [
         ({"attack": {"mc_samples": "100"}}, "mc_samples"),
@@ -856,7 +883,7 @@ def test_run_experiment_rejects_an_empty_round_log(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     calls = []
     monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
-    with pytest.raises(FileNotFoundError, match="cannot write a round log to an empty path"):
+    with pytest.raises(FileNotFoundError, match="cannot write an empty path"):
         run_experiment(small_experiment(), round_log="")
     assert calls == []
     assert list(tmp_path.iterdir()) == []
@@ -904,6 +931,50 @@ def test_other_names_in_the_report_dir_are_written(tmp_path, monkeypatch):
     names = {p.name for p in (tmp_path / "d").iterdir()}
     assert {"report_r1_c0.csv", "report_1.json", "report_r1_c0.json"} <= names
     assert (tmp_path / "d" / "report_r1_c0.csv").read_text().startswith("seed,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--report-dir", "out", "--output", "out"],
+        ["--report-dir", "rl", "--round-log", "rl", "--output", "r.csv"],
+        ["--config", "d/report_r1_c0.json", "--report-dir", "d", "--output", "r.csv"],
+    ],
+    ids=["report_dir_is_the_output", "report_dir_is_the_round_log", "config_takes_a_report_name"],
+)
+def test_report_dir_that_meets_another_path_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # the first two used to train and then exit 2, after writing every
+    # report or training round 1; the third exited 0 with a report written
+    # over its config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "report_r1_c0.json").write_text("{}")
+    before = file_tree(tmp_path)
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    assert main(["run", "--rounds", "1", *argv, *small_args(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert calls == []
+    assert file_tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [{"round_log": "nodir/x.csv"}, {"report_dir": "rd", "round_log": "rd/report_r1_c0.json"}],
+    ids=["round_log_in_a_missing_directory", "round_log_takes_a_report_name"],
+)
+def test_run_experiment_refuses_its_file_plan_before_training(tmp_path, monkeypatch, paths):
+    # the first used to train round 1 and then raise; the second returned
+    # with a report written over the round log
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rd").mkdir()
+    before = file_tree(tmp_path)
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    with pytest.raises(OSError, match="^cannot write "):
+        run_experiment(small_experiment(), **paths)
+    assert calls == []
+    assert file_tree(tmp_path) == before
 
 
 def test_invalid_scheme_params_exit_one(tmp_path):

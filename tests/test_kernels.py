@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fedleak._kernels import _kkt_solve, mean_softmax, pgd_simplex_ls, project_simplex
+from fedleak._kernels import _kkt_solve, mean_softmax, one_use_system, pgd_simplex_ls, project_simplex
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -102,6 +102,17 @@ def test_kkt_solve_takes_least_squares_on_a_singular_system(corner, rhs):
     lsq = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     npt.assert_array_equal(x, lsq)
     npt.assert_allclose(x[:2], [0.5, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [(np.ones((3, 2)), "A must be square"), (np.ones(3), "A must be square"),
+     (np.diag([1.0, np.nan]), "non-finite system"), (np.diag([1.0, -np.inf]), "non-finite system")],
+    ids=["rectangular", "vector", "nan", "inf"],
+)
+def test_one_use_system_rejects_a_bad_matrix(a, message):
+    with pytest.raises(ValueError, match=message):
+        one_use_system(a)
 
 
 def test_single_path_ignores_an_importable_numba(tmp_path):

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from fedleak.metrics import RecoveryScore, cacc, iacc, score, summarize
+from fedleak.metrics import RecoveryScore, cacc, iacc, score
 
 
 def test_iacc_partial_overlap():
@@ -63,32 +63,3 @@ def test_score_bundles_all_fields():
     s = score([3, 1, 0, 0], [2, 0, 2, 0], 1, 4)
     assert s == RecoveryScore(cacc=0.5, iacc=0.5, l1_error=4)
 
-
-def test_summarize_two_pass_oracle():
-    rng = np.random.default_rng(4)
-    scores = []
-    for _ in range(12):
-        est = rng.multinomial(32, rng.dirichlet(np.ones(4)))
-        true = rng.multinomial(32, rng.dirichlet(np.ones(4)))
-        scores.append(score(est, true, 1, 32))
-    out = summarize(scores)
-    assert out["n"] == 12
-    for name in ("cacc", "iacc", "l1_error"):
-        vals = [getattr(s, name) for s in scores]
-        mean = sum(vals) / len(vals)
-        var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-        assert out[name]["mean"] == pytest.approx(mean, abs=1e-12)
-        assert out[name]["std"] == pytest.approx(var ** 0.5, abs=1e-12)
-        assert out[name]["min"] == min(vals)
-        assert out[name]["max"] == max(vals)
-
-
-def test_summarize_single_score_std_zero():
-    out = summarize([RecoveryScore(1.0, 0.75, 16)])
-    assert out["iacc"]["std"] == 0.0
-    assert out["iacc"]["mean"] == 0.75
-
-
-def test_summarize_empty_rejected():
-    with pytest.raises(ValueError):
-        summarize([])

@@ -417,6 +417,14 @@ def test_checkpoint_truncated_rejected(tmp_path):
         load_model(path)
 
 
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_model(path, init_model([4, 3], "relu", seed=0))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match=r"trailing bytes in checkpoint .*model\.ckpt"):
+        load_model(path)
+
+
 def write_checkpoint(path, layer_sizes, n_floats):
     """A checkpoint file with the given header sizes and n_floats payload values."""
     header = json.dumps({"layer_sizes": layer_sizes, "activation": "relu"})
