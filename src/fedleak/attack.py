@@ -197,7 +197,7 @@ def class_order(aux: Dataset, n_classes: int) -> tuple:
     Returns (features, bounds): class n's rows are
     features[bounds[n]:bounds[n + 1]], in their order in aux. features is a
     read-only view of aux.features when aux is already sorted by label, as
-    make_auxiliary builds it, and a grouped copy otherwise. Raises
+    make_synthetic builds it, and a grouped copy otherwise. Raises
     ValueError unless aux has n_classes classes, each with a sample.
     """
     if aux.n_classes != n_classes:
@@ -287,7 +287,7 @@ def plugin_confusion(logits, bounds) -> ConfusionMatrix:
 
     All rows go through one softmax together, and the probabilities are
     then centred and squared in place. When every class has the same row
-    count, as make_auxiliary builds it, the means and the centring come
+    count, as make_synthetic builds it, the means and the centring come
     from one (classes, count, N) view of the probabilities, and the pass
     allocates no other (rows, N) array; other counts take one mean per
     class slice. Both give the bits of mean_softmax on each class's rows

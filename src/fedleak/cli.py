@@ -174,10 +174,6 @@ def _build_config(values: dict) -> ExperimentConfig:
     return ExperimentConfig(**{k: types[k](**v) if is_dataclass(types[k]) else v for k, v in values.items()})
 
 
-def load_config(path) -> ExperimentConfig:
-    return _build_config(_file_values(path))
-
-
 def _flag_values(args, cls) -> dict:
     """The plain fields of cls whose command-line flag was given; a flag's dest is its field name."""
     return {
@@ -193,7 +189,7 @@ def _config_from_args(args) -> ExperimentConfig:
     The config objects are built only after the merge, so a constraint
     across fields (lambda * eta, say) is checked on the values the run uses.
     """
-    values = _file_values(args.config) if args.config else {}
+    values = _file_values(args.config) if args.config is not None else {}
     values.update(_flag_values(args, ExperimentConfig))
     for f in fields(ExperimentConfig):
         if is_dataclass(f.type):
@@ -205,7 +201,7 @@ def _build_world(cfg: ExperimentConfig):
     """Dataset, auxiliary set, partition, and initial model for one run."""
     d = cfg.data
     dataset = dat.make_synthetic(d.n_classes, d.dim, d.per_class, d.separation, dat.derive_seed(cfg.seed, _S_DATA))
-    aux = dat.make_auxiliary(
+    aux = dat.make_synthetic(
         d.n_classes, d.dim, cfg.attack.aux_per_class, d.separation, dat.derive_seed(cfg.seed, _S_AUX)
     )
     partition = dat.dirichlet_partition(
@@ -300,7 +296,8 @@ def _check_writable(*paths, inputs=(), report_dir=None) -> None:
     one write would silently replace the other file. report_dir (None: no
     reports), where a run writes its reports under _REPORT_NAME, must be
     non-empty, may neither be nor lie inside a path or an input, and may
-    hold no path or input under a report's name.
+    hold no path or input under a report's name. When it exists, no entry
+    in it under a report's name may be a directory or not writable.
     """
     claimed = {os.path.realpath(p): p for p in inputs if p is not None}
     for path in (p for p in paths if p is not None):
@@ -325,6 +322,11 @@ def _check_writable(*paths, inputs=(), report_dir=None) -> None:
             raise FileExistsError(f"cannot write reports to {report_dir}: it is or lies inside {path}")
         if os.path.dirname(real) == folder and _REPORT_PATTERN.fullmatch(os.path.basename(real)):
             raise FileExistsError(f"cannot write {path}: a report in {report_dir} takes that name")
+    if os.path.isdir(report_dir):
+        for name in filter(_REPORT_PATTERN.fullmatch, os.listdir(report_dir)):
+            entry = os.path.join(report_dir, name)
+            if os.path.isdir(entry) or not os.access(entry, os.W_OK):
+                raise PermissionError(f"cannot write report {entry}: it is a directory or not writable")
 
 
 def _write_results(path, rows) -> None:
@@ -401,7 +403,7 @@ def cmd_diagnose_moments(args) -> int:
         raise ValueError(f"--bins must be at least 1, got {args.bins}")
     _check_writable(args.output, inputs=[args.model, args.data])
     model = nn.load_model(args.model)
-    dataset = dat.load_dataset_csv(args.data, n_classes=model.n_classes)
+    dataset = dat.load_dataset_csv(args.data, model.n_classes)
     width, inputs = dataset.features.shape[1], model.layer_sizes[0]
     if width != inputs:
         raise ValueError(f"{args.data} has {width} features per row, but the model in {args.model} takes {inputs}")

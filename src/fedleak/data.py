@@ -52,10 +52,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.n_classes)
-
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes).astype(np.int64)
 
@@ -106,15 +102,6 @@ def make_synthetic(
         feats[lo : lo + per_class] = separation * dirs[j] + rng.standard_normal((per_class, dim))
         labels[lo : lo + per_class] = j
     return Dataset(feats, labels, n_classes)
-
-
-def make_auxiliary(n_classes: int, dim: int, per_class: int, separation: float, seed: int) -> Dataset:
-    """Auxiliary set from the same generative distribution as make_synthetic.
-
-    Callers are responsible for passing a seed disjoint from the client
-    data seed.
-    """
-    return make_synthetic(n_classes, dim, per_class, separation, seed)
 
 
 def largest_remainder(values: np.ndarray, total: int) -> np.ndarray:
@@ -193,8 +180,7 @@ def save_dataset_csv(path, dataset: Dataset) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def load_dataset_csv(path, n_classes: int = None) -> Dataset:
-    top = math.inf if n_classes is None else n_classes
+def load_dataset_csv(path, n_classes: int) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -216,12 +202,9 @@ def load_dataset_csv(path, n_classes: int = None) -> Dataset:
                 labels.append(int(row[dim]))
             except ValueError:
                 raise ValueError(f"{where}: label {row[dim]!r} is not an integer") from None
-            if not 0 <= labels[-1] < top:
-                raise ValueError(f"{where}: label {labels[-1]} is outside [0, {top})")
-    labels = np.asarray(labels, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1 if len(labels) else 1
-    return Dataset(np.asarray(feats, dtype=np.float64), labels, n_classes)
+            if not 0 <= labels[-1] < n_classes:
+                raise ValueError(f"{where}: label {labels[-1]} is outside [0, {n_classes})")
+    return Dataset(np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.int64), n_classes)
 
 
 def save_partition_csv(path, partition: Partition) -> None:

@@ -8,14 +8,12 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
-def cacc(est_counts, true_counts, n_classes: int = None) -> float:
+def cacc(est_counts, true_counts) -> float:
     """Class-presence agreement: fraction of classes where (count > 0) matches."""
     est = np.asarray(est_counts, dtype=np.int64)
     true = np.asarray(true_counts, dtype=np.int64)
     if est.shape != true.shape or est.ndim != 1:
         raise ValueError("count vectors must be 1-D and aligned")
-    if n_classes is not None and est.size != n_classes:
-        raise ValueError(f"expected {n_classes} classes, got {est.size}")
     return float(np.mean((est > 0) == (true > 0)))
 
 

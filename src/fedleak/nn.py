@@ -202,12 +202,6 @@ def init_model(layer_sizes, activation: str = "relu", seed: int = 0) -> Model:
     return Model(weights, biases, activation)
 
 
-def forward(model: Model, x: np.ndarray):
-    """Forward pass for one feature vector. Returns (logits, embedding)."""
-    q, e = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    return q[0], e[0]
-
-
 def forward_batch(model: Model, features: np.ndarray):
     """Forward pass for a (B, d) batch. Returns (logits (B, N), embeddings (B, L)).
 
@@ -234,11 +228,6 @@ def forward_batch(model: Model, features: np.ndarray):
     return logits.T, h
 
 
-def softmax(q: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a 1-D logit vector."""
-    return softmax_rows(q[None, :])[0]
-
-
 def softmax_rows(q: np.ndarray) -> np.ndarray:
     """Numerically stable softmax of each row of a (B, N) logit matrix.
 
@@ -260,8 +249,7 @@ def output_layer_gradient(q: np.ndarray, y: int) -> np.ndarray:
     entry is softmax_y - 1, every other entry is the softmax probability.
     The entries always sum to zero.
     """
-    p = softmax(q)
-    g = p.copy()
+    g = softmax_rows(q[None, :])[0]
     g[y] -= 1.0
     return g
 

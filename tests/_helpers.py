@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedleak.data import Partition, dirichlet_partition, make_auxiliary, make_synthetic
+from fedleak.data import Partition, dirichlet_partition, make_synthetic
 from fedleak.fedsim import SchemeConfig, UpdateHistory, run_round
 from fedleak.nn import backward, init_model
 
@@ -14,7 +14,7 @@ def blob_world(seed, n_classes=10, dim=16, per_class=100, separation=4.0,
                aux_per_class=100):
     """Dataset, auxiliary set, Dirichlet partition, and untrained model."""
     dataset = make_synthetic(n_classes, dim, per_class, separation, seed=1000 + seed)
-    aux = make_auxiliary(n_classes, dim, aux_per_class, separation, seed=5000 + seed)
+    aux = make_synthetic(n_classes, dim, aux_per_class, separation, seed=5000 + seed)
     partition = dirichlet_partition(dataset, clients, alpha, seed=2000 + seed)
     model = init_model([dim, *hidden, n_classes], activation, seed=3000 + seed)
     return dataset, aux, partition, model
@@ -29,7 +29,7 @@ def full_batch_world(seed, n_classes=10, dim=16, separation=4.0, shard_size=32, 
     are disjoint slices of one permutation of the dataset.
     """
     dataset = make_synthetic(n_classes, dim, 10, separation, seed=1000 + seed)
-    aux = make_auxiliary(n_classes, dim, 100, separation, seed=5000 + seed)
+    aux = make_synthetic(n_classes, dim, 100, separation, seed=5000 + seed)
     rng = np.random.default_rng(2000 + seed)
     order = rng.permutation(len(dataset.labels))
     shards = [np.sort(order[k * shard_size:(k + 1) * shard_size]) for k in range(clients)]

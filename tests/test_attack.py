@@ -31,7 +31,7 @@ from fedleak.attack import (
 )
 from fedleak import _kernels
 from fedleak._kernels import _KKT_COND_LIMIT, _kkt_solve, mean_softmax, pgd_simplex_ls, simplex_system
-from fedleak.data import Dataset, largest_remainder, make_auxiliary, make_synthetic
+from fedleak.data import Dataset, largest_remainder, make_synthetic
 from fedleak.fedsim import (
     LocalUpdate,
     SchemeConfig,
@@ -1356,7 +1356,7 @@ def test_shuffled_auxiliary_set_gives_the_class_ordered_counts(epochs):
     shuffled = Dataset(aux.features[perm], aux.labels[perm], aux.n_classes)
     ordered = prepare_round(model, aux, AttackParams())
     mixed = prepare_round(model, shuffled, AttackParams())
-    # make_auxiliary's set is already grouped by class, so it is not copied
+    # make_synthetic's set is already grouped by class, so it is not copied
     assert np.shares_memory(ordered.aux_features, aux.features)
     assert not np.shares_memory(mixed.aux_features, shuffled.features)
     npt.assert_array_equal(mixed.aux_bounds, ordered.aux_bounds)
@@ -1381,7 +1381,7 @@ def test_auxiliary_set_must_have_the_models_classes():
     # a 12-class set under a 10-class model used to lose its last two
     # classes' rows without a word
     _, _, _, model = blob_world(6)
-    wide = make_auxiliary(12, 16, 50, 4.0, seed=6)
+    wide = make_synthetic(12, 16, 50, 4.0, seed=6)
     for build in (lambda: prepare_round(model, wide, AttackParams()), lambda: class_logits(model, wide)):
         with pytest.raises(ValueError, match=r"^auxiliary set has 12 classes, the model 10$"):
             build()

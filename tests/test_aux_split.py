@@ -11,7 +11,7 @@ import pytest
 
 from fedleak import attack, cli, fedsim
 from fedleak.cli import ExperimentConfig, run_experiment
-from fedleak.data import make_auxiliary
+from fedleak.data import make_synthetic
 from fedleak.nn import forward_batch, init_model
 
 
@@ -38,7 +38,7 @@ def _no_map(*args):
 
 def _world(sizes, per_class, seed=0):
     """A model and its class-ordered auxiliary features."""
-    aux = make_auxiliary(sizes[-1], sizes[0], per_class, 4.0, seed=5000 + seed)
+    aux = make_synthetic(sizes[-1], sizes[0], per_class, 4.0, seed=5000 + seed)
     model = init_model(sizes, "relu", seed=3000 + seed)
     return model, attack.class_order(aux, sizes[-1])[0]
 
@@ -126,7 +126,7 @@ def test_class_logits_splits_its_pass(monkeypatch):
     _cpus(monkeypatch, 2)
     threads = _count_forwards(monkeypatch)
     model = init_model([64, 256, 256, 10], "relu", seed=3000)
-    aux = make_auxiliary(10, 64, 100, 4.0, seed=5000)
+    aux = make_synthetic(10, 64, 100, 4.0, seed=5000)
     logits, bounds = attack.class_logits(model, aux)
     assert len(threads) == 2
     assert np.array_equal(logits, forward_batch(model, aux.features)[0])

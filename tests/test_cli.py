@@ -22,7 +22,6 @@ from fedleak.cli import (
     ExperimentConfig,
     _config_from_args,
     build_parser,
-    load_config,
     main,
     run_experiment,
 )
@@ -84,7 +83,7 @@ def test_gen_data_low_alpha_concentrates_classes(tmp_path):
                "--clients", "5",
                "--out-data", str(out_d), "--out-partition", str(out_p)])
     assert rc == 0
-    data = load_dataset_csv(out_d)
+    data = load_dataset_csv(out_d, 5)
     part_rows = read_rows(out_p)
     share = np.zeros((5, 5))
     for r in part_rows:
@@ -603,7 +602,7 @@ def test_config_file_merges_with_overrides(tmp_path):
         "scheme": {"scheme": "fedprox", "lam": 5.0, "eta": 0.01, "epochs": 2},
         "seed": 9,
     }))
-    cfg = load_config(cfg_path)
+    cfg = _config_from_args(build_parser().parse_args(["run", "--config", str(cfg_path)]))
     assert cfg.scheme.scheme == "fedprox"
     assert cfg.partition.alpha == 0.3
     assert cfg.seed == 9
@@ -773,6 +772,27 @@ def test_missing_config_file_exit_two(tmp_path):
     rc = main(["run", "--config", str(tmp_path / "nope.json"),
                "--output", str(tmp_path / "r.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "0", "--rounds", "1", "--output", "{tmp}/r.csv"],
+        ["sweep", "--seeds", "0,1", "--rounds", "1", "--output", "{tmp}/r.csv"],
+        ["gen-data", "--out-data", "{tmp}/d.csv", "--out-partition", "{tmp}/p.csv"],
+    ],
+    ids=["run", "sweep", "gen_data"],
+)
+def test_empty_config_path_exit_two(tmp_path, capsys, monkeypatch, argv):
+    # an empty --config used to count as not given: the command ran on the
+    # defaults, wrote its files and exited 0
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", ""] + small_args(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def check_unwritable_exit_two(tmp_path, capsys, monkeypatch, argv):
@@ -954,6 +974,33 @@ def test_report_dir_that_meets_another_path_exits_two(tmp_path, capsys, monkeypa
     monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
     assert main(["run", "--rounds", "1", *argv, *small_args(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert calls == []
+    assert file_tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "make_entry",
+    [
+        lambda entry: entry.mkdir(),
+        lambda entry: entry.symlink_to("nodir/x.json"),
+        lambda entry: entry.with_name("report_r07_c12.json").mkdir(),
+    ],
+    ids=["directory", "link_into_a_missing_directory", "directory_no_run_would_write"],
+)
+def test_report_dir_holding_an_unwritable_report_name_is_refused(tmp_path, capsys, monkeypatch, make_entry):
+    # a directory under a report's name used to fail only after training:
+    # the run wrote report_r1_c0.json and then exited 2 on report_r1_c1.json
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    make_entry(tmp_path / "d" / "report_r1_c1.json")
+    before = file_tree(tmp_path)
+    calls = []
+    monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
+    assert main(["run", "--rounds", "1", "--report-dir", "d", "--output", "r2.csv", *small_args(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report d/report_r") and "a directory or not writable" in err
+    with pytest.raises(PermissionError, match="^cannot write report d/report_r"):
+        run_experiment(small_experiment(), report_dir="d")
     assert calls == []
     assert file_tree(tmp_path) == before
 

@@ -26,11 +26,12 @@ TINY = ["--rounds", "1", "--n-classes", "3", "--dim", "4", "--per-class", "20", 
 # Paths in the world make_world lays out that alias each other: one file
 # reached through `..` and a symlink, the directory rd in two spellings, a
 # valid config under a report's name in rd, a new name in rd, a new name in
-# two spellings, a missing directory and a name inside it, the empty path,
-# and None for a flag not given. Few names make aliasing pairs common.
+# two spellings, a missing directory and a name inside it, a directory
+# bad_rd that holds a directory under a report's name, the empty path, and
+# None for a flag not given. Few names make aliasing pairs common.
 NAMES = [
     None, "", "c.json", "sub/../c.json", "link.json", "rd", "./rd/", "rd/report_r1_c0.json", "rd/r.csv",
-    "out", "sub/../out", "nodir", "nodir/x.csv",
+    "out", "sub/../out", "nodir", "nodir/x.csv", "bad_rd",
 ]
 paths = st.sampled_from(NAMES)
 
@@ -43,6 +44,7 @@ def make_world(root):
     os.mkdir(os.path.join(root, "rd"))
     with open(os.path.join(root, "rd", "report_r1_c0.json"), "w") as fh:
         fh.write(CONFIG)
+    os.makedirs(os.path.join(root, "bad_rd", "report_r1_c1.json"))
 
 
 def read_rows(path):
@@ -52,9 +54,11 @@ def read_rows(path):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(output=paths, round_log=paths, report_dir=paths, config=paths)
-# runs that write every file are rare among the draws, so two always run
+# runs that write every file are rare among the draws, so two always run,
+# and so does a run whose only fault is bad_rd's directory under a report's name
 @example(output="rd/r.csv", round_log="sub/../out", report_dir="./rd/", config="link.json")
 @example(output="c.json", round_log="out", report_dir="nodir", config="rd/report_r1_c0.json")
+@example(output="out", round_log=None, report_dir="bad_rd", config="c.json")
 def test_run_refuses_before_any_work_or_writes_every_file(output, round_log, report_dir, config):
     flags = {"--output": output, "--round-log": round_log, "--report-dir": report_dir, "--config": config}
     argv = ["run", *TINY, *[arg for flag, name in flags.items() if name is not None for arg in (flag, name)]]

@@ -10,7 +10,6 @@ from fedleak.data import (
     dirichlet_partition,
     largest_remainder,
     load_dataset_csv,
-    make_auxiliary,
     make_synthetic,
     plan_batches,
     save_dataset_csv,
@@ -64,11 +63,11 @@ def test_separated_blobs_train_fast():
     assert accuracy(model, data.features, data.labels) > 0.95
 
 
-def test_make_auxiliary_uniform_histogram():
-    aux = make_auxiliary(10, 16, 100, 4.0, seed=77)
+def test_make_synthetic_uniform_histogram():
+    aux = make_synthetic(10, 16, 100, 4.0, seed=77)
     assert len(aux.labels) == 1000
     npt.assert_array_equal(aux.class_counts(), np.full(10, 100))
-    small = make_auxiliary(10, 16, 5, 4.0, seed=77)
+    small = make_synthetic(10, 16, 5, 4.0, seed=77)
     npt.assert_array_equal(small.class_counts(), np.full(10, 5))
 
 
@@ -207,7 +206,7 @@ def test_dataset_csv_roundtrip(tmp_path):
     save_dataset_csv(path, data)
     header = path.read_text().splitlines()[0]
     assert header == "f0,f1,f2,f3,f4,label"
-    loaded = load_dataset_csv(path, n_classes=4)
+    loaded = load_dataset_csv(path, 4)
     assert np.array_equal(loaded.features, data.features)
     assert np.array_equal(loaded.labels, data.labels)
 
@@ -228,7 +227,7 @@ def test_dataset_csv_bad_row_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "data.csv"
     path.write_text(f"f0,f1,label\n0.1,0.2,0\n{line}\n0.3,0.4,2\n")
     with pytest.raises(ValueError, match=f"data.csv, line 3: {re.escape(message)}"):
-        load_dataset_csv(path, n_classes=3)
+        load_dataset_csv(path, 3)
 
 
 def test_partition_csv_layout(tmp_path):

@@ -47,6 +47,12 @@ def small_world(seed=0, n_classes=4, clients=2):
     return data, partition, model
 
 
+def client_shard(data, partition, k):
+    """Client k's rows of data, as a Dataset of their own."""
+    idx = partition.assignments[k]
+    return Dataset(data.features[idx], data.labels[idx], data.n_classes)
+
+
 def recombined_bias_delta(update: LocalUpdate, coeffs, cfg):
     """Reassemble the bias delta from the recorded per-epoch gradients."""
     grads = update.debug_ce_bias_grads
@@ -156,7 +162,7 @@ def test_round_correction_rejects_a_record_without_its_fields():
 
 def test_fedprox_lambda_zero_matches_fedavg():
     data, partition, model = small_world(seed=5)
-    client = data.subset(partition.assignments[0])
+    client = client_shard(data, partition, 0)
     plan = plan_batches(len(client), 16, 3, seed=5)
     cfg_avg = fedavg_cfg(eta=0.05, epochs=3, batch_size=16)
     cfg_prox = SchemeConfig(scheme="fedprox", optimizer="sgd", eta=0.05, lam=0.0,
@@ -171,7 +177,7 @@ def test_fedprox_lambda_zero_matches_fedavg():
 
 def test_single_epoch_sgd_delta_is_scaled_mean_gradient():
     data, partition, model = small_world(seed=7)
-    client = data.subset(partition.assignments[0])
+    client = client_shard(data, partition, 0)
     cfg = fedavg_cfg(eta=0.02, epochs=1, batch_size=16)
     plan = plan_batches(len(client), 16, 1, seed=7)
     update, _ = local_train(model, client, plan, cfg, UpdateHistory.fresh(model), 1, 0)
@@ -219,7 +225,7 @@ def test_recombination_identity_three_rounds(scheme, optimizer, lam, gamma, m):
 
 def test_nonfinite_loss_raises():
     data, partition, _ = small_world(seed=3)
-    client = data.subset(partition.assignments[0])
+    client = client_shard(data, partition, 0)
     model = init_model([6, 10, 4], "relu", seed=3)
     plan = plan_batches(len(client), 16, 3, seed=3)
     cfg = fedavg_cfg(eta=1e160, epochs=3, batch_size=16)
@@ -230,7 +236,7 @@ def test_nonfinite_loss_raises():
 def test_nonfinite_final_params_raise():
     # the loss is finite at the single step, but the step overflows the parameters
     data, partition, _ = small_world(seed=3)
-    client = data.subset(partition.assignments[0])
+    client = client_shard(data, partition, 0)
     client = Dataset(client.features * 100.0, client.labels, client.n_classes)
     model = init_model([6, 10, 4], "relu", seed=3)
     plan = plan_batches(len(client), 16, 1, seed=3)
@@ -246,7 +252,7 @@ def test_aggregate_single_client_identity():
     _, _, model = small_world(seed=4)
     cfg = fedavg_cfg(eta=0.05, epochs=1, batch_size=16)
     data, partition, _ = small_world(seed=4)
-    client = data.subset(partition.assignments[0])
+    client = client_shard(data, partition, 0)
     plan = plan_batches(len(client), 16, 1, seed=4)
     update, local = local_train(model, client, plan, cfg, UpdateHistory.fresh(model), 1, 0)
     merged = server_aggregate([update], np.array([1.0]), model)
@@ -618,7 +624,7 @@ def test_run_round_first_error_is_the_client_order_one_in_both_paths(monkeypatch
     messages = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in (1, 3):
-            client = data.subset(partition.assignments[k])
+            client = client_shard(data, partition, k)
             plan = plan_batches(len(client), 16, 1, derive_seed(21, fedsim._STREAM_PLAN, 1, k))
             with pytest.raises(RuntimeError) as err:
                 local_train(model, client, plan, cfg, histories[k], 1, k)

@@ -1,6 +1,6 @@
 """The count columns of seeded runs, compared exactly with committed files.
 
-Two runs are pinned:
+The pinned runs:
 
 - `golden_scaffold_seed3.csv`: `fedleak run --seed 3 --scheme scaffold
   --epochs 3 --alpha 0.05 --rounds 4`, 40 attacked updates, four of them
@@ -8,20 +8,30 @@ Two runs are pinned:
 - `golden_fedprox_m10_seed3.csv`: `fedleak run --seed 3 --scheme fedprox
   --lambda 25 --eta 0.01 --epochs 10 --rounds 3`, the multi-epoch shape of
   the `multi_epoch_search` benchmark workload, whose clients train as one
-  stack per round.
+  stack per round;
+- `golden_<scheme>_<optimizer>_m<epochs>_seed3.csv`: `fedleak run --seed 3
+  --rounds 3` under each of the seven scheme/optimizer pairs at `--epochs 1`
+  and `--epochs 5`, with `--gamma 0.9` for sgdm and nag and `--lambda 1`
+  for the proximal schemes.
 
 Any change to the simulation, the attack or the numbers numpy and BLAS
 produce for them shows up as a differing line. Regenerate the files after
 a deliberate change with
 
-    PYTHONPATH=src python3 tests/test_golden_counts.py
+    PYTHONPATH=src python3 tests/test_golden_counts.py [FILE ...]
+
+which recomputes the named files (all of them when none is named),
+rewrites only those whose text changed, and prints a unified diff of each.
 """
 import csv
+import difflib
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 from fedleak import cli
 
@@ -35,6 +45,25 @@ RUNS = {
         "--rounds", "3",
     ],
 }
+# The seven scheme/optimizer pairs the CLI accepts, each with the flag its recipe reads.
+PAIRS = [
+    ("fedavg", "sgd", []),
+    ("fedavg", "sgdm", ["--gamma", "0.9"]),
+    ("fedavg", "nag", ["--gamma", "0.9"]),
+    ("fedprox", "sgd", ["--lambda", "1"]),
+    ("scaffold", "sgd", []),
+    ("feddyn", "sgd", ["--lambda", "1"]),
+    ("feddc", "sgd", ["--lambda", "1"]),
+]
+CLI_CONFIGS = {
+    f"golden_{scheme}_{optimizer}_m{m}_seed3.csv": [
+        "run", "--seed", "3", "--rounds", "3", "--scheme", scheme, "--optimizer", optimizer, "--epochs", str(m),
+        *extra,
+    ]
+    for scheme, optimizer, extra in PAIRS
+    for m in (1, 5)
+}
+RUNS.update(CLI_CONFIGS)
 COLUMNS = ["round", "client", "method", "counts", "iacc", "cacc", "l1_err", "status"]
 
 
@@ -70,7 +99,28 @@ def test_fedprox_m10_count_columns_match_the_golden_file():
     check_golden("golden_fedprox_m10_seed3.csv")
 
 
+@pytest.mark.parametrize("golden", sorted(CLI_CONFIGS))
+def test_cli_config_count_columns_match_the_golden_file(golden):
+    check_golden(golden)
+
+
+def regenerate(names) -> None:
+    """Rewrite each named golden file whose text changed, printing its unified diff."""
+    unknown = sorted(set(names) - set(RUNS))
+    if unknown:
+        raise SystemExit(f"no pinned run writes {unknown}; known: {sorted(RUNS)}")
+    rewritten = 0
+    for golden in names:
+        path = HERE / golden
+        old = path.read_text() if path.exists() else ""
+        new = golden_text(RUNS[golden])
+        if new != old:
+            diff = difflib.unified_diff(old.splitlines(True), new.splitlines(True), f"a/{golden}", f"b/{golden}")
+            sys.stdout.writelines(diff)
+            path.write_text(new)
+            rewritten += 1
+    print(f"rewrote {rewritten} of {len(names)} golden files", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    for golden, argv in RUNS.items():
-        (HERE / golden).write_text(golden_text(argv))
-        print(f"wrote {HERE / golden}", file=sys.stderr)
+    regenerate([Path(name).name for name in sys.argv[1:]] or list(RUNS))

@@ -15,13 +15,11 @@ from fedleak.nn import (
     backward,
     backward_stack,
     cross_entropy,
-    forward,
     forward_batch,
     init_model,
     load_model,
     output_layer_gradient,
     save_model,
-    softmax,
     softmax_rows,
     zeros_like_params,
 )
@@ -81,32 +79,34 @@ def fd_gradient(model, features, labels, step=1e-5):
 
 # ---------------------------------------------------------------- softmax
 
+# the one-logit-vector cases run as one-row batches
+
 def test_softmax_uniform():
-    npt.assert_allclose(softmax(np.zeros(4)), np.full(4, 0.25), atol=1e-12)
+    npt.assert_allclose(softmax_rows(np.zeros((1, 4))), np.full((1, 4), 0.25), atol=1e-12)
 
 
 def test_softmax_shift_invariant_ratio():
     for c in (0.0, 5.0, -3.0):
-        out = softmax(np.array([c, c + math.log(3.0)]))
-        npt.assert_allclose(out, [0.25, 0.75], atol=1e-12)
+        out = softmax_rows(np.array([[c, c + math.log(3.0)]]))
+        npt.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_softmax_two_logit_value():
-    out = softmax(np.array([2.0, 0.0]))
-    npt.assert_allclose(out, [0.8808, 0.1192], atol=1e-4)
+    out = softmax_rows(np.array([[2.0, 0.0]]))
+    npt.assert_allclose(out, [[0.8808, 0.1192]], atol=1e-4)
 
 
 def test_softmax_sums_to_one_and_shift_invariance():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        q = rng.normal(size=8) * 10
-        p = softmax(q)
+        q = rng.normal(size=(1, 8)) * 10
+        p = softmax_rows(q)
         assert abs(p.sum() - 1.0) <= 1e-12
-        npt.assert_allclose(softmax(q + 123.456), p, atol=1e-12)
+        npt.assert_allclose(softmax_rows(q + 123.456), p, atol=1e-12)
 
 
 def test_softmax_overflow_safe():
-    p = softmax(np.array([1000.0, 0.0]))
+    p = softmax_rows(np.array([[1000.0, 0.0]]))
     assert np.isfinite(p).all() and abs(p.sum() - 1.0) <= 1e-12
 
 
@@ -131,6 +131,7 @@ def test_softmax_rows_of_integer_logits_is_float():
 
 
 # ---------------------------------------------------------------- forward
+# the one-feature-vector cases run as one-row batches
 
 def test_forward_zero_weights_bias_passthrough():
     model = init_model([3, 2, 2], "relu", seed=0)
@@ -138,17 +139,17 @@ def test_forward_zero_weights_bias_passthrough():
         w[:] = 0.0
     model.biases[0][:] = 0.0
     model.biases[1][:] = np.array([1.0, 2.0])
-    q, e = forward(model, np.array([0.3, -0.2, 0.9]))
-    npt.assert_allclose(q, [1.0, 2.0], atol=1e-15)
-    npt.assert_allclose(e, np.zeros(2), atol=1e-15)
+    q, e = forward_batch(model, np.array([[0.3, -0.2, 0.9]]))
+    npt.assert_allclose(q, [[1.0, 2.0]], atol=1e-15)
+    npt.assert_allclose(e, np.zeros((1, 2)), atol=1e-15)
 
 
 def test_forward_single_linear_identity():
     model = Model(weights=[np.eye(2)], biases=[np.zeros(2)], activation="relu")
-    q, e = forward(model, np.array([3.0, -1.0]))
-    npt.assert_allclose(q, [3.0, -1.0], atol=1e-15)
+    q, e = forward_batch(model, np.array([[3.0, -1.0]]))
+    npt.assert_allclose(q, [[3.0, -1.0]], atol=1e-15)
     # the "embedding" of a single-layer net is the input itself
-    npt.assert_allclose(e, [3.0, -1.0], atol=1e-15)
+    npt.assert_allclose(e, [[3.0, -1.0]], atol=1e-15)
 
 
 def test_forward_matches_naive_loops():
@@ -156,27 +157,28 @@ def test_forward_matches_naive_loops():
     rng = np.random.default_rng(42)
     for _ in range(10):
         x = rng.normal(size=5)
-        q, e = forward(model, x)
+        q, e = forward_batch(model, x[None, :])
         q_ref, e_ref = naive_forward(model, x)
-        npt.assert_allclose(q, q_ref, rtol=1e-12)
-        npt.assert_allclose(e, e_ref, rtol=1e-12)
+        npt.assert_allclose(q[0], q_ref, rtol=1e-12)
+        npt.assert_allclose(e[0], e_ref, rtol=1e-12)
 
 
 def test_forward_batch_agrees_with_forward():
+    # every row of a batch's pass agrees with the pass of that row alone
     model = init_model([4, 6, 3], "elu", seed=5)
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(9, 4))
     logits, embeds = forward_batch(model, feats)
     for i in range(9):
-        q, e = forward(model, feats[i])
-        npt.assert_allclose(logits[i], q, atol=1e-14)
-        npt.assert_allclose(embeds[i], e, atol=1e-14)
+        q, e = forward_batch(model, feats[i : i + 1])
+        npt.assert_allclose(logits[i], q[0], atol=1e-14)
+        npt.assert_allclose(embeds[i], e[0], atol=1e-14)
 
 
 def test_forward_dimension_mismatch():
     model = init_model([4, 6, 3], "relu", seed=1)
     with pytest.raises(ValueError):
-        forward(model, np.zeros(5))
+        forward_batch(model, np.zeros((1, 5)))
 
 
 def out_of_place_forward(model, features):
@@ -288,9 +290,9 @@ def test_backward_weight_gradient_outer_product_structure():
     x = rng.normal(size=(1, 5))
     y = np.array([3])
     _, grad = backward(model, x, y)
-    q, e = forward(model, x[0])
-    gb = output_layer_gradient(q, 3)
-    npt.assert_allclose(grad.weights[-1], np.outer(gb, e), rtol=1e-12)
+    q, e = forward_batch(model, x)
+    gb = output_layer_gradient(q[0], 3)
+    npt.assert_allclose(grad.weights[-1], np.outer(gb, e[0]), rtol=1e-12)
 
 
 def one_model_backward(model, x, y):
