@@ -37,7 +37,9 @@ depend on how many CPUs it has.
 
 Everything here sees only what a curious server would: the global model,
 the transmitted update, past transmissions, the training recipe, and an
-auxiliary dataset. Ground-truth label counts never enter.
+auxiliary dataset. Ground-truth label counts never enter. Nothing here
+writes a file: AttackReport.to_json is a report's format, and the CLI
+writes the reports.
 """
 
 import json
@@ -103,20 +105,11 @@ class AttackParams:
 
     search_iters switches the one-batch rounding of posterior_search: 0
     keeps the crude multi-epoch counts, any positive value rounds them.
-    mc_samples and search_mc_samples are still validated, so configs that
-    set them keep loading, but the attack no longer reads them: its
-    confusion matrices come from the auxiliary logits, not from draws.
     """
 
-    mc_samples: int = 10000
     search_iters: int = 5
-    search_mc_samples: int = 1000
 
     def __post_init__(self):
-        if self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be at least 1, got {self.mc_samples}")
-        if self.search_mc_samples < 1:
-            raise ValueError(f"search_mc_samples must be at least 1, got {self.search_mc_samples}")
         if self.search_iters < 0:
             raise ValueError(f"search_iters must be non-negative, got {self.search_iters}")
 
@@ -172,12 +165,6 @@ class AttackReport:
             "diagnostics": {k: self.diagnostics[k] for k in sorted(self.diagnostics)},
         }
         return json.dumps(payload, indent=2)
-
-
-def save_report(path, report: AttackReport) -> None:
-    with open(path, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
 
 
 def _psd_factor(sigma: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ Subcommands:
 
 Configuration comes from an optional JSON file (--config) merged with
 command-line overrides; --seed overrides the master seed. Exit codes:
-0 success, 1 validation error, 2 I/O error.
+0 success, 1 validation error, 2 I/O error. Every file a command writes
+is checked by _check_writable before any work and written here, the
+round log and the attack reports included: fedsim and attack only compute.
 """
 
 import argparse
@@ -83,9 +85,22 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class AttackSpec(atk.AttackParams):
+    """The config's attack section: AttackParams, the auxiliary set's size, and two keys nothing reads.
+
+    mc_samples and search_mc_samples are still checked, so configs that
+    set them keep loading, but the attack does not read them: its
+    confusion matrices come from the auxiliary logits, not from draws.
+    """
+
+    mc_samples: int = 10000
+    search_mc_samples: int = 1000
     aux_per_class: int = 100
 
     def __post_init__(self):
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be at least 1, got {self.mc_samples}")
+        if self.search_mc_samples < 1:
+            raise ValueError(f"search_mc_samples must be at least 1, got {self.search_mc_samples}")
         super().__post_init__()
         if self.aux_per_class < 1:
             raise ValueError(f"aux_per_class must be at least 1, got {self.aux_per_class}")
@@ -189,6 +204,8 @@ def _config_from_args(args) -> ExperimentConfig:
     The config objects are built only after the merge, so a constraint
     across fields (lambda * eta, say) is checked on the values the run uses.
     """
+    if args.config == "":
+        raise FileNotFoundError("--config names no file: its path is empty")
     values = _file_values(args.config) if args.config is not None else {}
     values.update(_flag_values(args, ExperimentConfig))
     for f in fields(ExperimentConfig):
@@ -246,7 +263,7 @@ def _attack_round(cfg: ExperimentConfig, t, current, histories, dataset, aux, pa
         current, dataset, partition, cfg.scheme, histories, t, cfg.seed
     )
     if round_log is not None:
-        fed.append_round_log(round_log, t, cfg.scheme, stats)
+        _write_round_log(round_log, t, cfg.scheme, updates, stats)
     context = atk.prepare_round(current, aux, cfg.attack)
     rows = []
     for k in range(partition.n_clients):
@@ -260,7 +277,7 @@ def _attack_round(cfg: ExperimentConfig, t, current, histories, dataset, aux, pa
             "alpha": repr(cfg.partition.alpha),
             "m": cfg.scheme.epochs,
             "batch": cfg.scheme.batch_size,
-            "train_acc": repr(stats[k]["train_acc"]) if stats[k] else "",
+            "train_acc": repr(stats[k]) if stats[k] is not None else "",
         }
         try:
             report = atk.rlu_attack(context, updates[k], cfg.scheme, histories[k])
@@ -281,10 +298,27 @@ def _attack_round(cfg: ExperimentConfig, t, current, histories, dataset, aux, pa
                 }
             )
             if report_dir is not None:
-                atk.save_report(os.path.join(report_dir, _REPORT_NAME.format(t, k)), report)
+                with open(os.path.join(report_dir, _REPORT_NAME.format(t, k)), "w") as fh:
+                    fh.write(report.to_json() + "\n")
         row["wall_ms"] = repr(wall_ms)
         rows.append(row)
     return rows, new_global, new_histories
+
+
+def _write_round_log(path, t, cfg: fed.SchemeConfig, updates, train_accs) -> None:
+    """Write one row per training client of round t to the round-log CSV; round 1 starts the file afresh."""
+    recipe = [cfg.scheme, cfg.optimizer, repr(cfg.eta), repr(cfg.lam), repr(cfg.gamma), cfg.epochs, cfg.batch_size]
+    with open(path, "w" if t == 1 else "a", newline="") as fh:
+        writer = csv.writer(fh)
+        if t == 1:
+            writer.writerow(
+                ["round", "client", "scheme", "optimizer", "eta", "lambda", "gamma", "m", "batch", "loss", "train_acc"]
+            )
+        writer.writerows(
+            [t, k, *recipe, repr(update.first_loss), repr(acc)]
+            for k, (update, acc) in enumerate(zip(updates, train_accs))
+            if acc is not None
+        )
 
 
 def _check_writable(*paths, inputs=(), report_dir=None) -> None:

@@ -40,12 +40,10 @@ kept pool of one worker thread per usable CPU, or inline with one CPU.
 run_round and the attack's auxiliary forward pass (attack._aux_logits)
 both go through it.
 
-Round-log CSV layout (append_round_log):
-round,client,scheme,optimizer,eta,lambda,gamma,m,batch,loss,train_acc
+Nothing here writes a file: the round log and the reports are the CLI's.
 """
 
 import contextvars
-import csv
 import functools
 import os
 import threading
@@ -487,6 +485,8 @@ def run_round(
     carries its shard size as n_samples, and the aggregate weights are
     those sizes over their sum. truth_counts[k] counts the labels of the
     batches client k trained on, ground truth for evaluation only.
+    stats[k] is client k's train_acc, the accuracy of its trained local
+    model on its whole shard; its first loss is updates[k].first_loss.
     new_histories are new records for the start of round round_idx + 1,
     holding only the fields HISTORY_READS names for cfg.scheme. Scaffold's
     share one server variate; feddc's share the aggregate delta and hold
@@ -525,11 +525,10 @@ def run_round(
         batches = np.stack([plans[k] for k in ks])
         sizes = [len(shards[k]) for k in ks]
         trained = train_stack(global_model, dataset, batches, cfg, [histories[k] for k in ks], round_idx, ks, sizes)
-        results = []
-        for k, (update, local) in zip(ks, trained):
-            train_acc = accuracy(local, dataset.features[shards[k]], dataset.labels[shards[k]])
-            results.append((update, {"loss": update.first_loss, "train_acc": train_acc}))
-        return results
+        return [
+            (update, accuracy(local, dataset.features[shards[k]], dataset.labels[shards[k]]))
+            for k, (update, local) in zip(ks, trained)
+        ]
 
     if cfg.batch_size * sum(w.size for w in global_model.weights) < _PARALLEL_MIN_STEP_MACS:
         results = train(list(plans))
@@ -540,14 +539,15 @@ def run_round(
     updates, truths, stats = [], [], []
     for k, shard in enumerate(shards):
         if k in results:
-            update, stat = results[k]
+            update, train_acc = results[k]
             truth = np.bincount(dataset.labels[plans[k]].ravel(), minlength=dataset.n_classes)
         else:
             idle = np.zeros((cfg.epochs, global_model.n_classes))
-            update, truth, stat = LocalUpdate(zeros_like_params(global_model), round_idx, k, len(shard), idle), None, None
+            update = LocalUpdate(zeros_like_params(global_model), round_idx, k, len(shard), idle)
+            truth = train_acc = None
         updates.append(update)
         truths.append(truth)
-        stats.append(stat)
+        stats.append(train_acc)
 
     sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
     new_global = server_aggregate(updates, sizes / sizes.sum(), global_model)
@@ -559,31 +559,3 @@ def run_round(
         new_histories = scaffold_update_control(new_histories, [u.delta for u in updates], cfg)
     return new_global, updates, truths, stats, new_histories
 
-
-def append_round_log(path, round_idx: int, cfg: SchemeConfig, stats) -> None:
-    """Write one row per training client to the round-log CSV; round 1 starts the file afresh."""
-    first = round_idx == 1
-    with open(path, "w" if first else "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if first:
-            writer.writerow(
-                ["round", "client", "scheme", "optimizer", "eta", "lambda", "gamma", "m", "batch", "loss", "train_acc"]
-            )
-        for k, st in enumerate(stats):
-            if st is None:
-                continue
-            writer.writerow(
-                [
-                    round_idx,
-                    k,
-                    cfg.scheme,
-                    cfg.optimizer,
-                    repr(cfg.eta),
-                    repr(cfg.lam),
-                    repr(cfg.gamma),
-                    cfg.epochs,
-                    cfg.batch_size,
-                    repr(st["loss"]),
-                    repr(st["train_acc"]),
-                ]
-            )

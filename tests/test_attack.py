@@ -25,7 +25,6 @@ from fedleak.attack import (
     SchemeCoefficients,
     rlu_attack,
     round_counts,
-    save_report,
     scheme_coefficients,
     solve_simplex_ls,
 )
@@ -1111,7 +1110,7 @@ def test_rlu_deterministic_per_seed():
     assert a.to_json() == b.to_json()
 
 
-def test_report_json_layout(tmp_path):
+def test_report_json_layout():
     report = AttackReport(
         z_star=np.array([0.5, 0.5]),
         counts=np.array([16, 16]),
@@ -1122,9 +1121,7 @@ def test_report_json_layout(tmp_path):
     text = report.to_json()
     keys = list(json.loads(text))
     assert keys == ["method", "counts", "z_star", "residual", "diagnostics"]
-    path = tmp_path / "report.json"
-    save_report(path, report)
-    assert json.loads(path.read_text())["counts"] == [16, 16]
+    assert json.loads(text)["counts"] == [16, 16]
 
 
 def test_report_simplex_invariant():
@@ -1262,7 +1259,7 @@ def test_rlu_single_epoch_with_context_runs_no_monte_carlo(monkeypatch):
     data, aux, partition, model = full_batch_world(9)
     cfg = fedavg_cfg(eta=0.01, epochs=1, batch_size=32)
     _, updates, _, _, histories, _ = one_round(data, partition, model, cfg, seed=9)
-    context = prepare_round(model, aux, AttackParams(mc_samples=2000))
+    context = prepare_round(model, aux, AttackParams())
     calls = [
         _counting(monkeypatch, name)
         for name in ("mc_confusion", "estimate_moments", "plugin_confusion", "forward_batch", "mean_softmax")
@@ -1512,7 +1509,7 @@ def test_rlu_attack_draws_no_random_numbers(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-    context = prepare_round(model, aux, AttackParams(mc_samples=500, search_mc_samples=100))
+    context = prepare_round(model, aux, AttackParams())
     attacked = 0
     for k, update in enumerate(updates):
         if truths[k] is None:

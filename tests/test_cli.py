@@ -179,9 +179,16 @@ def test_run_writes_reports_and_round_log(tmp_path):
     ok = [r for r in read_rows(out) if r["status"] == "ok"]
     reports = sorted(rdir.glob("report_*.json"))
     assert len(reports) == len(ok)
-    payload = json.loads(reports[0].read_text())
-    assert set(payload) == {"method", "counts", "z_star", "residual", "diagnostics"}
-    assert rlog.exists() and rlog.read_text().strip()
+    text = reports[0].read_text()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    assert set(json.loads(text)) == {"method", "counts", "z_star", "residual", "diagnostics"}
+    log = read_rows(rlog)
+    assert list(log[0]) == ["round", "client", "scheme", "optimizer", "eta", "lambda", "gamma", "m", "batch",
+                            "loss", "train_acc"]
+    # one log row per training client, with the result row's train_acc
+    trained = {r["client"]: r["train_acc"] for r in read_rows(out) if r["train_acc"]}
+    assert {r["client"]: r["train_acc"] for r in log} == trained
+    assert all(float(r["loss"]) > 0 for r in log)
 
 
 def test_run_scores_an_unconverged_solve_unconverged(tmp_path, monkeypatch):
@@ -785,12 +792,12 @@ def test_missing_config_file_exit_two(tmp_path):
 )
 def test_empty_config_path_exit_two(tmp_path, capsys, monkeypatch, argv):
     # an empty --config used to count as not given: the command ran on the
-    # defaults, wrote its files and exited 0
+    # defaults, wrote its files and exited 0; it is refused naming the flag
     calls = []
     monkeypatch.setattr(fedsim, "train_stack", lambda *args, **kwargs: calls.append(1))
     argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", ""] + small_args(tmp_path)
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert capsys.readouterr().err == "error: --config names no file: its path is empty\n"
     assert calls == []
     assert list(tmp_path.iterdir()) == []
 

@@ -396,13 +396,13 @@ def test_run_round_one_backward_per_epoch(monkeypatch):
 
     monkeypatch.setattr(fedsim, "backward_stack", counting)
     histories = [UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
-    _, _, truths, stats, _ = run_round(model, data, partition, cfg, histories, 1, seed=16)
+    _, updates, truths, stats, _ = run_round(model, data, partition, cfg, histories, 1, seed=16)
     trained = sum(1 for t in truths if t is not None)
     assert trained >= 2
     assert stacks == [trained] * cfg.epochs
-    for st in stats:
-        if st is not None:
-            assert np.isfinite(st["loss"])
+    for update, train_acc in zip(updates, stats):
+        if train_acc is not None:
+            assert np.isfinite(update.first_loss) and 0.0 <= train_acc <= 1.0
 
 
 def test_run_round_deterministic():

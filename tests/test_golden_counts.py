@@ -13,6 +13,12 @@ The pinned runs:
   --rounds 3` under each of the seven scheme/optimizer pairs at `--epochs 1`
   and `--epochs 5`, with `--gamma 0.9` for sgdm and nag and `--lambda 1`
   for the proximal schemes.
+- `golden_fedavg_sgd_m1_seed<s>.csv` and `golden_fedprox_m10_seed<s>.csv`
+  for s = 0, 1, 2: the `single_epoch` and `multi_epoch_search` benchmark
+  workloads at those seeds, `fedleak run --seed s --rounds 3` plus
+  `--scheme fedprox --lambda 25 --eta 0.01 --epochs 10` for the second.
+  Their seed-3 runs are the two files of that name above, and each of the
+  eight argv builds the config `perfbench/workloads.py` gives the workload.
 
 Any change to the simulation, the attack or the numbers numpy and BLAS
 produce for them shows up as a differing line. Regenerate the files after
@@ -25,6 +31,7 @@ rewrites only those whose text changed, and prints a unified diff of each.
 """
 import csv
 import difflib
+import importlib.util
 import io
 import json
 import sys
@@ -36,6 +43,7 @@ import pytest
 from fedleak import cli
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 RUNS = {
     "golden_scaffold_seed3.csv": [
         "run", "--seed", "3", "--scheme", "scaffold", "--epochs", "3", "--alpha", "0.05", "--rounds", "4",
@@ -64,6 +72,21 @@ CLI_CONFIGS = {
     for m in (1, 5)
 }
 RUNS.update(CLI_CONFIGS)
+# The benchmark workloads single_epoch and multi_epoch_search
+# (perfbench/workloads.py) as CLI flags, with the stem of their golden
+# files. Seed 3 of each is pinned above; WORKLOAD_RUNS pins seeds 0-2.
+WORKLOADS = {
+    "single_epoch": ("golden_fedavg_sgd_m1", []),
+    "multi_epoch_search": (
+        "golden_fedprox_m10", ["--scheme", "fedprox", "--lambda", "25", "--eta", "0.01", "--epochs", "10"],
+    ),
+}
+WORKLOAD_RUNS = {
+    f"{stem}_seed{seed}.csv": ["run", "--seed", str(seed), "--rounds", "3", *flags]
+    for stem, flags in WORKLOADS.values()
+    for seed in (0, 1, 2)
+}
+RUNS.update(WORKLOAD_RUNS)
 COLUMNS = ["round", "client", "method", "counts", "iacc", "cacc", "l1_err", "status"]
 
 
@@ -75,7 +98,7 @@ def golden_text(argv) -> str:
     writer.writeheader()
     with tempfile.TemporaryDirectory() as report_dir:
         for row in cli.run_experiment(cfg, report_dir=report_dir):
-            path = Path(report_dir) / f"report_r{row['round']}_c{row['client']}.json"
+            path = Path(report_dir) / cli._REPORT_NAME.format(row["round"], row["client"])
             report = json.loads(path.read_text()) if path.exists() else {"method": "", "counts": []}
             writer.writerow(
                 {
@@ -102,6 +125,27 @@ def test_fedprox_m10_count_columns_match_the_golden_file():
 @pytest.mark.parametrize("golden", sorted(CLI_CONFIGS))
 def test_cli_config_count_columns_match_the_golden_file(golden):
     check_golden(golden)
+
+
+@pytest.mark.parametrize("golden", sorted(WORKLOAD_RUNS))
+def test_workload_count_columns_match_the_golden_file(golden):
+    check_golden(golden)
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, read by path without putting perfbench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_pinned_argv_is_the_benchmark_workload(name, seed):
+    # each golden file of a workload pins the config the benchmark runs
+    argv = RUNS[f"{WORKLOADS[name][0]}_seed{seed}.csv"]
+    assert cli._config_from_args(cli.build_parser().parse_args(argv)) == load_workloads().config(name, seed)
 
 
 def regenerate(names) -> None:

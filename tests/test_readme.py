@@ -3,7 +3,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from fedleak.attack import AttackParams
+from fedleak.cli import AttackSpec
 from fedleak.fedsim import OPTIMIZERS, SCHEMES, SchemeConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -53,8 +53,9 @@ def test_readme_scheme_table_matches_config():
 
 
 def test_readme_attack_params_paragraph_names_every_field():
+    # AttackSpec, the config's attack section, holds AttackParams' fields
     text = README.read_text()
     start = text.index("`AttackParams` has ")
     paragraph = text[start:text.index("\n\n", start)]
-    for f in fields(AttackParams):
+    for f in fields(AttackSpec):
         assert f"`{f.name}`" in paragraph, f.name
