@@ -87,7 +87,7 @@ WORKLOAD_RUNS = {
     for seed in (0, 1, 2)
 }
 RUNS.update(WORKLOAD_RUNS)
-COLUMNS = ["round", "client", "method", "counts", "iacc", "cacc", "l1_err", "status"]
+COLUMNS = ["round", "client", "method", "counts", "iacc", "cacc", "l1_err", "status", "train_acc"]
 
 
 def golden_text(argv) -> str:
@@ -102,7 +102,7 @@ def golden_text(argv) -> str:
             report = json.loads(path.read_text()) if path.exists() else {"method": "", "counts": []}
             writer.writerow(
                 {
-                    **{k: row[k] for k in ("round", "client", "iacc", "cacc", "l1_err", "status")},
+                    **{k: row[k] for k in ("round", "client", "iacc", "cacc", "l1_err", "status", "train_acc")},
                     "method": report["method"],
                     "counts": " ".join(map(str, report["counts"])),
                 }
