@@ -50,9 +50,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based, exact)."""
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / ks > 0.0
-    hits = np.nonzero(cond)[0]
+    # u + (1 - css) / k for k = 1..n, formed in one buffer
+    gap = 1.0 - css
+    gap /= np.arange(1.0, v.size + 1)
+    gap += u
+    hits = (gap > 0.0).nonzero()[0]
     if hits.size == 0:
         # k = 0 always satisfies cond exactly (u[0] + 1 - u[0] = 1), but near
         # 1e16 and above every entry rounds to False and v - theta would
@@ -60,9 +62,10 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape)
         out[np.argmax(v)] = 1.0
         return out
-    k = hits[-1]
-    theta = (css[k] - 1.0) / (k + 1.0)
-    return np.maximum(v - theta, 0.0)
+    k = int(hits[-1])
+    theta = (float(css[k]) - 1.0) / (k + 1.0)
+    out = v - theta
+    return np.maximum(out, 0.0, out=out)
 
 
 def pgd_simplex_ls(a, u, step, tol, max_iters):
@@ -190,20 +193,25 @@ def active_set_simplex_ls(system, b):
     if not system.gram_scale:
         return np.full(n, 1.0 / n), 0, True
     kkt, gram = system.kkt, system.gram
-    rhs = np.append(b, 1.0)
-    limit = _KKT_COND_LIMIT * abs(rhs).max() / max(system.gram_scale, 1.0)
-    tol = _KKT_RTOL * (system.gram_scale + abs(b).max())
+    rhs = np.empty(n + 1)
+    rhs[:n] = b
+    rhs[n] = 1.0
+    # max |rhs| is max(max |b|, 1.0), NaN included: Python's max keeps its first argument unless the second is larger
+    b_scale = abs(b).max()
+    limit = _KKT_COND_LIMIT * max(b_scale, 1.0) / max(system.gram_scale, 1.0)
+    tol = _KKT_RTOL * (system.gram_scale + b_scale)
     x = _kkt_solve(kkt, rhs, np.arange(n + 1), limit) if system.warm is None else system.warm @ rhs
     solves = 1
     if x[:n].min() > 0.0:
         return x[:n], solves, True
     z = project_simplex(x[:n])
-    support = np.append(z > 0.0, True)
+    support = np.ones(n + 1, dtype=bool)
+    np.greater(z, 0.0, out=support[:n])
     while solves < MAX_KKT_SOLVES:
-        x = _kkt_solve(kkt, rhs, np.flatnonzero(support), limit)
+        x = _kkt_solve(kkt, rhs, support.nonzero()[0], limit)
         solves += 1
         y = x[:n]
-        blocking = np.flatnonzero(support[:n] & (y <= 0.0))
+        blocking = (support[:n] & (y <= 0.0)).nonzero()[0]
         if blocking.size:
             ratios = z[blocking] / (z[blocking] - y[blocking])
             first = int(np.argmin(ratios))

@@ -12,8 +12,9 @@ piece of client metadata the attack reads; the server knows it because it
 weights the aggregate by it. Every update of a round is attacked against
 the same global model and auxiliary set: prepare_round builds what depends
 only on them once into a RoundContext (the auxiliary features in class
-order, the global model's confusion matrix, and the simplex system of that
-matrix with its warm-start inverse), and rlu_attack takes the context
+order, the global model's confusion matrix, the simplex system of that
+matrix with its warm-start inverse, the matrix's largest standard error
+and the model's largest absolute parameter), and rlu_attack takes the context
 with each update. A single-epoch update then costs its target and the
 KKT solves on its own supports; a multi-epoch one also forwards the
 class-ordered auxiliary features through its local model and builds its
@@ -43,6 +44,7 @@ writes the reports.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +54,7 @@ from ._kernels import SimplexSystem, active_set_simplex_ls, mean_softmax, one_us
 # Kept only for perfbench/tracing.py, which looks the name up here; the attack
 # no longer calls it.
 from ._kernels import pgd_simplex_ls  # noqa: F401
-from .data import Dataset, largest_remainder
+from .data import Dataset, _apportion, largest_remainder
 from .fedsim import LocalUpdate, SchemeConfig, UpdateHistory, check_history, round_correction
 from .nn import Model, ParamVec, forward_batch, softmax_rows
 
@@ -125,7 +127,9 @@ class RoundContext:
     local model's per-class logits are slices of one forward pass. system
     is the SimplexSystem of build_system(s_first), which every
     single-epoch update is solved against. Its arrays are read-only, which
-    keeps attacks from writing into shared state.
+    keeps attacks from writing into shared state. confusion_se and
+    global_peak are not arguments: they are computed from s_first and
+    global_model when the context is built, once for the round.
     """
 
     global_model: Model
@@ -134,6 +138,12 @@ class RoundContext:
     aux_features: np.ndarray  # (rows, d), grouped by class
     aux_bounds: np.ndarray  # (N + 1,) class offsets into aux_features
     system: SimplexSystem
+    confusion_se: float = field(init=False)  # largest entry of s_first.se
+    global_peak: float = field(init=False)  # largest absolute parameter of global_model
+
+    def __post_init__(self):
+        object.__setattr__(self, "confusion_se", float(self.s_first.se.max()))
+        object.__setattr__(self, "global_peak", self.global_model.params().max_abs())
 
 
 @dataclass
@@ -389,8 +399,9 @@ def make_target(update: LocalUpdate, coeffs: SchemeCoefficients, cfg: SchemeConf
     sum_rho = float(coeffs.rho.sum())
     if sum_rho <= 0:
         raise ValueError("sum of rho must be positive")
-    offset = 0.0 if coeffs.h is None else coeffs.h
-    return (update.delta_b_out + offset) / (cfg.eta * sum_rho)
+    u = update.delta_b_out + (0.0 if coeffs.h is None else coeffs.h)
+    u /= cfg.eta * sum_rho
+    return u
 
 
 def solve_simplex_ls(a, u: np.ndarray):
@@ -422,13 +433,23 @@ def solve_simplex_ls(a, u: np.ndarray):
 
 
 def round_counts(z: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts from simplex weights, conserving the exact total."""
+    """Integer counts from simplex weights, conserving the exact total.
+
+    largest_remainder of max(z, 0) * total, with z checked once: for a 1-D
+    z and a non-negative total, the checks here imply all of
+    largest_remainder's but the sum, which data._apportion makes. Any
+    other z or total goes through largest_remainder, which names the fault.
+    """
     z = np.asarray(z, dtype=np.float64)
     if not np.isfinite(z).all() or (z < -1e-9).any():
         raise ValueError("z must be finite and non-negative")
     if abs(z.sum() - 1.0) > 1e-6:
         raise ValueError("z must lie on the probability simplex")
-    return largest_remainder(np.maximum(z, 0.0) * total, total)
+    if total < 0 or z.ndim != 1:
+        return largest_remainder(np.maximum(z, 0.0) * total, total)
+    values = np.maximum(z, 0.0)
+    values *= total
+    return _apportion(values, total)
 
 
 def posterior_search(crude_counts: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
@@ -469,10 +490,14 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     the rounding adds the L1 distance it moved the counts from the crude
     ones. Raises ValueError on a non-finite delta and DegenerateUpdateError
     on an all-zero one, the update of a client too small to fill a batch;
-    both checks come before the context is read.
+    both checks come before the context is read. The delta is scanned once,
+    for its peak. The local model of a multi-epoch update is not scanned
+    again: every entry of global + delta is at most global_peak + peak in
+    size, so when that sum is finite no entry overflowed, and only when it
+    is not does Model scan the local parameters (and raise on an overflow).
     """
     peak = update.delta.max_abs()
-    if not np.isfinite(peak):
+    if not math.isfinite(peak):
         raise ValueError("update delta is not finite")
     if peak == 0.0:
         raise DegenerateUpdateError("an all-zero delta carries no gradient signal")
@@ -480,14 +505,16 @@ def rlu_attack(context: RoundContext, update: LocalUpdate, cfg: SchemeConfig, hi
     coeffs = scheme_coefficients(cfg, update.round, history)
     u = make_target(update, coeffs, cfg)
 
-    matrices = [context.s_first]
     system = context.system
+    confusion_se = context.confusion_se
     if m > 1:
         local = context.global_model.params().map(np.add, update.delta)
-        local_model = Model(local.weights, local.biases, context.global_model.activation)
-        matrices.append(plugin_confusion(_aux_logits(local_model, context.aux_features), context.aux_bounds))
-        system = build_system(ConfusionMatrix((matrices[0].s + matrices[1].s) / 2))
-    diagnostics = {"confusion_se": float(max(c.se.max() for c in matrices))}
+        build = Model._prechecked if math.isfinite(context.global_peak + peak) else Model
+        local_model = build(local.weights, local.biases, context.global_model.activation)
+        s_local = plugin_confusion(_aux_logits(local_model, context.aux_features), context.aux_bounds)
+        system = build_system(ConfusionMatrix((context.s_first.s + s_local.s) / 2))
+        confusion_se = max(confusion_se, float(s_local.se.max()))
+    diagnostics = {"confusion_se": confusion_se}
     z, info = solve_simplex_ls(system, u)
     counts = round_counts(z, m * cfg.batch_size)
     method = METHOD_SINGLE

@@ -118,14 +118,23 @@ def largest_remainder(values: np.ndarray, total: int) -> np.ndarray:
         raise ValueError("values must be a non-empty 1-D array")
     if (values < -1e-9).any():
         raise ValueError("values must be non-negative")
-    values = np.maximum(values, 0.0)
+    return _apportion(np.maximum(values, 0.0), total)
+
+
+def _apportion(values: np.ndarray, total: int) -> np.ndarray:
+    """largest_remainder of values its caller has checked, after the sum check alone.
+
+    values must be a non-empty 1-D float64 array with no entry below zero,
+    and total non-negative; only the sum is checked here, with
+    largest_remainder's message. A stable argsort of base - values puts the
+    largest fractional parts first and ties in index order.
+    """
     if not abs(values.sum() - total) < 1.0:
         raise ValueError(f"values sum to {values.sum()!r}, not within one unit of total {total}")
     base = np.floor(values).astype(np.int64)
     # the check bounds the leftover to [0, values.size]
     leftover = int(total - base.sum())
-    order = np.lexsort((np.arange(values.size), -(values - base)))
-    base[order[:leftover]] += 1
+    base[np.argsort(base - values, kind="stable")[:leftover]] += 1
     return base
 
 

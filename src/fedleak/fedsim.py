@@ -308,7 +308,9 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
     shard sizes, for LocalUpdate.n_samples) hold one entry per client.
     Returns one (LocalUpdate, trained Model) pair per client; every array
     carries a leading client axis while training, and the pairs hold views
-    into those arrays.
+    into those arrays. The trained models skip Model's scan for non-finite
+    entries: their deltas were just scanned, and a finite delta from finite
+    round-start parameters means finite trained ones.
 
     The epochs are local_steps on the stacked parameters, with each
     client's round_correction drift and a gradient that runs
@@ -368,7 +370,7 @@ def train_stack(model: Model, data: Dataset, batches, cfg: SchemeConfig, histori
     for k, (client_id, size) in enumerate(zip(client_ids, sizes)):
         update = LocalUpdate(delta[k], round_idx, client_id, size, ce_bias_grads[k], float(first_losses[k]))
         local = params[k]
-        out.append((update, Model(local.weights, local.biases, model.activation)))
+        out.append((update, Model._prechecked(local.weights, local.biases, model.activation)))
     return out
 
 
@@ -481,7 +483,10 @@ def run_round(
     updates[k] is the k-th client's LocalUpdate; clients whose shard is
     smaller than batch_size participate with a zero update and get
     truth_counts[k] = None, stats[k] = None, and when no shard fills a
-    batch ValueError is raised before any client trains. Every update
+    batch ValueError is raised before any client trains. When every
+    client that trained sends an exactly-zero delta (a step size eta too
+    small to move any parameter), ValueError is raised after training,
+    before anything is returned: that round, too, carries no signal. Every update
     carries its shard size as n_samples, and the aggregate weights are
     those sizes over their sum. truth_counts[k] counts the labels of the
     batches client k trained on, ground truth for evaluation only.
@@ -536,6 +541,11 @@ def run_round(
         results = [result for [result] in _map(train, [[k] for k in plans])]
 
     results = dict(zip(plans, results))
+    if not any(update.delta.max_abs() for update, _ in results.values()):
+        raise ValueError(
+            f"every client that trained in round {round_idx} sent an all-zero delta: eta {cfg.eta!r} is too"
+            " small to move any parameter, so no update carries a signal to attack"
+        )
     updates, truths, stats = [], [], []
     for k, shard in enumerate(shards):
         if k in results:

@@ -787,6 +787,102 @@ def test_round_counts_validation():
         round_counts(np.array([0.7, 0.7]), 10)
 
 
+def lexsort_largest_remainder(values, total):
+    """largest_remainder as it was before the stable argsort: checks, then a lexsort of the fractions."""
+    values = np.asarray(values, dtype=np.float64)
+    if total < 0:
+        raise ValueError("total must be non-negative")
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a non-empty 1-D array")
+    if (values < -1e-9).any():
+        raise ValueError("values must be non-negative")
+    values = np.maximum(values, 0.0)
+    if not abs(values.sum() - total) < 1.0:
+        raise ValueError(f"values sum to {values.sum()!r}, not within one unit of total {total}")
+    base = np.floor(values).astype(np.int64)
+    leftover = int(total - base.sum())
+    order = np.lexsort((np.arange(values.size), -(values - base)))
+    base[order[:leftover]] += 1
+    return base
+
+
+def lexsort_round_counts(z, total):
+    """round_counts as it was: its own checks, then all of lexsort_largest_remainder's."""
+    z = np.asarray(z, dtype=np.float64)
+    if not np.isfinite(z).all() or (z < -1e-9).any():
+        raise ValueError("z must be finite and non-negative")
+    if abs(z.sum() - 1.0) > 1e-6:
+        raise ValueError("z must lie on the probability simplex")
+    return lexsort_largest_remainder(np.maximum(z, 0.0) * total, total)
+
+
+def outcome(fn, *args):
+    """fn's counts as a list, or its error's type and message."""
+    try:
+        return fn(*args).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def rounding_cases():
+    """(z, total) pairs: random, tied and boundary points, valid and not."""
+    rng = np.random.default_rng(33)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        z = rng.dirichlet(np.full(n, rng.choice([0.05, 0.5, 5.0])))
+        cases.append((z, int(rng.integers(0, 2000))))
+    # ties: equal fractions everywhere, or in pairs
+    for n in (1, 2, 3, 7, 10):
+        cases += [(np.ones(n) / n, total) for total in (0, 1, n - 1, n + 1, 32, 320)]
+    cases += [(np.array([0.125, 0.375, 0.125, 0.375]), total) for total in (1, 2, 3, 5, 7)]
+    cases += [
+        (np.array([0.5, 0.5]), 33),  # two halves: the lower index takes the unit
+        (np.array([0.1, 0.2, 0.3, 0.4]), 10),  # exact-looking products with rounding in the fractions
+        (np.array([1.0, 0.0, 0.0]), 7),  # whole counts, no leftover
+        (np.array([0.5, 0.5, 0.0]) + np.array([0.0, 0.0, -1e-9]), 9),  # a slightly negative entry, at the bound
+        (np.array([0.6, 0.4 + 1e-6]), 5),  # off the simplex by the tolerance
+        (np.array([0.6, 0.4 + 2e-6]), 5),  # and beyond it
+        (np.array([0.5, 0.5 + 5e-7]), 3_000_000),  # on the simplex, but more than a unit off the total
+        (np.array([0.25, 0.75]), 0),
+        (np.array([0.5, 0.5]), -1),  # negative total
+        (np.array([[0.5, 0.5]]), 4),  # 2-D, on the simplex
+        (np.array(1.0), 4),  # 0-d
+        (np.array([]), 4),  # empty
+        (np.array([0.5, np.nan, 0.5]), 4),
+        (np.array([np.inf, 0.0]), 4),
+        (np.array([1.5, -0.5]), 4),
+        (np.array([0.5, 0.5 - 2e-9, 2e-9]), 4),
+        (np.array([1.0 + 1e-8, -1e-8]), 4),  # negative beyond the tolerance
+        (np.array([-0.0, 1.0]), 3),
+        (np.array([0.5, 0.5]), -1.0),
+    ]
+    return cases
+
+
+def test_round_counts_equals_the_lexsort_form():
+    for z, total in rounding_cases():
+        assert outcome(round_counts, z, total) == outcome(lexsort_round_counts, z, total), (z, total)
+
+
+def test_largest_remainder_equals_the_lexsort_form():
+    rng = np.random.default_rng(34)
+    cases = [(z * total, total) for z, total in rounding_cases()]
+    cases += [(z * total + rng.uniform(-0.6, 0.6), total) for z, total in rounding_cases()[:100]]
+    cases += [
+        (np.array([2.4, 2.5]), 4),
+        (np.array([3.0, 2.0]), 4),
+        (np.array([0.3, -2e-9]), 0),
+        (np.array([0.3, -2e-9]), -1),  # two faults: the total is named first
+        (np.array([[0.3]]), -1),
+        (np.array([5e15 + 0.5, 5e15 + 0.5]), 10**16 + 1),
+    ]
+    for values, total in cases:
+        assert outcome(largest_remainder, values, total) == outcome(lexsort_largest_remainder, values, total), (
+            values, total,
+        )
+
+
 # --------------------------------------------------------- posterior search
 
 def noisy_logits(n, rows, seed=0):
@@ -1084,6 +1180,41 @@ def test_rlu_non_finite_update_raises_value_error():
         rlu_attack(None, broken, cfg, histories[0])
 
 
+def test_rlu_multi_epoch_local_model_overflow_raises_the_constructor_error(monkeypatch):
+    # global + delta overflows while both are finite: the local model of an
+    # m > 1 update raises Model's "non-finite parameters", as it always has,
+    # and only a finite sum of the two peaks skips that model's scan
+    model = init_model([4, 8, 3], "relu", seed=6)
+    weights = [w.copy() for w in model.weights]
+    weights[0][0, 0] = 1e308
+    model = Model(weights, model.biases, "relu")
+    blobs = make_synthetic(3, 4, 20, 2.0, seed=6)
+    features = blobs.features.copy()
+    features[:, :2] = 0.0  # keeps the huge first-layer weights out of every forward pass
+    context = prepare_round(model, Dataset(features, blobs.labels, 3), AttackParams())
+    cfg = fedavg_cfg(eta=0.01, epochs=2, batch_size=8)
+    history = UpdateHistory.fresh(model)
+    scans = []
+    real_check = Model._check
+    monkeypatch.setattr(Model, "_check", lambda self, scan: scans.append(scan) or real_check(self, scan))
+
+    def attack(row, col, value):
+        delta = zeros_like_params(model)
+        delta.weights[0][row, col] = value
+        scans.clear()
+        return rlu_attack(context, LocalUpdate(delta, 1, 0, 16), cfg, history)
+
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^layer 0: non-finite parameters$"):
+        attack(0, 0, 1e308)
+    assert scans == [True]
+    # the peaks' sum overflows but no entry does: scanned, and no error
+    assert attack(1, 1, 1e308).counts.sum() == 16
+    assert scans == [True]
+    # a finite sum of the peaks: built without the scan
+    assert attack(0, 0, -5e307).counts.sum() == 16
+    assert scans == [False]
+
+
 def test_rlu_ignores_debug_channel():
     # the recorded per-epoch gradients exist for tests only; zeroing them
     # must not change the attack output
@@ -1283,11 +1414,14 @@ def test_round_context_first_matrix_is_mean_aux_softmax():
             expected = 0.0 if j == n else probs[:, j].mean()
             assert context.s_first.s[n, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
         npt.assert_array_equal(aux_logits[bounds[n]:bounds[n + 1]], rows)
-    # the context keeps the matrix, the class-ordered aux rows and the
-    # matrix's prebuilt solve, not the logits they came from
+    # the context keeps the matrix, the class-ordered aux rows, the
+    # matrix's prebuilt solve and two round constants, not the logits they
+    # came from
     assert [f.name for f in fields(RoundContext)] == [
-        "global_model", "params", "s_first", "aux_features", "aux_bounds", "system",
+        "global_model", "params", "s_first", "aux_features", "aux_bounds", "system", "confusion_se", "global_peak",
     ]
+    assert context.confusion_se == float(context.s_first.se.max())
+    assert context.global_peak == max(abs(arr).max() for arr in model.weights + model.biases)
 
 
 def context_arrays(context):

@@ -157,6 +157,22 @@ def test_run_batch_above_every_shard_exit_one(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_run_whose_every_delta_is_zero_exits_one_before_writing(tmp_path, capsys):
+    # at eta 1e-200 every step underflows against the parameters, so each
+    # trainer's delta is exactly zero; the run used to exit 0 with ten
+    # degenerate rows
+    out, rdir, rlog = tmp_path / "res.csv", tmp_path / "reports", tmp_path / "rounds.csv"
+    rc = main(["run", "--rounds", "1", "--eta", "1e-200", "--output", str(out),
+               "--report-dir", str(rdir), "--round-log", str(rlog)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: every client that trained in round 1 sent an all-zero delta")
+    assert re.search(r"\beta 1e-200\b", captured.err)
+    assert not out.exists() and not rlog.exists()
+    assert list(rdir.iterdir()) == []
+
+
 def test_run_batch_equal_to_largest_shard_trains_that_client(tmp_path):
     cfg = _config_from_args(build_parser().parse_args(["run", "--seed", "0", *small_args(tmp_path)]))
     sizes = [len(shard) for shard in cli._build_world(cfg)[2].assignments]

@@ -23,7 +23,7 @@ from fedleak.fedsim import (
     scaffold_update_control,
     server_aggregate,
 )
-from fedleak.nn import ParamVec, accuracy, backward, init_model, zeros_like_params
+from fedleak.nn import Model, ParamVec, accuracy, backward, init_model, zeros_like_params
 
 from _helpers import fedavg_cfg, one_round
 
@@ -363,6 +363,19 @@ def test_run_round_under_provisioned_client_zero_update():
     expected = server_aggregate(updates, np.array([5.0, 85.0]) / 90.0, model)
     for a, b in zip(new_model.weights + new_model.biases, expected.weights + expected.biases):
         assert np.array_equal(a, b)
+
+
+def test_run_round_whose_every_trained_delta_is_zero_raises():
+    # the idle client's zero update does not count: only trainers do
+    data = make_synthetic(3, 4, 30, 2.0, seed=30)
+    partition = Partition([np.arange(5), np.arange(5, 90)])
+    model = init_model([4, 8, 3], "relu", seed=30)
+    histories = [UpdateHistory.fresh(model) for _ in range(2)]
+    cfg = fedavg_cfg(eta=1e-200, epochs=2, batch_size=16)
+    with pytest.raises(ValueError, match=r"^every client that trained in round 1 sent an all-zero delta: eta 1e-200 "):
+        run_round(model, data, partition, cfg, histories, 1, seed=30)
+    # one trainer whose delta moves is enough
+    run_round(model, data, partition, replace(cfg, eta=1e-3), histories, 1, seed=30)
 
 
 @pytest.mark.parametrize("shards", [[5, 15], [0, 0], []], ids=["small", "empty_shards", "no_clients"])
@@ -742,6 +755,22 @@ def test_train_stack_raises_for_the_first_failing_client_in_stack_order():
     expected = r"^non-finite loss at round 1 epoch 2 client 1$"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match=expected):
         fedsim.train_stack(model, data, batches, cfg, histories, 1, [1, 2], [75, 75])
+
+
+def test_train_stack_names_the_first_client_with_non_finite_parameters():
+    # finite losses, then parameters past the float range: the delta scan
+    # catches them, so the unscanned trained models are never built
+    data, partition, model, cfg = _diverging_world()
+    clients = [2, 1]
+    batches = np.stack([partition.assignments[k][:16].reshape(1, 16) for k in clients])
+    histories = [UpdateHistory.fresh(model)] * 2
+    expected = r"^non-finite parameters after local training at round 1 client 2$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match=expected):
+        fedsim.train_stack(model, data, batches, cfg, histories, 1, clients, [75, 75])
+    # at a sane step the same stack trains, into models the full constructor accepts
+    trained = fedsim.train_stack(model, data, batches, replace(cfg, eta=0.05), histories, 1, clients, [75, 75])
+    for _, local in trained:
+        Model(local.weights, local.biases, local.activation)  # the constructor's scan finds nothing
 
 
 def test_run_round_nonfinite_loss_names_the_client_in_both_paths(monkeypatch):

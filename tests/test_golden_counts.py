@@ -1,4 +1,7 @@
-"""The count columns of seeded runs, compared exactly with committed files.
+"""The count and train_acc columns of seeded runs, compared exactly with committed files.
+
+COLUMNS names the pinned columns. residual is left out: its last bits
+differ across BLAS kernel types.
 
 The pinned runs:
 

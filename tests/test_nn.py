@@ -509,6 +509,85 @@ def test_param_vec_max_abs_propagates_nan():
     assert math.isnan(vec.max_abs())
 
 
+def loop_max_abs(vec):
+    """ParamVec.max_abs as it was: one running np.maximum over the arrays' abs maxima."""
+    m = 0.0
+    for arr in vec.weights + vec.biases:
+        if arr.size:
+            m = float(np.maximum(m, np.abs(arr).max()))
+    return m
+
+
+@pytest.mark.parametrize(
+    "weights, biases",
+    [
+        ([], []),
+        ([np.empty((0, 3))], [np.empty(0)]),
+        ([np.zeros((2, 3))], [np.zeros(2)]),
+        ([np.full((2, 3), -0.0)], [np.full(2, -0.0)]),
+        ([np.array([[1.0, -2.5]])], [np.array([-7.0])]),
+        ([np.array([[1.0, np.inf]])], [np.array([0.0])]),
+        ([np.array([[1.0, -np.inf]])], [np.array([0.0])]),
+        ([np.array([[np.nan, 2.0]])], [np.array([np.inf])]),
+        ([np.array([[np.inf, 2.0]])], [np.array([np.nan])]),
+        ([np.empty((0, 2)), np.array([[-3.0]])], [np.empty(0), np.array([np.nan])]),
+        ([np.full((3, 2), -1e308)], [np.array([5e-324, -5e-324, 0.0])]),
+    ],
+    ids=["no-arrays", "empty-arrays", "zeros", "negative-zeros", "finite", "inf", "minus-inf", "nan-then-inf",
+         "inf-then-nan", "empty-and-nan", "extremes"],
+)
+def test_param_vec_max_abs_equals_the_per_array_loop(weights, biases):
+    vec = ParamVec(weights, biases)
+    before = [a.copy() for a in weights + biases]
+    got, expected = vec.max_abs(), loop_max_abs(vec)
+    assert type(got) is float
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert got == expected and math.copysign(1.0, got) == 1.0
+    # the abs is taken in a copy: the vector's own arrays keep their signs
+    for a, b in zip(before, weights + biases):
+        npt.assert_array_equal(a, b, strict=True)
+        assert (np.signbit(a) == np.signbit(b)).all()
+
+
+def test_param_vec_max_abs_on_stacked_and_f_ordered_arrays():
+    rng = np.random.default_rng(5)
+    vec = random_vec(rng, stack=3, order="F")
+    vec.biases[1][2, 1] = -9.0
+    assert vec.max_abs() == loop_max_abs(vec) == 9.0
+    assert vec[2].max_abs() == loop_max_abs(vec[2]) == 9.0
+
+
+def test_prechecked_model_makes_every_check_but_the_scan():
+    model = init_model([3, 4, 2], "relu", seed=0)
+    same = Model._prechecked(model.weights, model.biases, model.activation)
+    assert same == model and same.weights is model.weights
+    bad_inputs = [
+        (model.weights, model.biases, "gelu"),
+        (model.weights, model.biases[:1], "relu"),
+        ([model.weights[0].T, model.weights[1]], model.biases, "relu"),
+        ([model.weights[0], model.weights[1][:, :3]], model.biases, "relu"),
+    ]
+    for args in bad_inputs:
+        with pytest.raises(ValueError) as checked:
+            Model(*args)
+        with pytest.raises(ValueError) as prechecked:
+            Model._prechecked(*args)
+        assert str(prechecked.value) == str(checked.value)
+    # a layout fault after a non-finite layer: the constructor names the
+    # first fault in layer order, the non-finite layer
+    weights = [np.full((4, 3), np.nan), model.weights[1][:, :3]]
+    with pytest.raises(ValueError, match=r"^layer 0: non-finite parameters$"):
+        Model(weights, model.biases, "relu")
+    with pytest.raises(ValueError, match=r"^layer 1: fan-in does not match previous fan-out$"):
+        Model._prechecked(weights, model.biases, "relu")
+    # parameters from outside keep the scan
+    biases = [model.biases[0], np.array([0.0, np.inf])]
+    with pytest.raises(ValueError, match=r"^layer 1: non-finite parameters$"):
+        Model(model.weights, biases, "relu")
+
+
 # ParamVec's operations against the per-list comprehensions they replaced
 
 def random_vec(rng, stack=None, order="C"):
