@@ -56,7 +56,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     gap += u
     hits = (gap > 0.0).nonzero()[0]
     if hits.size == 0:
-        # k = 0 always satisfies cond exactly (u[0] + 1 - u[0] = 1), but near
+        # k = 0 always has gap > 0 exactly (u[0] + 1 - u[0] = 1), but near
         # 1e16 and above every entry rounds to False and v - theta would
         # round as well; the k = 0 projection is the largest entry's vertex
         out = np.zeros(v.shape)
@@ -196,7 +196,8 @@ def active_set_simplex_ls(system, b):
     rhs = np.empty(n + 1)
     rhs[:n] = b
     rhs[n] = 1.0
-    # max |rhs| is max(max |b|, 1.0), NaN included: Python's max keeps its first argument unless the second is larger
+    # max |rhs| is max(max |b|, 1.0), a NaN included: Python's max keeps its
+    # first argument unless the second is larger
     b_scale = abs(b).max()
     limit = _KKT_COND_LIMIT * max(b_scale, 1.0) / max(system.gram_scale, 1.0)
     tol = _KKT_RTOL * (system.gram_scale + b_scale)

@@ -131,7 +131,8 @@ def _apportion(values: np.ndarray, total: int) -> np.ndarray:
     """
     if not abs(values.sum() - total) < 1.0:
         raise ValueError(f"values sum to {values.sum()!r}, not within one unit of total {total}")
-    base = np.floor(values).astype(np.int64)
+    # truncation is the floor, as no entry is negative
+    base = values.astype(np.int64)
     # the check bounds the leftover to [0, values.size]
     leftover = int(total - base.sum())
     base[np.argsort(base - values, kind="stable")[:leftover]] += 1
