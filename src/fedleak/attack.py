@@ -437,8 +437,11 @@ def round_counts(z: np.ndarray, total: int) -> np.ndarray:
 
     largest_remainder of max(z, 0) * total, with z checked once: for a 1-D
     z and a non-negative total, the checks here imply all of
-    largest_remainder's but the sum, which data._apportion makes. Any
-    other z or total goes through largest_remainder, which names the fault.
+    largest_remainder's, the sum included, so data._apportion rounds
+    unchecked. Any other z or total goes through largest_remainder, which
+    names the fault. A z on the simplex within its tolerance can still
+    scale to a sum a unit or more off a large total; that raises here,
+    naming z and the total.
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.isfinite(z).all() or (z < -1e-9).any():
@@ -449,6 +452,11 @@ def round_counts(z: np.ndarray, total: int) -> np.ndarray:
         return largest_remainder(np.maximum(z, 0.0) * total, total)
     values = np.maximum(z, 0.0)
     values *= total
+    if not abs(values.sum() - total) < 1.0:
+        raise ValueError(
+            f"z sums to {float(z.sum())!r}; times total {total} that is {float(values.sum())!r}, "
+            "not within one unit of the total"
+        )
     return _apportion(values, total)
 
 

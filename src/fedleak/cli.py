@@ -13,6 +13,8 @@ command-line overrides; --seed overrides the master seed. Exit codes:
 0 success, 1 validation error, 2 I/O error. Every file a command writes
 is checked by _check_writable before any work and written here, the
 round log and the attack reports included: fedsim and attack only compute.
+run_experiment, which every simulating command calls, sets the process's
+glibc malloc policy once (fedsim._keep_heap) before it builds the world.
 """
 
 import argparse
@@ -237,10 +239,20 @@ def run_experiment(cfg: ExperimentConfig, report_dir=None, round_log=None):
     already exist. Raises OSError before any training when they do not,
     and ValueError when no client's shard fills a batch (fed.run_round's
     check), because then every update is degenerate.
+
+    Process-wide side effect: the first call sets the process's glibc
+    malloc policy (fed._keep_heap: one arena, fixed mmap and trim
+    thresholds), so each round reuses the previous round's heap instead
+    of faulting it in afresh. It holds for the rest of the process and
+    for all of its allocations; threads that already own an arena, such
+    as a fed._map pool born before the first call, keep theirs. It
+    changes where memory comes from, never a result. Off glibc nothing
+    is set.
     """
     _check_writable(round_log, report_dir=report_dir)
     if report_dir is not None and not os.path.isdir(report_dir):
         raise FileNotFoundError(f"cannot write reports to {report_dir!r}: no such directory")
+    fed._keep_heap()
     dataset, aux, partition, model = _build_world(cfg)
     histories = [fed.UpdateHistory.fresh(model) for _ in range(partition.n_clients)]
     rows = []

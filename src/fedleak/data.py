@@ -118,19 +118,20 @@ def largest_remainder(values: np.ndarray, total: int) -> np.ndarray:
         raise ValueError("values must be a non-empty 1-D array")
     if (values < -1e-9).any():
         raise ValueError("values must be non-negative")
-    return _apportion(np.maximum(values, 0.0), total)
+    values = np.maximum(values, 0.0)
+    if not abs(values.sum() - total) < 1.0:
+        raise ValueError(f"values sum to {float(values.sum())!r}, not within one unit of total {total}")
+    return _apportion(values, total)
 
 
 def _apportion(values: np.ndarray, total: int) -> np.ndarray:
-    """largest_remainder of values its caller has checked, after the sum check alone.
+    """largest_remainder of values its caller has checked, sum included.
 
-    values must be a non-empty 1-D float64 array with no entry below zero,
-    and total non-negative; only the sum is checked here, with
-    largest_remainder's message. A stable argsort of base - values puts the
-    largest fractional parts first and ties in index order.
+    values must be a non-empty 1-D float64 array with no entry below zero
+    that sums to within one unit of the non-negative total; nothing is
+    checked here. A stable argsort of base - values puts the largest
+    fractional parts first and ties in index order.
     """
-    if not abs(values.sum() - total) < 1.0:
-        raise ValueError(f"values sum to {values.sum()!r}, not within one unit of total {total}")
     # truncation is the floor, as no entry is negative
     base = values.astype(np.int64)
     # the check bounds the leftover to [0, values.size]

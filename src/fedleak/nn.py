@@ -33,7 +33,9 @@ def _relu(z, out=None):
 
 
 def _relu_grad(z):
-    return (z > 0.0).astype(np.float64)
+    # the bool mask: a product with it has the bits of one with its 0.0/1.0
+    # floats, without building them
+    return z > 0.0
 
 
 def _tanh(z, out=None):
@@ -313,23 +315,30 @@ def backward_stack(params: ParamVec, activation: str, features: np.ndarray, labe
         raise ValueError("empty batch")
     weights, biases = params.weights, params.biases
 
+    # every elementwise step writes into the fresh product it follows, with
+    # the bits of the out-of-place form; only the pre-activations, which
+    # the gradient reads, and the activations are separate arrays
     pre = []
     h = x
     hs = [h]
     for w, b in zip(weights[:-1], biases[:-1]):
-        z = h @ w.transpose(0, 2, 1) + b[:, None, :]
+        z = h @ w.transpose(0, 2, 1)
+        z += b[:, None, :]
         pre.append(z)
         h = act(z)
         hs.append(h)
-    logits = h @ weights[-1].transpose(0, 2, 1) + biases[-1][:, None, :]
+    logits = h @ weights[-1].transpose(0, 2, 1)
+    logits += biases[-1][:, None, :]
 
     # the log-sum-exp of the loss and the softmax of the delta share one exp
-    shifted = logits - logits.max(axis=2, keepdims=True)
+    shifted = logits
+    shifted -= logits.max(axis=2, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=2, keepdims=True)
     true_class = (np.arange(stack)[:, None], np.arange(batch), y)
     losses = np.mean(np.log(total[:, :, 0]) - shifted[true_class], axis=1)
-    delta = e / total
+    delta = e
+    delta /= total
     delta[true_class] -= 1.0
     delta /= batch
 
@@ -339,7 +348,8 @@ def backward_stack(params: ParamVec, activation: str, features: np.ndarray, labe
     grad_b[-1] = delta.sum(axis=1)
     up = delta
     for i in range(len(weights) - 2, -1, -1):
-        up = (up @ weights[i + 1]) * act_grad(pre[i])
+        up = up @ weights[i + 1]
+        up *= act_grad(pre[i])
         grad_w[i] = up.transpose(0, 2, 1) @ hs[i]
         grad_b[i] = up.sum(axis=1)
     return losses, ParamVec(grad_w, grad_b)

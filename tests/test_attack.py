@@ -787,8 +787,29 @@ def test_round_counts_validation():
         round_counts(np.array([0.7, 0.7]), 10)
 
 
+def test_round_counts_names_z_and_the_total_when_the_scaled_sum_is_off():
+    # on the simplex within its 1e-6 tolerance, yet 1.5 units off the total
+    z = np.array([0.5, 0.5 + 5e-7])
+    with pytest.raises(ValueError) as err:
+        round_counts(z, 3_000_000)
+    message = str(err.value)
+    assert message.startswith(f"z sums to {float(z.sum())!r}; times total 3000000 that is 3000001.5")
+    assert "np." not in message
+    # a scaled sum less than a unit off rounds as before
+    assert round_counts(np.array([0.5, 0.5 + 1e-7]), 3_000_000).tolist() == [1_500_000, 1_500_000]
+
+
+def lexsort_apportion(values, total):
+    """The rounding step as it was before the stable argsort: a lexsort of the fractions."""
+    base = np.floor(values).astype(np.int64)
+    leftover = int(total - base.sum())
+    order = np.lexsort((np.arange(values.size), -(values - base)))
+    base[order[:leftover]] += 1
+    return base
+
+
 def lexsort_largest_remainder(values, total):
-    """largest_remainder as it was before the stable argsort: checks, then a lexsort of the fractions."""
+    """largest_remainder as it was before the stable argsort: checks, then lexsort_apportion."""
     values = np.asarray(values, dtype=np.float64)
     if total < 0:
         raise ValueError("total must be non-negative")
@@ -798,22 +819,26 @@ def lexsort_largest_remainder(values, total):
         raise ValueError("values must be non-negative")
     values = np.maximum(values, 0.0)
     if not abs(values.sum() - total) < 1.0:
-        raise ValueError(f"values sum to {values.sum()!r}, not within one unit of total {total}")
-    base = np.floor(values).astype(np.int64)
-    leftover = int(total - base.sum())
-    order = np.lexsort((np.arange(values.size), -(values - base)))
-    base[order[:leftover]] += 1
-    return base
+        raise ValueError(f"values sum to {float(values.sum())!r}, not within one unit of total {total}")
+    return lexsort_apportion(values, total)
 
 
 def lexsort_round_counts(z, total):
-    """round_counts as it was: its own checks, then all of lexsort_largest_remainder's."""
+    """round_counts as it was: its own checks, then lexsort_largest_remainder's or its own sum check."""
     z = np.asarray(z, dtype=np.float64)
     if not np.isfinite(z).all() or (z < -1e-9).any():
         raise ValueError("z must be finite and non-negative")
     if abs(z.sum() - 1.0) > 1e-6:
         raise ValueError("z must lie on the probability simplex")
-    return lexsort_largest_remainder(np.maximum(z, 0.0) * total, total)
+    values = np.maximum(z, 0.0) * total
+    if total < 0 or z.ndim != 1:
+        return lexsort_largest_remainder(values, total)
+    if not abs(values.sum() - total) < 1.0:
+        raise ValueError(
+            f"z sums to {float(z.sum())!r}; times total {total} that is {float(values.sum())!r}, "
+            "not within one unit of the total"
+        )
+    return lexsort_apportion(values, total)
 
 
 def outcome(fn, *args):

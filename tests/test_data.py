@@ -108,6 +108,12 @@ def test_largest_remainder_rejects_values_off_total(values, total):
         largest_remainder(np.array(values), total)
 
 
+def test_largest_remainder_off_total_message_prints_a_plain_float():
+    with pytest.raises(ValueError) as err:
+        largest_remainder(np.array([2.5, 3.0]), 4)
+    assert str(err.value) == "values sum to 5.5, not within one unit of total 4"
+
+
 def test_largest_remainder_accepts_values_within_one_unit():
     npt.assert_array_equal(largest_remainder(np.array([2.4, 2.5]), 4), [2, 2])
     npt.assert_array_equal(largest_remainder(np.array([0.4, 0.3]), 1), [1, 0])

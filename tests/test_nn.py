@@ -339,6 +339,68 @@ def test_backward_stack_slices_match_the_one_model_pass_bit_for_bit(sizes, batch
             assert a[k].tobytes() == b.tobytes()
 
 
+def expression_form_backward_stack(params, activation, x, y):
+    """backward_stack with every elementwise step a new array, relu's gradient as 0.0/1.0 floats."""
+    act, act_grad = ACTIVATIONS[activation]
+    if activation == "relu":
+        act_grad = lambda z: (z > 0.0).astype(np.float64)  # noqa: E731
+    stack, batch = y.shape
+    pre, h = [], x
+    hs = [h]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ w.transpose(0, 2, 1) + b[:, None, :]
+        pre.append(z)
+        h = act(z)
+        hs.append(h)
+    logits = h @ params.weights[-1].transpose(0, 2, 1) + params.biases[-1][:, None, :]
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=2, keepdims=True)
+    true_class = (np.arange(stack)[:, None], np.arange(batch), y)
+    losses = np.mean(np.log(total[:, :, 0]) - shifted[true_class], axis=1)
+    delta = e / total
+    delta[true_class] -= 1.0
+    delta /= batch
+    grad_w = [delta.transpose(0, 2, 1) @ hs[-1]]
+    grad_b = [delta.sum(axis=1)]
+    up = delta
+    for i in range(len(params.weights) - 2, -1, -1):
+        up = (up @ params.weights[i + 1]) * act_grad(pre[i])
+        grad_w.insert(0, up.transpose(0, 2, 1) @ hs[i])
+        grad_b.insert(0, up.sum(axis=1))
+    return losses, grad_w, grad_b
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["random", "signed-zeros-nan"])
+@pytest.mark.parametrize("stack", [1, 3])
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_backward_stack_in_place_steps_equal_the_expression_form(activation, stack, special):
+    rng = np.random.default_rng(stack)
+    sizes, batch = [6, 9, 7, 4], 8
+    models = [init_model(sizes, activation, seed=s) for s in range(stack)]
+    params = ParamVec([np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                      [np.stack(bs) for bs in zip(*(m.biases for m in models))])
+    x = rng.normal(size=(stack, batch, sizes[0])) * 2.0
+    y = rng.integers(0, sizes[-1], size=(stack, batch))
+    if special:
+        # ±0 features, and zero weight rows with ±0 biases, give exact zero
+        # pre-activations (relu's mask and the elu/selu branches at their
+        # boundary); a NaN feature carries NaN through its sample's rows and
+        # every batch sum of slice 0
+        params.weights[0][:, :4] = 0.0
+        params.biases[0][:, :4] = [0.0, -0.0, 0.0, -0.0]
+        x[:, 1] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+        x[0, 2, 3] = np.nan
+    losses, grad = backward_stack(params, activation, x, y)
+    ref_losses, ref_w, ref_b = expression_form_backward_stack(params, activation, x, y)
+    assert losses.tobytes() == ref_losses.tobytes()
+    for a, b in zip(grad.weights + grad.biases, ref_w + ref_b, strict=True):
+        assert a.tobytes() == b.tobytes()
+    if special:
+        pre = x @ params.weights[0].transpose(0, 2, 1) + params.biases[0][:, None, :]
+        assert (pre == 0.0).any() and np.isnan(losses[0])
+
+
 def test_backward_empty_batch_rejected():
     model = init_model([3, 2], "relu", seed=0)
     with pytest.raises(ValueError):
