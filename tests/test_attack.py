@@ -824,7 +824,7 @@ def lexsort_largest_remainder(values, total):
 
 
 def lexsort_round_counts(z, total):
-    """round_counts as it was: its own checks, then lexsort_largest_remainder's or its own sum check."""
+    """round_counts with the lexsort rounding: its own checks, then lexsort_largest_remainder's or its own sum check."""
     z = np.asarray(z, dtype=np.float64)
     if not np.isfinite(z).all() or (z < -1e-9).any():
         raise ValueError("z must be finite and non-negative")
